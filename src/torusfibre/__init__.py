@@ -1,7 +1,7 @@
 """Exact quantum-invariant data for mapping tori of finite order surface
 diffeomorphisms."""
 
-from .exact import Cyclotomic, PhaseQ, PhaseSeries, Rational
+from .exact import Cyclotomic, PhaseQ, PhaseSeries
 from .orbit import OrbitData, SeifertData, seifert_invariants, total_genus, validate_orbit
 from .spectrum import (
     EigenSpectrum,

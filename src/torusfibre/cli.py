@@ -14,12 +14,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
 from .exact import PhaseQ
-from .expansion import (
-    assemble_invariant,
-    default_precision,
-    evaluate_invariant,
-    fit_expansion,
-)
+from .expansion import assemble_invariant, evaluate_invariant, fit_expansion
 from .framing import GroupData, framing_evaluate, framing_phase, framing_series
 from .localization import CohomologyOracle, point_contribution, smooth_contribution
 from .orbit import OrbitData, seifert_invariants, validate_orbit
@@ -242,6 +237,8 @@ def _cmd_fit(args):
                 k = int(parts[0])
             except ValueError:
                 continue  # header line
+            if len(parts) < 3:
+                raise ValidationError(f"sample line {line!r} is not k,re,im")
             samples.append((k, complex(float(parts[1]), float(parts[2]))))
     result = fit_expansion(
         samples,
@@ -250,7 +247,6 @@ def _cmd_fit(args):
         degree_bound=args.degree,
         half_integer_degrees=not args.integer_degrees,
         variable_shift=args.shift,
-        precision=args.precision,
     )
     _emit(result.to_json(), args.format)
     return EXIT_OK
@@ -298,7 +294,6 @@ def build_parser():
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--integer-degrees", action="store_true")
     p.add_argument("--shift", type=int, default=0)
-    p.add_argument("--precision", type=int, default=None)
     return parser
 
 

@@ -16,23 +16,13 @@ from functools import lru_cache
 from math import gcd, lcm, factorial
 
 __all__ = [
-    "Rational",
     "cyclotomic_polynomial",
     "euler_phi",
     "Cyclotomic",
     "PhaseQ",
     "PhaseSeries",
-    "parse_rational",
     "format_rational",
 ]
-
-# Rational scalars are stdlib Fractions: arbitrary precision, always in
-# lowest terms with positive denominator.
-Rational = Fraction
-
-
-def parse_rational(s):
-    return Fraction(s)
 
 
 def format_rational(r):
@@ -455,25 +445,6 @@ class PhaseSeries:
             acc += val / (k + self.shift) ** n
         return lead * acc
 
-    def as_inverse_k(self, order=None):
-        """Re-expand in powers of 1/k (numeric output convenience).
-
-        1/(k+h)^n = sum_j binom(-n, j) h^j k^-(n+j).
-        """
-        order = self.order if order is None else order
-        out = [[Fraction(0)] * (self.order + 1) for _ in range(order + 1)]
-        for n, poly in enumerate(self.coeffs):
-            for t in range(n, order + 1):
-                j = t - n
-                if n == 0 and j > 0:
-                    continue
-                binom = Fraction(1)
-                for i in range(j):
-                    binom *= Fraction(-(n + i), i + 1)
-                for p, c in enumerate(poly):
-                    out[t][p] += c * binom * self.shift**j
-        return PhaseSeries(self.leading, 0, [tuple(_trim_f(poly)) for poly in out], order)
-
     def to_json(self):
         return {
             "leading": self.leading.to_json(),
@@ -481,10 +452,3 @@ class PhaseSeries:
             "order": self.order,
             "coeffs": [[format_rational(c) for c in poly] for poly in self.coeffs],
         }
-
-
-def _trim_f(poly):
-    poly = list(poly)
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return poly

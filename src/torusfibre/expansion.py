@@ -5,8 +5,8 @@ leading coefficients) from sampled values.
 The recovery problem is the classical one for finite exponential-polynomial
 sums: phases are searched over reduced fractions with bounded denominator
 (they enter only through e^{2 pi i k q}), growth orders over a half-integer
-grid.  Stage one locates phases with a windowed matched filter in float
-arithmetic; stage two redoes the joint linear fit at high precision.
+grid.  Phases are located with a windowed matched filter; every linear fit
+on the chosen phases is one column-scaled float64 least-squares solve.
 """
 
 from __future__ import annotations
@@ -150,13 +150,28 @@ def _exponent_grid(degree_bound, half_steps):
     return [Fraction(e) for e in range(degree_bound, -1, -1)]
 
 
-def _design_matrix_float(ks, phases, exponents):
+def _design_matrix(levels, ks, phases, exponents):
+    """Columns e^{2 pi i q k} (k + shift)^e for integer levels k and the
+    shifted variable ks.  q k is reduced mod 1 exactly before rounding, so
+    the phase is accurate to one ulp at any level."""
     cols = []
     for q in phases:
-        osc = np.exp(2j * np.pi * float(q) * ks)
+        osc = np.exp(2j * np.pi * (q.numerator * levels % q.denominator) / q.denominator)
         for e in exponents:
             cols.append(osc * ks ** float(e))
     return np.stack(cols, axis=1)
+
+
+def _lstsq(A, y):
+    """Float64 least squares on A with its columns scaled to unit norm.
+    Returns the coefficients for A, the residual vector and the condition
+    number of the scaled matrix (inf for an exactly dependent column)."""
+    scale = np.linalg.norm(A, axis=0)
+    scale[scale == 0] = 1.0
+    scaled = A / scale
+    coef, _, _, sv = np.linalg.lstsq(scaled, y, rcond=None)
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+    return coef / scale, y - scaled @ coef, cond
 
 
 def fit_expansion(
@@ -166,7 +181,6 @@ def fit_expansion(
     degree_bound,
     half_integer_degrees=True,
     variable_shift=0,
-    precision=None,
     coefficient_tolerance=1e-7,
     residual_threshold=None,
     condition_threshold=None,
@@ -175,9 +189,16 @@ def fit_expansion(
 
     samples: list of (k, complex).  Phases are detected greedily with a
     triangular-window matched filter over all reduced fractions with
-    denominator up to the bound, then the joint linear system is re-solved
-    at high precision and small terms pruned.
+    denominator up to the bound, each pick followed by a joint linear fit
+    on the phases chosen so far; small terms of the final fit are pruned.
+
+    The condition number is that of the design matrix with unit-norm
+    columns; above condition_threshold (default 2**32, which leaves at least
+    six significant digits of float64 in the coefficients) the fit raises
+    IllConditioned.
     """
+    if max_terms < 1 or degree_bound < 0:
+        raise ValueError("need at least one term and a non-negative degree bound")
     samples = sorted(samples)
     ks_int = [int(k) for k, _ in samples]
     need = 2 * max_terms * (degree_bound + 2)
@@ -185,24 +206,24 @@ def fit_expansion(
         raise ValueError(
             f"need at least {need} samples at consecutive integer levels"
         )
-    ks = np.array(ks_int, dtype=float) + float(variable_shift)
+    levels = np.array(ks_int)
+    ks = levels + float(variable_shift)
     y = np.array([complex(v) for _, v in samples])
+    if not np.isfinite(y).all():
+        raise ValueError("samples must be finite")
     yscale = float(np.max(np.abs(y))) or 1.0
 
     candidates = _phase_candidates(q_denominator_bound)
     cand_arr = np.array([float(q) for q in candidates])
-    kcol = np.array(ks_int, dtype=float)
     # triangular window suppresses leakage from the other phases
     window = 1.0 - np.abs(np.linspace(-1.0, 1.0, len(ks)))
     window /= window.sum()
-    probe = np.exp(-2j * np.pi * np.outer(cand_arr, kcol))
+    probe = np.exp(-2j * np.pi * np.outer(cand_arr, levels))
     exponents = _exponent_grid(degree_bound, half_integer_degrees)
     detect_weights = [ks ** -float(d) for d in range(degree_bound + 1)]
 
-    def joint_residual(phase_list):
-        A = _design_matrix_float(ks, phase_list, exponents)
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        return y - A @ coef
+    def joint_fit(phase_list):
+        return _lstsq(_design_matrix(levels, ks, phase_list, exponents), y)
 
     chosen = []
     resid = y.copy()
@@ -217,7 +238,7 @@ def fit_expansion(
             if best is None or scores[i] > best[0]:
                 best = (scores[i], candidates[i])
         chosen.append(best[1])
-        resid = joint_residual(chosen)
+        coeffs, resid, cond = joint_fit(chosen)
         if np.max(np.abs(resid)) < 1e-12 * yscale:
             break
     # coordinate-descent refinement when the greedy pick did not converge
@@ -230,28 +251,25 @@ def fit_expansion(
                     if q in chosen:
                         continue
                     trial = chosen[:slot] + [q] + chosen[slot + 1:]
-                    r = float(np.linalg.norm(joint_residual(trial)))
+                    r = float(np.linalg.norm(joint_fit(trial)[1]))
                     if r < best_r * 0.999:
                         best_q, best_r = q, r
                 if best_q != chosen[slot]:
                     chosen[slot] = best_q
-                    resid = joint_residual(chosen)
+                    coeffs, resid, cond = joint_fit(chosen)
                     improved = True
             if not improved:
                 break
 
-    # stage two: high precision joint least squares on the chosen phases
-    ctx = mpmath.mp.clone()
-    ctx.prec = precision or default_precision()
-    coeffs, residual, cond = _refit_mp(ctx, ks_int, variable_shift, y, chosen, exponents)
     if condition_threshold is None:
-        condition_threshold = mpmath.mpf(2) ** (ctx.prec // 2)
+        condition_threshold = 2.0 ** 32
     if cond > condition_threshold:
         raise IllConditioned(
-            f"least-squares condition estimate {mpmath.nstr(cond, 5)} exceeds "
-            f"threshold"
+            f"condition number {cond:.3g} of the column-scaled design matrix "
+            f"exceeds {condition_threshold:.3g}; start the samples nearer "
+            f"k = 1 or lower the degree bound"
         )
-    rel_resid = float(residual) / yscale
+    rel_resid = float(np.linalg.norm(resid)) / yscale
     if residual_threshold is not None and rel_resid > residual_threshold:
         raise ResidualTooLarge(
             f"relative residual {rel_resid:.3e} above {residual_threshold:.3e}"
@@ -275,46 +293,3 @@ def fit_expansion(
         terms.append({"q": q, "d": exponents[lead], "b": b, "a": lower})
     terms.sort(key=lambda t: t["q"])
     return FitResult(terms=terms, residual=rel_resid)
-
-
-def _refit_mp(ctx, ks_int, shift, y, phases, exponents):
-    """Joint least squares by modified Gram-Schmidt at working precision.
-    Returns (coefficients, residual norm, diagonal condition estimate)."""
-    n = len(ks_int)
-    cols = []
-    for q in phases:
-        for e in exponents:
-            col = [
-                ctx.expjpi(2 * ctx.mpf(q.numerator) / q.denominator * k)
-                * ctx.power(ctx.mpf(k + shift), ctx.mpf(e.numerator) / e.denominator)
-                for k in ks_int
-            ]
-            cols.append(col)
-    m = len(cols)
-    yv = [ctx.mpc(v) for v in y]
-    Q = []
-    R = [[ctx.mpc(0)] * m for _ in range(m)]
-    for j in range(m):
-        v = list(cols[j])
-        for i in range(len(Q)):
-            r = ctx.fsum((ctx.conj(Q[i][t]) * v[t] for t in range(n)))
-            R[i][j] = r
-            for t in range(n):
-                v[t] -= r * Q[i][t]
-        nrm = ctx.sqrt(ctx.fsum((abs(v[t]) ** 2 for t in range(n))))
-        R[j][j] = nrm
-        if nrm == 0:
-            raise IllConditioned("design matrix has an exactly dependent column")
-        Q.append([v[t] / nrm for t in range(n)])
-    diag = [abs(R[j][j]) for j in range(m)]
-    cond = max(diag) / min(diag)
-    qty = [ctx.fsum((ctx.conj(Q[i][t]) * yv[t] for t in range(n))) for i in range(m)]
-    coeffs = [ctx.mpc(0)] * m
-    for i in range(m - 1, -1, -1):
-        acc = qty[i]
-        for j in range(i + 1, m):
-            acc -= R[i][j] * coeffs[j]
-        coeffs[i] = acc / R[i][i]
-    fit = [ctx.fsum((cols[j][t] * coeffs[j] for j in range(m))) for t in range(n)]
-    residual = ctx.sqrt(ctx.fsum((abs(yv[t] - fit[t]) ** 2 for t in range(n))))
-    return coeffs, residual, cond

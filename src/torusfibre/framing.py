@@ -39,10 +39,6 @@ class GroupData:
     def rank(self):
         return self.N - 1
 
-    @property
-    def center_order(self):
-        return self.N
-
     def label(self):
         return f"SU({self.N})"
 
@@ -54,11 +50,6 @@ class GroupData:
         if s.startswith("SU"):
             return cls(int(s[2:]))
         raise ValueError(f"unrecognized group label {s!r}; expected SU(N)")
-
-
-# central charge numerator constant: zeta = k * _charge_constant(G) / (k + h)
-def _charge_constant(group):
-    return group.dim_G
 
 
 @dataclass(frozen=True)
@@ -85,7 +76,7 @@ def framing_phase(spec, group):
             continue
         ahat = a if 2 * a < m else a - m
         acc += spec.d[a] * Fraction(ahat, m)
-    B = -Fraction(_charge_constant(group), 2) * acc
+    B = -Fraction(group.dim_G, 2) * acc
     return FramingPhase(B=B, group=group)
 
 

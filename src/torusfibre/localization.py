@@ -34,7 +34,7 @@ from .errors import (
     OracleDegreeOverflow,
     ValidationError,
 )
-from .exact import Cyclotomic, PhaseQ, format_rational
+from .exact import Cyclotomic, PhaseQ
 from .spectrum import mu_value
 from .strata import root_eigendata
 
@@ -109,9 +109,6 @@ class _Ring:
                 else:
                     out[k] = s
         return out
-
-    def component(self, a, degree):
-        return {k: v for k, v in a.items() if self.monomial_degree(k) == degree}
 
     def exp(self, a):
         """exp of an element with no degree-0 part (nilpotent after

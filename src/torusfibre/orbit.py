@@ -20,6 +20,7 @@ from .errors import (
     NonIntegralGenus,
     GenusTooSmall,
     NonIntegralB,
+    ValidationError,
 )
 
 __all__ = ["OrbitData", "SeifertData", "validate_orbit", "total_genus", "seifert_invariants"]
@@ -39,11 +40,18 @@ class OrbitData:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            int(obj["m"]),
-            int(obj["quotient_genus"]),
-            [(br["l"], br["n"]) for br in obj.get("branches", [])],
-        )
+        """Parse {"m", "quotient_genus", "branches": [{"l", "n"}, ...]};
+        a wrong shape is a ValidationError."""
+        try:
+            return cls(
+                int(obj["m"]),
+                int(obj["quotient_genus"]),
+                [(br["l"], br["n"]) for br in obj.get("branches", [])],
+            )
+        except KeyError as exc:
+            raise ValidationError(f"orbit data has no field {exc}") from None
+        except TypeError as exc:
+            raise ValidationError(f"orbit data has the wrong shape: {exc}") from None
 
     def to_json(self):
         return {

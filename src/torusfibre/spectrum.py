@@ -15,7 +15,7 @@ from math import gcd
 import numpy as np
 
 from .errors import DegenerateTerm, GcdViolation, NonIntegralMultiplicity
-from .exact import Cyclotomic, cyclotomic_polynomial, euler_phi
+from .exact import Cyclotomic, cyclotomic_polynomial
 from .orbit import total_genus, validate_orbit
 
 __all__ = [

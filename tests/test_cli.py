@@ -79,6 +79,36 @@ def test_bad_arguments_exit_one(capsys):
     assert code == 1
 
 
+def test_top_level_list_is_invalid_input(orbit_file, capsys):
+    code, _, err = run(capsys, "validate", "--orbit", orbit_file([HYPER_JSON]))
+    assert code == 1
+    assert "invalid input" in err
+
+
+def test_missing_orbit_field_is_invalid_input(orbit_file, capsys):
+    for key in ("m", "quotient_genus"):
+        obj = {k: v for k, v in HYPER_JSON.items() if k != key}
+        code, _, err = run(capsys, "seifert", "--orbit", orbit_file(obj))
+        assert code == 1
+        assert f"'{key}'" in err
+
+
+def test_branch_without_l_or_n_is_invalid_input(orbit_file, capsys):
+    for key in ("l", "n"):
+        obj = dict(HYPER_JSON, branches=[{key: 2}] * 6)
+        code, _, err = run(capsys, "spectrum", "--orbit", orbit_file(obj))
+        assert code == 1
+        assert "invalid input" in err
+
+
+def test_short_fit_sample_line_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_text("k,re,im\n1,1.0\n")
+    code, _, err = run(capsys, "fit", "--samples", str(path))
+    assert code == 1
+    assert "1,1.0" in err
+
+
 def test_seifert_hyperelliptic(orbit_file, capsys):
     code, out, _ = run(capsys, "seifert", "--orbit", orbit_file(HYPER_JSON))
     assert code == 0

@@ -133,4 +133,31 @@ def test_phase_series_numeric():
     for k in (100, 10000):
         target = cmath.exp(2j * cmath.pi * 0.75 * k / (k + 2))
         assert abs(s.eval_numeric(k) - target) < 1e-10
-        assert abs(s.as_inverse_k().eval_numeric(k) - target) < 1e-8
+        assert abs(_as_inverse_k(s).eval_numeric(k) - target) < 1e-8
+
+
+def _as_inverse_k(s, order=None):
+    """Re-expand a PhaseSeries in powers of 1/k.
+
+    1/(k+h)^n = sum_j binom(-n, j) h^j k^-(n+j).
+    """
+    order = s.order if order is None else order
+    out = [[F(0)] * (s.order + 1) for _ in range(order + 1)]
+    for n, poly in enumerate(s.coeffs):
+        for t in range(n, order + 1):
+            j = t - n
+            if n == 0 and j > 0:
+                continue
+            binom = F(1)
+            for i in range(j):
+                binom *= F(-(n + i), i + 1)
+            for p, c in enumerate(poly):
+                out[t][p] += c * binom * s.shift**j
+    return PhaseSeries(s.leading, 0, [tuple(_trim_f(poly)) for poly in out], order)
+
+
+def _trim_f(poly):
+    poly = list(poly)
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    return poly

@@ -1,6 +1,7 @@
 import cmath
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from torusfibre.errors import (
@@ -11,6 +12,7 @@ from torusfibre.errors import (
 from torusfibre.exact import Cyclotomic, PhaseQ
 from torusfibre.expansion import (
     InvariantModel,
+    _lstsq,
     assemble_invariant,
     evaluate_invariant,
     fit_expansion,
@@ -147,6 +149,35 @@ def test_fit_condition_threshold():
     samples = [(k, complex(k + 1)) for k in range(1, 41)]
     with pytest.raises(IllConditioned):
         fit_expansion(samples, 3, 1, 1, condition_threshold=0.01)
+
+
+def test_fit_default_condition_gate():
+    # far from k = 1 the k^3 .. k^0 columns are nearly dependent
+    samples = [(k, complex(k + 1)) for k in range(400, 440)]
+    with pytest.raises(IllConditioned):
+        fit_expansion(samples, 3, 1, 3)
+
+
+def test_dependent_columns_exceed_default_condition_threshold():
+    col = np.arange(1.0, 41.0) + 0j
+    _, _, cond = _lstsq(np.stack([col, np.zeros(40)], axis=1), col)
+    assert cond == np.inf
+    _, _, cond = _lstsq(np.stack([col, 2 * col], axis=1), col)
+    assert cond > 2.0 ** 32
+
+
+def test_fit_needs_a_term_and_a_degree():
+    samples = [(k, complex(k + 1)) for k in range(1, 41)]
+    for terms, degree in ((0, 1), (1, -1), (1, -2)):
+        with pytest.raises(ValueError):
+            fit_expansion(samples, 3, terms, degree)
+
+
+def test_fit_rejects_non_finite_samples():
+    samples = [(k, complex(k + 1)) for k in range(1, 41)]
+    samples[7] = (8, complex("nan"))
+    with pytest.raises(ValueError):
+        fit_expansion(samples, 3, 1, 1)
 
 
 def test_model_roundtrip_through_fit():
