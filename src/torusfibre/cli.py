@@ -76,12 +76,27 @@ def _is_trivial_stratum(stratum):
     )
 
 
+def _cs_phase(key, value):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValidationError(
+            f"cs-phase {key!r} is {value!r}, not a string p/q or a number"
+        )
+    try:
+        return PhaseQ(Fraction(value))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"cs-phase {key!r} = {value!r}: {exc}") from None
+
+
 def _stratum_phases(strata, cs_map):
+    if cs_map is not None and not isinstance(cs_map, dict):
+        raise ValidationError(
+            "cs-phases must be a JSON object mapping stratum index to phase"
+        )
     phases = []
     for i, s in enumerate(strata):
         key = str(i)
         if cs_map is not None and key in cs_map:
-            phases.append(PhaseQ(Fraction(cs_map[key])))
+            phases.append(_cs_phase(key, cs_map[key]))
         elif _is_trivial_stratum(s):
             phases.append(PhaseQ(0))
         else:
@@ -93,6 +108,10 @@ def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
     """One entry per stratum: a ContributionPolynomial where computable, a
     marker dict otherwise.  strict mode turns markers into errors."""
     phases = _stratum_phases(strata, cs_map)
+    if oracle_map is not None and not isinstance(oracle_map, dict):
+        raise ValidationError(
+            "oracles must be a JSON object mapping stratum index to oracle data"
+        )
     entries = []
     for i, s in enumerate(strata):
         if s.ranks is None:
@@ -228,15 +247,21 @@ def _cmd_invariant(args):
 def _cmd_fit(args):
     samples = []
     with open(args.samples) as fh:
-        for line in fh:
+        first = True
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            is_first, first = first, False
             parts = line.split(",")
             try:
                 k = int(parts[0])
             except ValueError:
-                continue  # header line
+                if is_first:
+                    continue  # header line
+                raise ValidationError(
+                    f"sample line {number} {line!r}: level {parts[0]!r} is not an integer"
+                ) from None
             if len(parts) < 3:
                 raise ValidationError(f"sample line {line!r} is not k,re,im")
             samples.append((k, complex(float(parts[1]), float(parts[2]))))

@@ -3,9 +3,10 @@ truncated symbolic phase series.
 
 Cyclotomic values are kept in canonical form, i.e. reduced modulo the M-th
 cyclotomic polynomial over the power basis 1, z, ..., z^(phi(M)-1) with
-z = exp(2*pi*i/M).  Equality of canonical forms is exact equality in Q(z_M).
-Conductors are only ever changed by explicit embedding into a common multiple
-(smallest lcm, no global conductor).
+z = exp(2*pi*i/M), stored as integer numerators over one positive common
+denominator with no common factor.  Equality of canonical forms is exact
+equality in Q(z_M).  Conductors are only ever changed by explicit embedding
+into a common multiple (smallest lcm, no global conductor).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, factorial
+from math import gcd, lcm, factorial, prod
 
 __all__ = [
     "cyclotomic_polynomial",
@@ -36,39 +37,49 @@ def _trim(p):
     return p
 
 
-def _divisors(m):
-    out = [d for d in range(1, m + 1) if m % d == 0]
+def _prime_factors(m):
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
     return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m):
-    """Integer coefficients of Phi_m, low degree first, monic."""
-    if m == 1:
-        return (-1, 1)
-    # (x^m - 1) / prod_{d | m, d < m} Phi_d, exact division of monic polys
-    num = [0] * (m + 1)
-    num[0], num[m] = -1, 1
-    for d in _divisors(m)[:-1]:
-        den = cyclotomic_polynomial(d)
-        num = _polydiv_exact(num, den)
-    return tuple(num)
+    """Integer coefficients of Phi_m, low degree first, monic.
 
-
-def _polydiv_exact(num, den):
-    """Exact division of integer polynomials, den monic."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        out[i - dd] = c
-        for j, b in enumerate(den):
-            num[i - dd + j] -= c * b
-    assert not any(num), "non-exact polynomial division"
-    return out
+    Phi_m(x) = Phi_r(x^(m/r)) for r the product of the primes dividing m,
+    and Phi_r = prod_{d | r} (x^d - 1)^mu(r/d): the binomials with
+    mu = 1 are multiplied in, then those with mu = -1 divided out exactly.
+    """
+    primes = _prime_factors(m)
+    r = prod(primes)
+    up, down = [], []
+    for mask in range(1 << len(primes)):
+        picked = [p for i, p in enumerate(primes) if mask >> i & 1]
+        (down if len(picked) % 2 else up).append(r // prod(picked))
+    poly = [1]
+    for d in up:
+        # times (x^d - 1)
+        poly = [-c for c in poly] + [0] * d
+        for i in range(len(poly) - 1, d - 1, -1):
+            poly[i] -= poly[i - d]
+    for d in down:
+        # exact quotient by (x^d - 1): q_i = q_{i-d} - p_i
+        quot = [0] * (len(poly) - d)
+        for i in range(len(quot)):
+            quot[i] = (quot[i - d] if i >= d else 0) - poly[i]
+        poly = quot
+    s = m // r
+    out = [0] * ((len(poly) - 1) * s + 1)
+    out[::s] = poly
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -76,50 +87,101 @@ def euler_phi(m):
     return len(cyclotomic_polynomial(m)) - 1
 
 
-def _reduce_mod_phi(coeffs, m):
-    """Reduce a coefficient list modulo Phi_m; returns tuple of Fractions of
-    length phi(m)."""
+@lru_cache(maxsize=None)
+def _phi_tail(m):
+    """phi(m) and the nonzero coefficients of Phi_m below the leading one,
+    grouped by value: ((c, (j, ...)), ...)."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    work = [Fraction(c) for c in coeffs]
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c == 0:
-            continue
-        work[i] = Fraction(0)
-        for j in range(deg):
-            work[i - deg + j] -= c * phi[j]
-    work = work[:deg]
-    work += [Fraction(0)] * (deg - len(work))
-    return tuple(work)
+    groups = {}
+    for j, c in enumerate(phi[:deg]):
+        if c:
+            groups.setdefault(c, []).append(j)
+    return deg, tuple((c, tuple(js)) for c, js in sorted(groups.items()))
+
+
+def _reduce(nums, m):
+    """Reduce the integer coefficient list nums (consumed) modulo Phi_m and
+    return the phi(m) coefficients of the remainder as a list.  x^m = 1 is
+    folded in first; the long division then visits only the nonzero
+    coefficients of Phi_m."""
+    n = len(nums)
+    if n > m:
+        for i in range(m, n):
+            if nums[i]:
+                nums[i % m] += nums[i]
+        del nums[m:]
+        n = m
+    deg, tail = _phi_tail(m)
+    for i in range(n - 1, deg - 1, -1):
+        c = nums[i]
+        if c:
+            base = i - deg
+            for p, js in tail:
+                cp = c * p
+                for j in js:
+                    nums[base + j] -= cp
+    if n > deg:
+        del nums[deg:]
+    else:
+        nums.extend([0] * (deg - n))
+    return nums
+
+
+def _fill(obj, conductor, nums, den):
+    """Store the reduced integer coefficients nums over den > 0 in obj,
+    divided by their common factor."""
+    g = gcd(den, *nums)
+    obj.conductor = conductor
+    obj.numerators = tuple(c // g for c in nums) if g != 1 else tuple(nums)
+    obj.denominator = den // g
+    return obj
+
+
+def _make(conductor, nums, den):
+    return _fill(object.__new__(Cyclotomic), conductor, nums, den)
 
 
 class Cyclotomic:
-    """An element of Q(zeta_M) in canonical form."""
+    """An element of Q(zeta_M) in canonical form: coefficient j of the power
+    basis is numerators[j] / denominator."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "numerators", "denominator")
 
     def __init__(self, conductor, coeffs):
         if conductor < 1:
             raise ValueError("conductor must be positive")
-        self.conductor = conductor
-        self.coeffs = _reduce_mod_phi(coeffs, conductor)
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(1, *(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        _fill(self, conductor, _reduce(nums, conductor), den)
+
+    @classmethod
+    def _from_integers(cls, conductor, nums, den=1):
+        """The element sum_j nums[j] z^j / den of Q(zeta_conductor), for any
+        list of ints (consumed) and den > 0: one reduction mod Phi."""
+        return _make(conductor, _reduce(nums, conductor), den)
+
+    @property
+    def coeffs(self):
+        """The canonical coefficients as Fractions (a read-only view)."""
+        den = self.denominator
+        return tuple(Fraction(c, den) for c in self.numerators)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_rational(cls, r, conductor=1):
-        c = [Fraction(0)] * euler_phi(conductor)
-        c[0] = Fraction(r)
-        return cls(conductor, c)
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
+        nums = [0] * euler_phi(conductor)
+        nums[0] = r.numerator
+        return _make(conductor, nums, r.denominator)
 
     @classmethod
     def zeta(cls, m, exponent=1):
         """zeta_m ** exponent."""
-        e = exponent % m
-        c = [Fraction(0)] * (e + 1)
-        c[e] = Fraction(1)
-        return cls(m, c)
+        return cls._from_integers(m, [0] * (exponent % m) + [1])
 
     # -- conductor handling ---------------------------------------------
 
@@ -132,10 +194,9 @@ class Cyclotomic:
                 f"cannot embed conductor {self.conductor} into {conductor}"
             )
         t = conductor // self.conductor
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * t + 1)
-        for k, c in enumerate(self.coeffs):
-            out[k * t] = c
-        return Cyclotomic(conductor, out)
+        out = [0] * ((len(self.numerators) - 1) * t + 1)
+        out[::t] = self.numerators
+        return Cyclotomic._from_integers(conductor, out, self.denominator)
 
     @staticmethod
     def _common(a, b):
@@ -156,12 +217,18 @@ class Cyclotomic:
         if other is None:
             return NotImplemented
         a, b = Cyclotomic._common(self, other)
-        return Cyclotomic(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        den = lcm(a.denominator, b.denominator)
+        sa, sb = den // a.denominator, den // b.denominator
+        return _make(
+            a.conductor,
+            [x * sa + y * sb for x, y in zip(a.numerators, b.numerators)],
+            den,
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, [-c for c in self.coeffs])
+        return _make(self.conductor, [-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -174,18 +241,24 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.conductor, [c * other for c in self.coeffs])
+            p = other.numerator
+            return _make(
+                self.conductor,
+                [c * p for c in self.numerators],
+                self.denominator * other.denominator,
+            )
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = Cyclotomic._common(self, other)
-        out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
+        bn = [(j, y) for j, y in enumerate(b.numerators) if y]
+        out = [0] * (len(a.numerators) + len(b.numerators) - 1)
+        for i, x in enumerate(a.numerators):
+            if x:
+                for j, y in bn:
                     out[i + j] += x * y
-        return Cyclotomic(a.conductor, out)
+        return Cyclotomic._from_integers(
+            a.conductor, out, a.denominator * b.denominator
+        )
 
     __rmul__ = __mul__
 
@@ -194,9 +267,9 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        # extended Euclid in Q[x]: t1*self + (...)*phi = constant gcd, since
-        # Phi_M is irreducible over Q
-        r0, r1 = phi, _trim([Fraction(c) for c in self.coeffs])
+        # extended Euclid in Q[x] on the numerators: t1*nums + (...)*phi =
+        # constant gcd, since Phi_M is irreducible over Q
+        r0, r1 = phi, _trim([Fraction(c) for c in self.numerators])
         t0, t1 = [Fraction(0)], [Fraction(1)]
         while len(r1) > 1:
             q, r = _poly_divmod_q(r0, r1)
@@ -204,8 +277,7 @@ class Cyclotomic:
             r0, r1 = r1, _trim(r)
         if not r1 or r1[0] == 0:
             raise ZeroDivisionError("element is a zero divisor (not canonical?)")
-        inv_c = 1 / r1[0]
-        return Cyclotomic(self.conductor, [c * inv_c for c in t1])
+        return Cyclotomic(self.conductor, t1) * (self.denominator / r1[0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -229,24 +301,25 @@ class Cyclotomic:
     # -- predicates and conversions --------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.numerators)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.numerators[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError(f"not a rational value: {self!r}")
-        return self.coeffs[0]
+        return Fraction(self.numerators[0], self.denominator)
 
     def galois(self, t):
         """The Galois map zeta -> zeta^t, for t a unit modulo the conductor."""
         if gcd(t, self.conductor) != 1:
             raise ValueError("galois exponent must be a unit mod the conductor")
-        out = [Fraction(0)] * self.conductor
-        for k, c in enumerate(self.coeffs):
-            out[(k * t) % self.conductor] += c
-        return Cyclotomic(self.conductor, out)
+        m = self.conductor
+        out = [0] * m
+        for k, c in enumerate(self.numerators):
+            out[(k * t) % m] += c
+        return Cyclotomic._from_integers(m, out, self.denominator)
 
     def conjugate(self):
         return self.galois(self.conductor - 1) if self.conductor > 1 else self
@@ -269,11 +342,14 @@ class Cyclotomic:
     # -- comparisons, hashing, repr ---------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and Fraction(
+                self.numerators[0], self.denominator
+            ) == other
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = Cyclotomic._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.denominator == b.denominator and a.numerators == b.numerators
 
     __hash__ = None
 

@@ -95,22 +95,31 @@ def evaluate_invariant(model, k, precision=None):
         )
     if k < 1:
         raise ValueError("level k must be a positive integer")
-    fr = framing_evaluate(model.framing, k)
-    conductor = fr.q.denominator
-    for t in model.terms:
-        phase_k = PhaseQ(t.q.q * k)
-        conductor = lcm(conductor, phase_k.q.denominator)
+    fr = framing_evaluate(model.framing, k).q
+    phases = [t.q.scale(k).q for t in model.terms]
+    conductor = fr.denominator
+    for t, phase in zip(model.terms, phases):
+        conductor = lcm(conductor, phase.denominator)
         for c in t.coefficients:
             conductor = lcm(conductor, c.conductor)
-    acc = Cyclotomic.from_rational(0, conductor)
-    for t in model.terms:
-        poly = Cyclotomic.from_rational(0, conductor)
+    # Each term (framing phase) (term phase) k^i c_i is the coefficient
+    # vector of c_i, spread into conductor M and shifted by the exponent of
+    # the two roots of unity.  All terms go into one integer vector mod
+    # x^M - 1 over a common denominator, reduced once mod Phi_M.
+    den = lcm(1, *(c.denominator for t in model.terms for c in t.coefficients))
+    vec = [0] * conductor
+    fr_shift = fr.numerator * (conductor // fr.denominator)
+    for t, phase in zip(model.terms, phases):
+        shift = fr_shift + phase.numerator * (conductor // phase.denominator)
         kp = 1
         for c in t.coefficients:
-            poly = poly + c.embed(conductor) * kp
+            step = conductor // c.conductor
+            scale = kp * (den // c.denominator)
+            for j, n in enumerate(c.numerators):
+                if n:
+                    vec[(shift + j * step) % conductor] += n * scale
             kp *= k
-        acc = acc + PhaseQ(t.q.q * k).to_cyclotomic(conductor) * poly
-    exact = fr.to_cyclotomic(conductor) * acc
+    exact = Cyclotomic._from_integers(conductor, vec, den)
     ctx = mpmath.mp.clone()
     ctx.prec = precision or default_precision()
     return exact, exact.to_mpc(ctx)

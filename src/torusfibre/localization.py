@@ -191,6 +191,10 @@ class CohomologyOracle:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise ValidationError(f"oracle entry must be a JSON object, not {obj!r}")
+        if "d_c" not in obj:
+            raise ValidationError("oracle entry has no d_c")
         d_c = int(obj["d_c"])
         gens = obj.get("generators", [])
         names = [g["name"] for g in gens]

@@ -124,7 +124,7 @@ def mu_bruteforce(m, n, a):
     idx = (np.arange(m)[None, :] + (a * beta)[:, None]) % m
     acc = Wmat[rows[:, None], idx].sum(axis=0)
     reduced = R @ acc
-    return Cyclotomic(m, [Fraction(-int(c), m) for c in reduced])
+    return Cyclotomic._from_integers(m, [-int(c) for c in reduced], m)
 
 
 def lefschetz_trace(data, beta):

@@ -1,5 +1,6 @@
 import cmath
 import json
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +227,85 @@ def test_output_is_deterministic(orbit_file, capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _invariant_z4(capsys, tmp_path, cs=None, oracles=None):
+    """invariant on Z4 SU(2) with the golden inputs, either replaced by the
+    given JSON value."""
+    paths = {}
+    for name, value in (("cs", cs), ("oracles", oracles)):
+        path = GOLDEN_INPUTS / f"z4_su2_{name}.json"
+        if value is not None:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(value))
+        paths[name] = str(path)
+    return run(
+        capsys, "invariant", "--orbit", str(GOLDEN_INPUTS / "z4.json"),
+        "--cs-phases", paths["cs"], "--oracles", paths["oracles"], "--level", "5",
+    )
+
+
+def test_cs_phases_top_level_list_is_invalid_input(tmp_path, capsys):
+    code, _, err = _invariant_z4(capsys, tmp_path, cs=["1/12", "1/6"])
+    assert code == 1
+    assert "cs-phases must be a JSON object" in err
+
+
+def test_cs_phase_zero_denominator_is_invalid_input(tmp_path, capsys):
+    cs = json.loads((GOLDEN_INPUTS / "z4_su2_cs.json").read_text())
+    cs["3"] = "1/0"
+    code, _, err = _invariant_z4(capsys, tmp_path, cs=cs)
+    assert code == 1
+    assert "'3'" in err and "1/0" in err
+
+
+@pytest.mark.parametrize("value", [None, True, [1, 12], {"p": 1}])
+def test_cs_phase_of_wrong_type_is_invalid_input(tmp_path, capsys, value):
+    cs = json.loads((GOLDEN_INPUTS / "z4_su2_cs.json").read_text())
+    cs["3"] = value
+    code, _, err = _invariant_z4(capsys, tmp_path, cs=cs)
+    assert code == 1
+    assert "not a string p/q or a number" in err
+
+
+def test_oracles_top_level_list_is_invalid_input(tmp_path, capsys):
+    oracles = json.loads((GOLDEN_INPUTS / "z4_su2_oracles.json").read_text())
+    code, _, err = _invariant_z4(capsys, tmp_path, oracles=list(oracles.values()))
+    assert code == 1
+    assert "oracles must be a JSON object" in err
+
+
+def test_oracle_entry_not_an_object_is_invalid_input(tmp_path, capsys):
+    oracles = json.loads((GOLDEN_INPUTS / "z4_su2_oracles.json").read_text())
+    oracles["40"] = [oracles["40"]]
+    code, _, err = _invariant_z4(capsys, tmp_path, oracles=oracles)
+    assert code == 1
+    assert "oracle entry must be a JSON object" in err
+
+
+def test_oracle_entry_without_d_c_is_invalid_input(tmp_path, capsys):
+    oracles = json.loads((GOLDEN_INPUTS / "z4_su2_oracles.json").read_text())
+    del oracles["40"]["d_c"]
+    code, _, err = _invariant_z4(capsys, tmp_path, oracles=oracles)
+    assert code == 1
+    assert "no d_c" in err
+
+
+def test_fit_sample_row_after_header_must_have_integer_level(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    lines = ["k,re,im"]
+    for k in range(1, 41):
+        z = cmath.exp(2j * cmath.pi * k / 3) * (2 * k + 1)
+        lines.append(f"{k},{z.real!r},{z.imag!r}")
+    lines[5] = "1.0,2.0,0.0"
+    path.write_text("\n".join(lines))
+    code, out, err = run(
+        capsys, "fit", "--samples", str(path), "--qmax", "10", "--terms", "1",
+        "--degree", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "sample line 6" in err and "1.0,2.0,0.0" in err

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction as F
 
@@ -161,3 +162,134 @@ def _trim_f(poly):
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
     return poly
+
+
+# -- oracles for the integer representation ----------------------------------
+
+_PHI_ORACLE = {}
+
+
+def _phi_recursive(m):
+    """Phi_m as (x^m - 1) / prod_{d | m, d < m} Phi_d, by exact long
+    division of integer polynomials (low degree first)."""
+    if m not in _PHI_ORACLE:
+        num = [-1] + [0] * (m - 1) + [1]
+        for d in range(1, m):
+            if m % d == 0:
+                num = _polydiv_exact(num, _phi_recursive(d))
+        _PHI_ORACLE[m] = tuple(num)
+    return _PHI_ORACLE[m]
+
+
+def _polydiv_exact(num, den):
+    num = list(num)
+    dd = len(den) - 1
+    out = [0] * (len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c == 0:
+            continue
+        out[i - dd] = c
+        for j, b in enumerate(den):
+            num[i - dd + j] -= c * b
+    assert not any(num), "non-exact polynomial division"
+    return out
+
+
+@pytest.mark.parametrize("m", list(range(1, 401)) + [1260, 1740, 2388, 2940])
+def test_cyclotomic_polynomial_matches_recursive_division(m):
+    assert cyclotomic_polynomial(m) == _phi_recursive(m)
+
+
+def _ref_reduce(coeffs, m):
+    """Fraction coefficients reduced mod Phi_m by dense long division."""
+    phi = _phi_recursive(m)
+    deg = len(phi) - 1
+    work = [F(c) for c in coeffs] + [F(0)] * deg
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        if c:
+            for j in range(deg + 1):
+                work[i - deg + j] -= c * phi[j]
+    return tuple(work[:deg])
+
+
+def _ref_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _spread(coeffs, step, size):
+    out = [F(0)] * size
+    for j, c in enumerate(coeffs):
+        out[(j * step) % size] += c
+    return out
+
+
+def _random_coeffs(rng, n):
+    return [
+        F(rng.randint(-40, 40), rng.choice((1, 2, 3, 6, 7, 12, 35))) if rng.random() < 0.8 else F(0)
+        for _ in range(n)
+    ]
+
+
+def _assert_canonical(a):
+    assert len(a.numerators) == euler_phi(a.conductor)
+    assert a.denominator > 0
+    assert math.gcd(a.denominator, *a.numerators) == 1
+
+
+# prime, prime power, and products of three or more primes
+ORACLE_CONDUCTORS = [7, 13, 31, 8, 9, 25, 27, 30, 42, 66, 105, 210]
+
+
+@pytest.mark.parametrize("m", ORACLE_CONDUCTORS)
+def test_arithmetic_matches_fraction_reference(m):
+    rng = random.Random(1000 + m)
+    phi = euler_phi(m)
+    for _ in range(4):
+        raw = _random_coeffs(rng, rng.randint(1, 2 * m + 3))
+        a = Cyclotomic(m, raw)
+        _assert_canonical(a)
+        assert a.coeffs == _ref_reduce(raw, m)
+        b = Cyclotomic(m, _random_coeffs(rng, phi))
+        s = rng.choice((F(-3, 4), F(5, 6), 2, 0))
+
+        assert (a + b).coeffs == _ref_reduce([x + y for x, y in zip(a.coeffs, b.coeffs)], m)
+        assert (a - b).coeffs == _ref_reduce([x - y for x, y in zip(a.coeffs, b.coeffs)], m)
+        assert (a * b).coeffs == _ref_reduce(_ref_mul(a.coeffs, b.coeffs), m)
+        assert (a * s).coeffs == _ref_reduce([x * s for x in a.coeffs], m)
+        assert (-a).coeffs == tuple(-x for x in a.coeffs)
+        for x in (a + b, a * b, a * s, -a):
+            _assert_canonical(x)
+
+        for t in (2, 3, 5):
+            big = a.embed(m * t)
+            _assert_canonical(big)
+            assert big.coeffs == _ref_reduce(_spread(a.coeffs, t, m * t), m * t)
+
+        u = rng.choice([u for u in range(1, m) if math.gcd(u, m) == 1])
+        assert a.galois(u).coeffs == _ref_reduce(_spread(a.coeffs, u, m), m)
+
+        # exact inversion of a dense element is slow at large phi(m) (the
+        # inverse has coefficients of hundreds of digits); invert a sparse one
+        c = [F(0)] * phi
+        for j in rng.sample(range(phi), min(phi, 3)):
+            c[j] = F(rng.randint(1, 9), rng.choice((1, 5, 12)))
+        c = Cyclotomic(m, c)
+        inv = c.inverse()
+        _assert_canonical(inv)
+        assert _ref_reduce(_ref_mul(c.coeffs, inv.coeffs), m) == (F(1),) + (F(0),) * (phi - 1)
+
+
+@pytest.mark.parametrize("m", ORACLE_CONDUCTORS + [1, 2, 2940])
+def test_zeta_matches_fraction_reference(m):
+    phi = euler_phi(m)
+    special = {-3, -1, 0, 1, phi - 1, phi, phi + 1, m - 1, m, 2 * m + 1}
+    for e in sorted(special | set(range(0, m, max(1, m // 12)))):
+        z = Cyclotomic.zeta(m, e)
+        _assert_canonical(z)
+        assert z.coeffs == _ref_reduce([F(0)] * (e % m) + [F(1)], m)

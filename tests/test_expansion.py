@@ -1,9 +1,14 @@
 import cmath
+import json
+import random
 from fractions import Fraction as F
+from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from torusfibre.cli import _collect_contributions
 from torusfibre.errors import (
     IllConditioned,
     ResidualTooLarge,
@@ -17,8 +22,11 @@ from torusfibre.expansion import (
     evaluate_invariant,
     fit_expansion,
 )
-from torusfibre.framing import FramingPhase, GroupData
+from torusfibre.framing import FramingPhase, GroupData, framing_evaluate, framing_phase
 from torusfibre.localization import ContributionPolynomial
+from torusfibre.orbit import OrbitData
+from torusfibre.spectrum import eigen_dimensions
+from torusfibre.strata import enumerate_strata
 
 SU2 = GroupData(2)
 FLAT = FramingPhase(B=F(0), group=SU2)
@@ -197,3 +205,54 @@ def test_model_roundtrip_through_fit():
     assert by_q[F(1, 3)]["d"] == 2 and abs(by_q[F(1, 3)]["b"] - 1) < 1e-8
     assert by_q[F(7, 60)]["d"] == 0 and abs(by_q[F(7, 60)]["b"] - 1.25) < 1e-8
     assert by_q[F(0)]["d"] == 1 and abs(by_q[F(0)]["b"] - 3) < 1e-8
+
+
+# -- literal evaluation route as an oracle --------------------------------------
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _evaluate_literal(model, k):
+    """The invariant at level k by embedding every coefficient into the
+    common conductor M and multiplying and adding there, term by term."""
+    fr = framing_evaluate(model.framing, k)
+    conductor = fr.q.denominator
+    for t in model.terms:
+        conductor = lcm(conductor, PhaseQ(t.q.q * k).q.denominator)
+        for c in t.coefficients:
+            conductor = lcm(conductor, c.conductor)
+    acc = Cyclotomic.from_rational(0, conductor)
+    for t in model.terms:
+        poly = Cyclotomic.from_rational(0, conductor)
+        kp = 1
+        for c in t.coefficients:
+            poly = poly + c.embed(conductor) * kp
+            kp *= k
+        acc = acc + PhaseQ(t.q.q * k).to_cyclotomic(conductor) * poly
+    return fr.to_cyclotomic(conductor) * acc
+
+
+def _golden_model(name, seed):
+    """The SU(2) model of a golden orbit with the golden oracles and a seeded
+    CS-phase map with denominator 12 and no symmetry between strata."""
+    data = OrbitData.from_json(json.loads((GOLDEN_INPUTS / f"{name}.json").read_text()))
+    oracles = json.loads((GOLDEN_INPUTS / f"{name}_su2_oracles.json").read_text())
+    strata = enumerate_strata(data, SU2)
+    rng = random.Random(f"{name}-{seed}")
+    cs = {str(i): f"{rng.randrange(12)}/12" for i in range(len(strata))}
+    entries = _collect_contributions(data, SU2, strata, cs, oracles, strict=True)
+    contributions = [e["contribution"] for e in entries if "contribution" in e]
+    framing = framing_phase(eigen_dimensions(data), SU2)
+    return assemble_invariant(data, SU2, contributions, framing)
+
+
+@pytest.mark.parametrize("name", ["m5", "z4"])
+def test_evaluate_matches_literal_route(name):
+    for seed in (1, 2):
+        model = _golden_model(name, seed)
+        for k in (5, 47, 197, 565):
+            exact, _ = evaluate_invariant(model, k)
+            literal = _evaluate_literal(model, k)
+            assert exact.conductor == literal.conductor
+            assert exact == literal
+            assert exact.to_json() == literal.to_json()
