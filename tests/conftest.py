@@ -42,6 +42,46 @@ def random_orbit_suite(seed, count, m_max=12, g_max=30, fixed_points_only=False)
     return out
 
 
+def is_asymmetric(data):
+    """True when the rotation data is not closed under n -> l - n, so that a
+    sign error a <-> -a in a spectrum formula shows."""
+    return sorted(data.branches) != sorted((l, l - n) for l, n in data.branches)
+
+
+def random_asymmetric_orbits(
+    seed, count, m_choices=range(2, 13), g_max=40, max_branches=5, fixed_points_only=False
+):
+    """Deterministic list of valid OrbitData with independently drawn
+    rotation data.  Each branch takes any divisor l >= 2 of m (so orbits of
+    m/l > 1 points occur unless fixed_points_only) and any unit n mod l;
+    realizability is left to rejection on validate_orbit, so the (n, l - n)
+    pairing of random_orbit_suite is not built in and most draws are
+    asymmetric."""
+    rng = random.Random(seed)
+    m_choices = list(m_choices)
+    out = []
+    guard = 0
+    while len(out) < count:
+        guard += 1
+        if guard > 5000 * count:
+            raise RuntimeError("asymmetric generator starved; loosen the bounds")
+        m = rng.choice(m_choices)
+        divisors = [m] if fixed_points_only else [l for l in range(2, m + 1) if m % l == 0]
+        branches = []
+        for _ in range(rng.randint(0, max_branches)):
+            l = rng.choice(divisors)
+            branches.append((l, rng.choice([n for n in range(1, l) if gcd(n, l) == 1])))
+        if fixed_points_only and not branches:
+            continue
+        data = OrbitData(m, rng.randint(0, 2), branches)
+        if not validate_orbit(data, raise_on_failure=False)["valid"]:
+            continue
+        if total_genus(data) > g_max:
+            continue
+        out.append(data)
+    return out
+
+
 @pytest.fixture(scope="session")
 def orbit_suite():
     return random_orbit_suite(seed=20240817, count=200)
