@@ -71,9 +71,7 @@ def _print_table(obj, indent=0):
 
 
 def _is_trivial_stratum(stratum):
-    return stratum.z == 0 and all(
-        all(a == 0 for a in c.angles) for c in stratum.classes
-    )
+    return stratum.z == 0 and not any(any(c.residues) for c in stratum.classes)
 
 
 def _cs_phase(key, value):

@@ -20,6 +20,7 @@ __all__ = [
     "cyclotomic_polynomial",
     "euler_phi",
     "Cyclotomic",
+    "inverse_one_minus_zeta",
     "PhaseQ",
     "PhaseSeries",
     "format_rational",
@@ -377,6 +378,22 @@ class Cyclotomic:
     @classmethod
     def from_json(cls, obj):
         return cls(obj["conductor"], [Fraction(s) for s in obj["coeffs"]])
+
+
+def inverse_one_minus_zeta(m, e):
+    """(1 - zeta_m^e)^(-1) in Q(zeta_m), for e not divisible by m.
+
+    With w = zeta_m^e of order m' = m / gcd(m, e) this is
+    -(1/m') * sum_{t=1}^{m'-1} t w^t, read off from
+    (1 - w) * sum_t t w^t = sum_{t=1}^{m'} w^t - m' w^m' = -m'.
+    """
+    order = m // gcd(m, e)
+    if order == 1:
+        raise ZeroDivisionError(f"1 - zeta_{m}^{e} is zero")
+    nums = [0] * m
+    for t in range(1, order):
+        nums[e * t % m] = -t
+    return Cyclotomic._from_integers(m, nums, order)
 
 
 def _zip_pad(a, b):

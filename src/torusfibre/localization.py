@@ -34,8 +34,8 @@ from .errors import (
     OracleDegreeOverflow,
     ValidationError,
 )
-from .exact import Cyclotomic, PhaseQ
-from .spectrum import mu_value
+from .exact import Cyclotomic, PhaseQ, inverse_one_minus_zeta
+from .spectrum import mu2_table
 from .strata import root_eigendata
 
 __all__ = [
@@ -132,13 +132,45 @@ class _Ring:
 # ---------------------------------------------------------------------------
 
 
+def _object(value, what):
+    """value, if it is a JSON object; a ValidationError otherwise."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"oracle {what} must be a JSON object, not {value!r}")
+    return value
+
+
+def _list(value, what):
+    """value, if it is a JSON list; a ValidationError otherwise."""
+    if not isinstance(value, list):
+        raise ValidationError(f"oracle {what} must be a JSON list, not {value!r}")
+    return value
+
+
+def _integer(value, what):
+    """value, if it is a JSON integer; a ValidationError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"oracle {what} is {value!r}, not an integer")
+    return value
+
+
+def _rational(value, what):
+    """value as a Fraction, from a string p/q or a JSON number; a
+    ValidationError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValidationError(f"oracle {what} is {value!r}, not a string p/q or a number")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"oracle {what} = {value!r}: {exc}") from None
+
+
 def _parse_poly(ring, obj, what):
     """Polynomial given as {monomial string: "p/q"}; monomials are generator
     names joined by '*' with optional '^e', or "1" for the constant."""
     if obj is None:
         return ring.zero()
     out = ring.zero()
-    for mono, coeff in obj.items():
+    for mono, coeff in _object(obj, what).items():
         expo = [0] * len(ring.names)
         if mono.strip() not in ("1", ""):
             for part in mono.split("*"):
@@ -159,7 +191,7 @@ def _parse_poly(ring, obj, what):
             raise OracleDegreeOverflow(
                 f"{what}: monomial {mono!r} exceeds the declared top degree"
             )
-        out = ring.add(out, {expo: Cyclotomic.from_rational(Fraction(coeff))})
+        out = ring.add(out, {expo: Cyclotomic.from_rational(_rational(coeff, what))})
     return out
 
 
@@ -195,30 +227,35 @@ class CohomologyOracle:
             raise ValidationError(f"oracle entry must be a JSON object, not {obj!r}")
         if "d_c" not in obj:
             raise ValidationError("oracle entry has no d_c")
-        d_c = int(obj["d_c"])
-        gens = obj.get("generators", [])
-        names = [g["name"] for g in gens]
-        degrees = [int(g["degree"]) for g in gens]
+        d_c = _integer(obj["d_c"], "d_c")
+        names, degrees = [], []
+        for gen in _list(obj.get("generators", []), "generators"):
+            gen = _object(gen, "generator")
+            if not isinstance(gen.get("name"), str):
+                raise ValidationError(f"oracle generator {gen!r} has no string name")
+            names.append(gen["name"])
+            degrees.append(_integer(gen.get("degree"), f"degree of {gen['name']!r}"))
         if any(d <= 0 for d in degrees):
             raise ValidationError("generator degrees must be positive")
         ring = _Ring(names, degrees, 2 * d_c)
         pairing = {}
-        for mono, val in obj.get("pairing", {}).items():
+        for mono, val in _object(obj.get("pairing", {}), "pairing").items():
             elem = _parse_poly(ring, {mono: "1"}, "pairing")
             (expo,) = elem.keys()
             if ring.monomial_degree(expo) != 2 * d_c:
                 raise ValidationError(
                     f"pairing entry {mono!r} is not of top degree {2 * d_c}"
                 )
-            pairing[expo] = Fraction(val)
-        chern = obj.get("chern", {})
+            pairing[expo] = _rational(val, f"pairing {mono!r}")
+        chern = _object(obj.get("chern", {}), "chern")
         tc = chern.get("T_c")
         tangent_chern = []
         tangent_rank = d_c
         if tc is not None:
-            tangent_rank = int(tc.get("rank", d_c))
+            tc = _object(tc, "T_c")
+            tangent_rank = _integer(tc.get("rank", d_c), "T_c rank")
             tangent_chern = [
-                _parse_poly(ring, c, "T_c") for c in tc.get("classes", [])
+                _parse_poly(ring, c, "T_c") for c in _list(tc.get("classes", []), "T_c classes")
             ]
         eigen = {}
         for key, val in chern.items():
@@ -226,9 +263,10 @@ class CohomologyOracle:
                 continue
             inner = key[1:].replace("]", "")
             s, nu = (int(x) for x in inner.strip("[").split("["))
+            val = _object(val, key)
             eigen[(s, nu)] = (
-                int(val["rank"]) if "rank" in val else None,
-                [_parse_poly(ring, c, key) for c in val.get("classes", [])],
+                _integer(val["rank"], f"{key} rank") if "rank" in val else None,
+                [_parse_poly(ring, c, key) for c in _list(val.get("classes", []), f"{key} classes")],
             )
         omega = _parse_poly(ring, chern.get("omega"), "omega")
         return cls(
@@ -453,15 +491,17 @@ def _normal_characters(data, stratum, group, oracle):
         for nu in range(m):
             default = r_s[nu] + (group.rank if nu == 0 else 0)
             eigen[(s, nu)] = _eigen_character(oracle, s, nu, default)
+    tables = [mu2_table(m, n) for _, n in data.branches]
     out = {}
     for j in range(1, m):
         acc = ch_t_dual
-        for s, (l, n) in enumerate(data.branches):
+        for s, mu2 in enumerate(tables):
             for nu in range(m):
-                w = mu_value(m, n, (-nu) % m) - mu_value(m, n, (j - nu) % m)
-                if w == 0:
+                # twice mu_m(n_s)(-nu) - mu_m(n_s)(j - nu)
+                w2 = mu2[-nu] - mu2[j - nu]
+                if w2 == 0:
                     continue
-                acc = acc.add(eigen[(s, nu)].scale(-w / m))
+                acc = acc.add(eigen[(s, nu)].scale(Fraction(-w2, 2 * m)))
         if acc.rank() != stratum.ranks[j]:
             raise InvariantViolation(
                 f"normal bundle eigen-rank {acc.rank()} for j = {j} differs "
@@ -477,13 +517,16 @@ def lambda_inverse_expansion(data, stratum, group, oracle):
     scalar prod (1 - zeta^i)^{-r_i}."""
     m = data.m
     ring = oracle.ring
+    inverses = [None] + [inverse_one_minus_zeta(m, i) for i in range(1, m)]
     pref = Cyclotomic.from_rational(1, m)
     for i in range(1, m):
-        pref = pref * (1 - Cyclotomic.zeta(m, i)) ** (-stratum.ranks[i])
+        r = stratum.ranks[i]
+        pref = pref * (inverses[i] ** r if r > 0 else (1 - Cyclotomic.zeta(m, i)) ** -r)
     normals = _normal_characters(data, stratum, group, oracle)
     exponent = ring.zero()
     for j in range(1, m):
-        beta = Cyclotomic.zeta(m, j) * (1 - Cyclotomic.zeta(m, j)).inverse()
+        # zeta^j / (1 - zeta^j) = (1 - zeta^j)^{-1} - 1
+        beta = inverses[j] - 1
         ch = normals[j]
         beta_pow = Cyclotomic.from_rational(1, m)
         for t in range(1, oracle.d_c + 1):

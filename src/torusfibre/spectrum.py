@@ -1,8 +1,9 @@
 """Action of a finite order diffeomorphism on holomorphic differentials.
 
-Everything here is exact in Q(zeta_m): mu sums with a literal brute-force
-evaluator, holomorphic Lefschetz traces, eigenvalue multiplicities d_a and
-the signature-cocycle count.
+The eigenvalue multiplicities d_a come from the Chevalley-Weil closed form
+in integers.  The slow literal routes stay public as oracles: mu sums by a
+brute-force evaluator in Q(zeta_m), and the holomorphic Lefschetz traces
+whose average over the group gives the same d_a.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from math import gcd
 import numpy as np
 
 from .errors import DegenerateTerm, GcdViolation, NonIntegralMultiplicity
-from .exact import Cyclotomic, cyclotomic_polynomial
+from .exact import Cyclotomic, cyclotomic_polynomial, inverse_one_minus_zeta
 from .orbit import total_genus, validate_orbit
 
 __all__ = [
     "EigenSpectrum",
     "mu_value",
+    "mu2_table",
     "mu_bruteforce",
     "lefschetz_trace",
     "eigen_dimensions",
@@ -40,14 +42,21 @@ class EigenSpectrum:
         return {"m": self.m, "d": list(self.d), "wall_signature": wall_signature(self)}
 
 
-def mu_value(m, n, a):
-    """Closed form nbar - (m-1)/2 where n*nbar = a mod m, 0 <= nbar < m."""
+@lru_cache(maxsize=None)
+def mu2_table(m, n):
+    """Twice the mu values as integers: entry a is 2 * mu_value(m, n, a) =
+    2 nbar - (m - 1), with n * nbar = a mod m and 0 <= nbar < m."""
     if m < 2:
         raise GcdViolation(f"order m = {m} must be at least 2")
     if gcd(n, m) != 1:
         raise GcdViolation(f"rotation number n = {n} is not a unit mod {m}")
-    nbar = (pow(n, -1, m) * a) % m
-    return Fraction(nbar) - Fraction(m - 1, 2)
+    k = pow(n, -1, m)
+    return tuple(2 * (k * a % m) - (m - 1) for a in range(m))
+
+
+def mu_value(m, n, a):
+    """Closed form nbar - (m-1)/2 where n*nbar = a mod m, 0 <= nbar < m."""
+    return Fraction(mu2_table(m, n)[a % m], 2)
 
 
 @lru_cache(maxsize=64)
@@ -133,11 +142,9 @@ def lefschetz_trace(data, beta):
     beta = 0 returns the genus.  For beta != 0 the holomorphic fixed point
     formula gives 1 - Tr(f^beta) as a sum over the fixed points of f^beta:
     every branch orbit whose size m_i divides beta contributes m_i points,
-    each with local weight (1 - zeta_{l_i}^{n_i beta/m_i})^{-1}.  Orbits with
-    l_i | beta are skipped only after confirming they contribute no fixed
-    point of f^beta with nontrivial rotation (l_i | beta means f^beta is the
-    identity near that orbit, excluded with beta != 0 mod m by m_i | beta
-    failing... asserted below).
+    each with local weight (1 - zeta_{l_i}^{n_i beta/m_i})^{-1}.  A fixed
+    point with trivial rotation (l_i | n_i beta/m_i) would make that weight
+    infinite; it cannot occur with beta != 0 mod m and is refused.
     """
     m = data.m
     beta %= m
@@ -154,53 +161,44 @@ def lefschetz_trace(data, beta):
                 f"fixed point of f^{beta} with trivial rotation at an orbit of "
                 f"isotropy {l}; trace formula degenerates"
             )
-        w = (1 - Cyclotomic.zeta(m, (m // l) * rot)).inverse()
-        acc = acc - mi * w
+        acc = acc - mi * inverse_one_minus_zeta(m, mi * rot)
     return acc
 
 
 def eigen_dimensions(data):
     """Multiplicities d_a of the eigenvalue zeta_m^a on differentials.
 
-    Computed by averaging the traces: d_a = (1/m) sum_beta Tr(f^beta)
-    zeta^{-a beta}.  Certified against the sum rule sum d_a = g, the
-    quotient count d_0 = quotient genus, and (when every branch orbit is a
-    single fixed point) the closed form m d_a = g - 1 + sum_j mu_m^a(n_j)
-    for a != 0.
+    Chevalley-Weil: d_0 is the quotient genus g_0 and, for a != 0,
+
+        d_a = g_0 - 1 + sum_i ((a k_i) mod l_i) / l_i,   k_i = n_i^{-1} mod l_i,
+
+    summed over the branch orbits; it is evaluated as an integer sum over
+    the common denominator m.  Certified on every call: each d_a is a
+    non-negative integer, and g minus the d_a with a != 0 is the quotient
+    genus (the sum rule sum d_a = g with d_0 = g_0).  The average of the
+    Lefschetz traces (lefschetz_trace) is the independent oracle.
     """
     validate_orbit(data)
     m = data.m
     g = total_genus(data)
-    traces = [lefschetz_trace(data, beta) for beta in range(m)]
-    d = []
-    for a in range(m):
-        acc = Cyclotomic.from_rational(0, m)
-        for beta, tr in enumerate(traces):
-            acc = acc + tr * Cyclotomic.zeta(m, (-a * beta) % m)
-        if not acc.is_rational():
-            raise NonIntegralMultiplicity(f"trace average for a = {a} is irrational")
-        val = acc.rational_value() / m
-        if val.denominator != 1 or val < 0:
+    g0 = data.quotient_genus
+    terms = [(pow(n, -1, l), l, m // l) for l, n in data.branches]
+    d = [None]
+    for a in range(1, m):
+        total = sum(a * k % l * mi for k, l, mi in terms)
+        val, rest = divmod(total, m)
+        val += g0 - 1
+        if rest or val < 0:
             raise NonIntegralMultiplicity(
-                f"trace average for a = {a} gives multiplicity {val}"
+                f"closed form gives multiplicity d_{a} = {Fraction(total, m) + g0 - 1}"
             )
-        d.append(int(val))
-    if sum(d) != g:
+        d.append(val)
+    d[0] = g - sum(d[1:])
+    if d[0] != g0:
         raise NonIntegralMultiplicity(
-            f"multiplicities sum to {sum(d)}, genus is {g}; trace sum inconsistent"
+            f"multiplicities d_1..d_{m - 1} leave d_0 = {d[0]} of genus {g}, "
+            f"quotient genus is {g0}; branch data inconsistent"
         )
-    if d[0] != data.quotient_genus:
-        raise NonIntegralMultiplicity(
-            f"invariant multiplicity {d[0]} differs from quotient genus "
-            f"{data.quotient_genus}"
-        )
-    if all(l == m for l, _ in data.branches) and data.branches:
-        for a in range(1, m):
-            closed = Fraction(g - 1 + sum(mu_value(m, n, a) for _, n in data.branches), m)
-            if closed != d[a]:
-                raise NonIntegralMultiplicity(
-                    f"closed form gives d_{a} = {closed}, trace average {d[a]}"
-                )
     return EigenSpectrum(m=m, d=tuple(d))
 
 

@@ -3,15 +3,16 @@
 A stratum is indexed by a center element zeta_N^z and one conjugacy class
 c_i per branch orbit with c_i^{l_i} central equal to zeta_N^z, all taken
 modulo the simultaneous center action.  Conjugacy classes are recorded by
-their sorted eigenvalue-angle multisets, which makes every operation here
-exact rational combinatorics.
+their sorted eigenvalue angles as integer residues over one denominator,
+which makes every operation here integer combinatorics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import gcd, lcm
 
 from .errors import (
     IncompatibleClass,
@@ -20,7 +21,7 @@ from .errors import (
     UnsupportedOrbitStructure,
 )
 from .orbit import total_genus, validate_orbit
-from .spectrum import mu_value
+from .spectrum import mu2_table
 
 __all__ = [
     "ConjClassSU",
@@ -33,35 +34,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+def _ratio(p, q):
+    """p/q in lowest terms, as text."""
+    g = gcd(p, q)
+    return f"{p // g}/{q // g}"
+
+
+@dataclass(frozen=True)
 class ConjClassSU:
-    """A conjugacy class of SU(N): sorted multiset of N eigenvalue angles in
-    [0,1) summing to an integer."""
+    """A conjugacy class of SU(N): N eigenvalue angles in [0,1) summing to an
+    integer, stored sorted as residues[i] / denominator with no factor
+    common to the denominator and all residues."""
 
     N: int
-    angles: tuple
+    residues: tuple
+    denominator: int
+
+    @classmethod
+    def from_residues(cls, N, residues, denominator):
+        """The class with angles r / denominator, for any ints r."""
+        res = sorted(r % denominator for r in residues)
+        if len(res) != N:
+            raise ValueError(f"need {N} angles, got {len(res)}")
+        if sum(res) % denominator != 0:
+            raise ValueError(
+                f"angles {[_ratio(r, denominator) for r in res]} do not sum to an integer"
+            )
+        g = gcd(denominator, *res)
+        if g != 1:
+            res = [r // g for r in res]
+            denominator //= g
+        return cls(N, tuple(res), denominator)
 
     @classmethod
     def from_angles(cls, N, angles):
-        norm = tuple(sorted(Fraction(a) % 1 for a in angles))
-        if len(norm) != N:
-            raise ValueError(f"need {N} angles, got {len(norm)}")
-        if sum(norm) % 1 != 0:
-            raise ValueError(f"angles {norm} do not sum to an integer")
-        return cls(N, norm)
+        """The class with the given rational angles (ints or Fractions)."""
+        den = lcm(*(a.denominator for a in angles))
+        return cls.from_residues(N, [a.numerator * (den // a.denominator) for a in angles], den)
+
+    @property
+    def angles(self):
+        """The sorted angles as Fractions (a read-only view)."""
+        return tuple(Fraction(r, self.denominator) for r in self.residues)
+
+    def residues_over(self, den):
+        """The angles as integers over den, a multiple of the denominator."""
+        scale = den // self.denominator
+        return tuple(r * scale for r in self.residues)
 
     def power(self, p):
-        return ConjClassSU.from_angles(self.N, [a * p for a in self.angles])
+        return ConjClassSU.from_residues(
+            self.N, [r * p for r in self.residues], self.denominator
+        )
 
     def translate(self, t):
         """Multiply by the center element zeta_N^t."""
-        return ConjClassSU.from_angles(self.N, [a + Fraction(t, self.N) for a in self.angles])
+        den = lcm(self.denominator, self.N)
+        shift = t * (den // self.N)
+        return ConjClassSU.from_residues(
+            self.N, [r + shift for r in self.residues_over(den)], den
+        )
 
     def is_central(self):
-        return len(set(self.angles)) == 1
+        return len(set(self.residues)) == 1
 
     def to_json(self):
-        return [f"{a.numerator}/{a.denominator}" for a in self.angles]
+        return [_ratio(r, self.denominator) for r in self.residues]
 
 
 @dataclass(frozen=True)
@@ -87,84 +125,83 @@ class StratumDescriptor:
 def classes_with_power_central(N, l, z):
     """All SU(N) classes c with c^l = zeta_N^z as a central element.
 
-    The eigenvalue angles of such a class lie in {(z/N + j)/l : 0 <= j < l};
+    The eigenvalue angles of such a class lie in {(z + N j)/(N l) : 0 <= j < l};
     the SU(N) constraint keeps only multisets summing to an integer.
     """
     if l < 1:
         raise ValueError("power l must be positive")
-    z %= N
-    candidates = [Fraction(z + N * j, N * l) % 1 for j in range(l)]
-    out = []
-    for combo in combinations_with_replacement(candidates, N):
-        if sum(combo) % 1 == 0:
-            out.append(ConjClassSU(N, tuple(sorted(combo))))
-    return out
-
-
-def _act(z_prime, z, classes, m, orbit_sizes, N):
-    """The center action: z' sends (z, c_1..c_n) to (z + m z', c_i * zeta^{z' m_i})."""
-    return (
-        (z + m * z_prime) % N,
-        tuple(c.translate(z_prime * mi) for c, mi in zip(classes, orbit_sizes)),
-    )
-
-
-def _stabilizer_order(z, classes, m, orbit_sizes, N):
-    count = 0
-    for zp in range(N):
-        if _act(zp, z, classes, m, orbit_sizes, N) == (z, classes):
-            count += 1
-    return count
+    den = N * l
+    return [
+        ConjClassSU.from_residues(N, combo, den)
+        for combo in combinations_with_replacement(range(z % N, den, N), N)
+        if sum(combo) % den == 0
+    ]
 
 
 def enumerate_strata(data, group, with_ranks=True):
     """All strata for the given branch data, one descriptor per center orbit.
 
-    Orbit representatives are the lexicographically least tuples (z, classes),
-    so output order is deterministic.  Ranks are attached when the rank
-    formula applies (every branch orbit a fixed point), else left None.
+    The center element z' acts by (z, c_1..c_n) -> (z + m z', c_i zeta^{z' m_i}).
+    Orbit representatives are the lexicographically least tuples (z, classes)
+    in the angles, so output order is deterministic; the stabilizer order is
+    N over the orbit size.  Ranks are attached when the rank formula applies
+    (every branch orbit a fixed point), else left None; strata whose classes
+    c_delta share their root data share ranks.
     """
     validate_orbit(data)
     N = group.N
     m = data.m
     orbit_sizes = data.orbit_sizes()
     k_invs = [pow(n, -1, l) for l, n in data.branches]
+    # every angle of every class met here lies in (1/(N m))Z
+    den = N * m
+    moved = {}  # (class, t) -> class times zeta_N^t, per call
+
+    def translate(c, t):
+        out = moved.get((c, t))
+        if out is None:
+            out = moved[c, t] = c.translate(t)
+        return out
+
+    def key(t):
+        return (t[0], tuple(c.residues_over(den) for c in t[1]))
 
     seen = set()
     reps = []
     for z in range(N):
         per_branch = [classes_with_power_central(N, l, z) for l, _ in data.branches]
         for combo in product(*per_branch):
-            key = (z, combo)
-            if key in seen:
+            if (z, combo) in seen:
                 continue
-            orbit = {_act(zp, z, combo, m, orbit_sizes, N) for zp in range(N)}
+            orbit = {
+                (
+                    (z + m * zp) % N,
+                    tuple(translate(c, zp * mi % N) for c, mi in zip(combo, orbit_sizes)),
+                )
+                for zp in range(N)
+            }
             seen |= orbit
-            reps.append(min(orbit, key=lambda t: (t[0], tuple(c.angles for c in t[1]))))
-    reps.sort(key=lambda t: (t[0], tuple(c.angles for c in t[1])))
+            reps.append((min(orbit, key=key), N // len(orbit)))
+    reps.sort(key=lambda rep: key(rep[0]))
 
     rankable = with_ranks and data.branches and all(l == m for l, _ in data.branches)
+    memo = {}  # root data of c_delta -> (ranks, d_c), per call
     out = []
-    for z, classes in reps:
-        c_delta = tuple(c.power(-k) for c, k in zip(classes, k_invs))
+    for (z, classes), z_delta_order in reps:
         desc = StratumDescriptor(
             z=z,
             classes=classes,
-            z_delta_order=_stabilizer_order(z, classes, m, orbit_sizes, N),
-            c_delta=c_delta,
+            z_delta_order=z_delta_order,
+            c_delta=tuple(c.power(-k) for c, k in zip(classes, k_invs)),
             ranks=None,
             d_c=None,
         )
         if rankable:
-            ranks, d_c = stratum_ranks(data, desc, group)
-            desc = StratumDescriptor(
-                z=desc.z,
-                classes=desc.classes,
-                z_delta_order=desc.z_delta_order,
-                c_delta=desc.c_delta,
-                ranks=ranks,
-                d_c=d_c,
-            )
+            roots = tuple(tuple(root_eigendata(c, m)) for c in desc.c_delta)
+            if roots not in memo:
+                memo[roots] = stratum_ranks(data, desc, group)
+            ranks, d_c = memo[roots]
+            desc = replace(desc, ranks=ranks, d_c=d_c)
         out.append(desc)
     return out
 
@@ -200,24 +237,31 @@ def root_eigendata(c, m):
     """Counts r^i of ordered root values: r^i = number of ordered pairs of
     distinct eigenvalue slots whose angle difference is i/m mod 1.  Both
     signs of each root are counted, so the total is N^2 - N."""
+    den = c.denominator
     r = [0] * m
-    for i, a in enumerate(c.angles):
-        for j, b in enumerate(c.angles):
+    for i, a in enumerate(c.residues):
+        for j, b in enumerate(c.residues):
             if i == j:
                 continue
-            diff = (a - b) % 1
-            scaled = diff * m
-            if scaled.denominator != 1:
+            diff = (a - b) % den
+            scaled, rest = divmod(diff * m, den)
+            if rest:
                 raise IncompatibleClass(
-                    f"root value angle {diff} is not a multiple of 1/{m}"
+                    f"root value angle {_ratio(diff, den)} is not a multiple of 1/{m}"
                 )
-            r[int(scaled) % m] += 1
+            r[scaled] += 1
     return r
 
 
 def stratum_ranks(data, stratum, group):
     """Eigenspace ranks r_0 ... r_{m-1} of the stratum tangent action and the
-    stratum dimension d_c = r_0.
+    stratum dimension d_c = r_0, in integers from the root data r_s of each
+    class of c_delta:
+
+        2 m r_i = 2 dim G (g - 1)
+                  + sum_s [rank G mu2_s(i) + sum_j r_s[j] mu2_s(i - j)]
+
+    with mu2_s = mu2_table(m, n_s), twice the mu values.
 
     Only valid when every branch orbit is a single fixed point (l_s = m); the
     holomorphic fixed point count behind the formula has no extension to
@@ -229,24 +273,24 @@ def stratum_ranks(data, stratum, group):
         )
     m = data.m
     g = total_genus(data)
-    group_rank = group.rank
-    dim_G = group.dim_G
-    roots = [root_eigendata(c, m) for c in stratum.c_delta]
+    base = 2 * group.dim_G * (g - 1)
+    terms = []
+    for (_, n), c in zip(data.branches, stratum.c_delta):
+        r_s = root_eigendata(c, m)
+        terms.append((mu2_table(m, n), [(j, r) for j, r in enumerate(r_s) if r]))
     ranks = []
     for i in range(m):
-        acc = Fraction(dim_G * (g - 1))
-        for (l, n), r_s in zip(data.branches, roots):
-            acc += mu_value(m, n, i) * group_rank
-            for j in range(m):
-                acc += r_s[j] * mu_value(m, n, (i - j) % m)
+        acc = base
+        for mu2, support in terms:
+            acc += group.rank * mu2[i] + sum(r * mu2[i - j] for j, r in support)
         # On strata of reducible connections (central classes) the count is an
         # index and can go negative; only integrality is demanded here.
-        val = acc / m
-        if val.denominator != 1:
-            raise NonIntegralRank(f"rank r_{i} = {val} is not an integer")
-        ranks.append(int(val))
-    if sum(ranks) != (g - 1) * dim_G:
+        val, rest = divmod(acc, 2 * m)
+        if rest:
+            raise NonIntegralRank(f"rank r_{i} = {_ratio(acc, 2 * m)} is not an integer")
+        ranks.append(val)
+    if sum(ranks) != (g - 1) * group.dim_G:
         raise InvariantViolation(
-            f"ranks sum to {sum(ranks)}, expected (g-1) dim G = {(g - 1) * dim_G}"
+            f"ranks sum to {sum(ranks)}, expected (g-1) dim G = {(g - 1) * group.dim_G}"
         )
     return tuple(ranks), ranks[0]

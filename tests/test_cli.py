@@ -309,3 +309,51 @@ def test_fit_sample_row_after_header_must_have_integer_level(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "sample line 6" in err and "1.0,2.0,0.0" in err
+
+
+def _set_generators(entry, value):
+    entry["generators"] = value
+
+
+def _set_chern_field(field, value):
+    def mutate(entry):
+        if field == "chern":
+            entry["chern"] = value
+        else:
+            entry["chern"][field] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda e: _set_generators(e, 5), "generators must be a JSON list"),
+        (lambda e: _set_generators(e, {"name": "u", "degree": 2}), "generators must be a JSON list"),
+        (lambda e: _set_generators(e, ["u"]), "generator must be a JSON object"),
+        (lambda e: _set_generators(e, [{"degree": 2}]), "has no string name"),
+        (lambda e: _set_generators(e, [{"name": "u"}]), "not an integer"),
+        (lambda e: _set_generators(e, [{"name": "u", "degree": 1.5}]), "not an integer"),
+        (lambda e: _set_generators(e, [{"name": "u", "degree": "2"}]), "not an integer"),
+        (lambda e: _set_generators(e, [{"name": "u", "degree": True}]), "not an integer"),
+        (lambda e: e.update(pairing=["u", "1/2"]), "pairing must be a JSON object"),
+        (lambda e: e.update(pairing={"u": [1, 2]}), "not a string p/q or a number"),
+        (_set_chern_field("chern", 3), "chern must be a JSON object"),
+        (_set_chern_field("T_c", "u"), "T_c must be a JSON object"),
+        (_set_chern_field("T_c", {"rank": 1, "classes": {"u": "2"}}), "T_c classes must be a JSON list"),
+        (_set_chern_field("omega", ["u"]), "omega must be a JSON object"),
+    ],
+    ids=[
+        "generators-int", "generators-object", "generator-not-object", "generator-no-name",
+        "generator-no-degree", "degree-float", "degree-string", "degree-bool",
+        "pairing-list", "pairing-value-list", "chern-int", "T_c-string", "T_c-classes-object",
+        "omega-list",
+    ],
+)
+def test_malformed_oracle_field_is_invalid_input(tmp_path, capsys, mutate, message):
+    oracles = json.loads((GOLDEN_INPUTS / "z4_su2_oracles.json").read_text())
+    mutate(oracles["40"])
+    code, out, err = _invariant_z4(capsys, tmp_path, oracles=oracles)
+    assert code == 1
+    assert out == ""
+    assert message in err

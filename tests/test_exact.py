@@ -5,7 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from torusfibre.exact import Cyclotomic, PhaseQ, PhaseSeries, cyclotomic_polynomial, euler_phi
+from torusfibre.exact import (
+    Cyclotomic,
+    PhaseQ,
+    PhaseSeries,
+    cyclotomic_polynomial,
+    euler_phi,
+    inverse_one_minus_zeta,
+)
 
 
 def test_norm_of_one_minus_zeta3():
@@ -293,3 +300,16 @@ def test_zeta_matches_fraction_reference(m):
         z = Cyclotomic.zeta(m, e)
         _assert_canonical(z)
         assert z.coeffs == _ref_reduce([F(0)] * (e % m) + [F(1)], m)
+
+
+def test_inverse_one_minus_zeta_matches_euclid():
+    for m in range(1, 61):
+        for j in range(-m, 2 * m):
+            if j % m == 0:
+                with pytest.raises(ZeroDivisionError):
+                    inverse_one_minus_zeta(m, j)
+            elif j in range(1, m):
+                inv = inverse_one_minus_zeta(m, j)
+                assert inv == (1 - Cyclotomic.zeta(m, j)).inverse()
+            else:
+                assert inverse_one_minus_zeta(m, j) == inverse_one_minus_zeta(m, j % m)

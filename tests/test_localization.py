@@ -17,6 +17,8 @@ from torusfibre.localization import (
     point_contribution,
     smooth_contribution,
 )
+from torusfibre.orbit import OrbitData
+from torusfibre.spectrum import lefschetz_trace
 from torusfibre.strata import enumerate_strata
 
 SU2 = GroupData(2)
@@ -152,3 +154,19 @@ def test_todd_of_trivial_bundle_is_one():
     td = _todd_class(oracle.ring, 4, [], 1)
     assert list(td.keys()) == [(0,)]
     assert td[(0,)] == 1
+
+
+def test_trace_and_lambda_inverse_need_no_euclid(monkeypatch):
+    # (1 - zeta^j)^{-1} comes from the closed form -(1/m') sum_t t zeta^{jt}
+    def refuse(self):
+        raise AssertionError("Cyclotomic.inverse called")
+
+    monkeypatch.setattr(Cyclotomic, "inverse", refuse)
+    for data in (M5, Z3, OrbitData(12, 1, [(4, 1), (3, 1), (12, 5)])):
+        for beta in range(data.m):
+            lefschetz_trace(data, beta)
+    s = _z3_stratum()
+    lambda_inverse_expansion(Z3, s, SU2, _toy_oracle({"T_c": {"rank": 1, "classes": [{"u": "2"}]}}))
+    for s in enumerate_strata(M5, SU2):
+        if s.d_c == 0:
+            lambda_inverse_expansion(M5, s, SU2, CohomologyOracle.trivial(0))
