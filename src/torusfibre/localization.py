@@ -132,24 +132,14 @@ class _Ring:
 # ---------------------------------------------------------------------------
 
 
-def _object(value, what):
-    """value, if it is a JSON object; a ValidationError otherwise."""
-    if not isinstance(value, dict):
-        raise ValidationError(f"oracle {what} must be a JSON object, not {value!r}")
-    return value
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON list", int: "an integer"}
 
 
-def _list(value, what):
-    """value, if it is a JSON list; a ValidationError otherwise."""
-    if not isinstance(value, list):
-        raise ValidationError(f"oracle {what} must be a JSON list, not {value!r}")
-    return value
-
-
-def _integer(value, what):
-    """value, if it is a JSON integer; a ValidationError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"oracle {what} is {value!r}, not an integer")
+def _expect(value, kind, what):
+    """value, if it is a JSON value of the given kind (dict, list or int);
+    a ValidationError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"oracle {what} must be {_JSON_KINDS[kind]}, not {value!r}")
     return value
 
 
@@ -170,7 +160,7 @@ def _parse_poly(ring, obj, what):
     if obj is None:
         return ring.zero()
     out = ring.zero()
-    for mono, coeff in _object(obj, what).items():
+    for mono, coeff in _expect(obj, dict, what).items():
         expo = [0] * len(ring.names)
         if mono.strip() not in ("1", ""):
             for part in mono.split("*"):
@@ -227,19 +217,19 @@ class CohomologyOracle:
             raise ValidationError(f"oracle entry must be a JSON object, not {obj!r}")
         if "d_c" not in obj:
             raise ValidationError("oracle entry has no d_c")
-        d_c = _integer(obj["d_c"], "d_c")
+        d_c = _expect(obj["d_c"], int, "d_c")
         names, degrees = [], []
-        for gen in _list(obj.get("generators", []), "generators"):
-            gen = _object(gen, "generator")
+        for gen in _expect(obj.get("generators", []), list, "generators"):
+            gen = _expect(gen, dict, "generator")
             if not isinstance(gen.get("name"), str):
                 raise ValidationError(f"oracle generator {gen!r} has no string name")
             names.append(gen["name"])
-            degrees.append(_integer(gen.get("degree"), f"degree of {gen['name']!r}"))
+            degrees.append(_expect(gen.get("degree"), int, f"degree of {gen['name']!r}"))
         if any(d <= 0 for d in degrees):
             raise ValidationError("generator degrees must be positive")
         ring = _Ring(names, degrees, 2 * d_c)
         pairing = {}
-        for mono, val in _object(obj.get("pairing", {}), "pairing").items():
+        for mono, val in _expect(obj.get("pairing", {}), dict, "pairing").items():
             elem = _parse_poly(ring, {mono: "1"}, "pairing")
             (expo,) = elem.keys()
             if ring.monomial_degree(expo) != 2 * d_c:
@@ -247,26 +237,26 @@ class CohomologyOracle:
                     f"pairing entry {mono!r} is not of top degree {2 * d_c}"
                 )
             pairing[expo] = _rational(val, f"pairing {mono!r}")
-        chern = _object(obj.get("chern", {}), "chern")
+        chern = _expect(obj.get("chern", {}), dict, "chern")
         tc = chern.get("T_c")
         tangent_chern = []
         tangent_rank = d_c
         if tc is not None:
-            tc = _object(tc, "T_c")
-            tangent_rank = _integer(tc.get("rank", d_c), "T_c rank")
-            tangent_chern = [
-                _parse_poly(ring, c, "T_c") for c in _list(tc.get("classes", []), "T_c classes")
-            ]
+            tc = _expect(tc, dict, "T_c")
+            tangent_rank = _expect(tc.get("rank", d_c), int, "T_c rank")
+            classes = _expect(tc.get("classes", []), list, "T_c classes")
+            tangent_chern = [_parse_poly(ring, c, "T_c") for c in classes]
         eigen = {}
         for key, val in chern.items():
             if not key.startswith("E["):
                 continue
             inner = key[1:].replace("]", "")
             s, nu = (int(x) for x in inner.strip("[").split("["))
-            val = _object(val, key)
+            val = _expect(val, dict, key)
+            classes = _expect(val.get("classes", []), list, f"{key} classes")
             eigen[(s, nu)] = (
-                _integer(val["rank"], f"{key} rank") if "rank" in val else None,
-                [_parse_poly(ring, c, key) for c in _list(val.get("classes", []), f"{key} classes")],
+                _expect(val["rank"], int, f"{key} rank") if "rank" in val else None,
+                [_parse_poly(ring, c, key) for c in classes],
             )
         omega = _parse_poly(ring, chern.get("omega"), "omega")
         return cls(

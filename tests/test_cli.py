@@ -332,10 +332,10 @@ def _set_chern_field(field, value):
         (lambda e: _set_generators(e, {"name": "u", "degree": 2}), "generators must be a JSON list"),
         (lambda e: _set_generators(e, ["u"]), "generator must be a JSON object"),
         (lambda e: _set_generators(e, [{"degree": 2}]), "has no string name"),
-        (lambda e: _set_generators(e, [{"name": "u"}]), "not an integer"),
-        (lambda e: _set_generators(e, [{"name": "u", "degree": 1.5}]), "not an integer"),
-        (lambda e: _set_generators(e, [{"name": "u", "degree": "2"}]), "not an integer"),
-        (lambda e: _set_generators(e, [{"name": "u", "degree": True}]), "not an integer"),
+        (lambda e: _set_generators(e, [{"name": "u"}]), "must be an integer"),
+        (lambda e: _set_generators(e, [{"name": "u", "degree": 1.5}]), "must be an integer"),
+        (lambda e: _set_generators(e, [{"name": "u", "degree": "2"}]), "must be an integer"),
+        (lambda e: _set_generators(e, [{"name": "u", "degree": True}]), "must be an integer"),
         (lambda e: e.update(pairing=["u", "1/2"]), "pairing must be a JSON object"),
         (lambda e: e.update(pairing={"u": [1, 2]}), "not a string p/q or a number"),
         (_set_chern_field("chern", 3), "chern must be a JSON object"),
