@@ -216,10 +216,18 @@ def ref_ranks(data, c_delta, group):
 
 
 def strata_cases():
+    """Fixtures, random asymmetric data (orbits with l < m included) and
+    random asymmetric fixed-point data, where every stratum carries ranks."""
     cases = [(HYPER, 2), (Z3, 2), (Z4, 2), (M5, 2), (Z3, 3), (HYPER, 3), (HYPER, 4)]
-    cases += [(d, 2) for d in random_asymmetric_orbits(7, 12, range(2, 8), max_branches=4)]
-    cases += [(d, 3) for d in random_asymmetric_orbits(8, 8, range(2, 6), max_branches=3)]
-    cases += [(d, 4) for d in random_asymmetric_orbits(9, 6, range(2, 4), max_branches=3)]
+    for N, seed, count, m_max, fixed in [
+        (2, 7, 12, 8, False), (3, 8, 8, 6, False), (4, 9, 6, 4, False),
+        (2, 11, 10, 8, True), (3, 12, 6, 6, True), (4, 13, 4, 4, True),
+    ]:
+        suite = random_asymmetric_orbits(
+            seed, count, range(2, m_max), max_branches=4 if N == 2 else 3,
+            fixed_points_only=fixed,
+        )
+        cases += [(d, N) for d in suite]
     return cases
 
 
@@ -237,20 +245,3 @@ def test_strata_match_fraction_reference(data, N):
             assert stratum_ranks(data, s, group) == (s.ranks, s.d_c)
     else:
         assert all(s.ranks is None for s in got)
-
-
-def test_fixed_point_ranks_match_fraction_formula():
-    # asymmetric fixed-point data, where every stratum carries ranks
-    suites = [
-        (2, random_asymmetric_orbits(11, 10, range(2, 8), max_branches=4, fixed_points_only=True)),
-        (3, random_asymmetric_orbits(12, 6, range(2, 6), max_branches=3, fixed_points_only=True)),
-        (4, random_asymmetric_orbits(13, 4, range(2, 4), max_branches=3, fixed_points_only=True)),
-    ]
-    seen = 0
-    for N, suite in suites:
-        group = GroupData(N)
-        for data in suite:
-            for s in enumerate_strata(data, group):
-                assert s.ranks == ref_ranks(data, [c.angles for c in s.c_delta], group)
-                seen += 1
-    assert seen > 100
