@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
-from .exact import PhaseQ
+from .exact import PhaseQ, rational_from_json
 from .expansion import assemble_invariant, evaluate_invariant, fit_expansion
 from .framing import GroupData, framing_evaluate, framing_phase, framing_series
 from .localization import CohomologyOracle, point_contribution, smooth_contribution
@@ -74,17 +73,6 @@ def _is_trivial_stratum(stratum):
     return stratum.z == 0 and not any(any(c.residues) for c in stratum.classes)
 
 
-def _cs_phase(key, value):
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValidationError(
-            f"cs-phase {key!r} is {value!r}, not a string p/q or a number"
-        )
-    try:
-        return PhaseQ(Fraction(value))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValidationError(f"cs-phase {key!r} = {value!r}: {exc}") from None
-
-
 def _stratum_phases(strata, cs_map):
     if cs_map is not None and not isinstance(cs_map, dict):
         raise ValidationError(
@@ -94,7 +82,7 @@ def _stratum_phases(strata, cs_map):
     for i, s in enumerate(strata):
         key = str(i)
         if cs_map is not None and key in cs_map:
-            phases.append(_cs_phase(key, cs_map[key]))
+            phases.append(PhaseQ(rational_from_json(cs_map[key], f"cs-phase {key!r}")))
         elif _is_trivial_stratum(s):
             phases.append(PhaseQ(0))
         else:

@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, factorial, prod
 
+from .errors import ValidationError
+
 __all__ = [
     "cyclotomic_polynomial",
     "euler_phi",
@@ -24,12 +26,24 @@ __all__ = [
     "PhaseQ",
     "PhaseSeries",
     "format_rational",
+    "rational_from_json",
 ]
 
 
 def format_rational(r):
     r = Fraction(r)
     return f"{r.numerator}/{r.denominator}" if r.denominator != 1 else str(r.numerator)
+
+
+def rational_from_json(value, what):
+    """value as a Fraction, from a string p/q or a JSON number; a
+    ValidationError naming what otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValidationError(f"{what} is {value!r}, not a string p/q or a number")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"{what} = {value!r}: {exc}") from None
 
 
 def _trim(p):

@@ -34,7 +34,7 @@ from .errors import (
     OracleDegreeOverflow,
     ValidationError,
 )
-from .exact import Cyclotomic, PhaseQ, inverse_one_minus_zeta
+from .exact import Cyclotomic, PhaseQ, inverse_one_minus_zeta, rational_from_json
 from .spectrum import mu2_table
 from .strata import root_eigendata
 
@@ -143,17 +143,6 @@ def _expect(value, kind, what):
     return value
 
 
-def _rational(value, what):
-    """value as a Fraction, from a string p/q or a JSON number; a
-    ValidationError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValidationError(f"oracle {what} is {value!r}, not a string p/q or a number")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValidationError(f"oracle {what} = {value!r}: {exc}") from None
-
-
 def _parse_poly(ring, obj, what):
     """Polynomial given as {monomial string: "p/q"}; monomials are generator
     names joined by '*' with optional '^e', or "1" for the constant."""
@@ -181,7 +170,7 @@ def _parse_poly(ring, obj, what):
             raise OracleDegreeOverflow(
                 f"{what}: monomial {mono!r} exceeds the declared top degree"
             )
-        out = ring.add(out, {expo: Cyclotomic.from_rational(_rational(coeff, what))})
+        out = ring.add(out, {expo: Cyclotomic.from_rational(rational_from_json(coeff, f"oracle {what}"))})
     return out
 
 
@@ -236,7 +225,7 @@ class CohomologyOracle:
                 raise ValidationError(
                     f"pairing entry {mono!r} is not of top degree {2 * d_c}"
                 )
-            pairing[expo] = _rational(val, f"pairing {mono!r}")
+            pairing[expo] = rational_from_json(val, f"oracle pairing {mono!r}")
         chern = _expect(obj.get("chern", {}), dict, "chern")
         tc = chern.get("T_c")
         tangent_chern = []
