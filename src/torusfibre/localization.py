@@ -14,14 +14,17 @@ y_i contributes
     prod_i (1 - zeta^j e^{y_i})^{-1}
       = (1 - zeta^j)^{-r_j} * exp( sum_t (beta_j^t / t) * sum_i (e^{y_i}-1)^t )
 
-with beta_j = zeta^j/(1 - zeta^j).  The inner sums sum_i (e^{y_i}-1)^t start
-in cohomological degree 2t, so truncation at the stratum dimension is exact.
+with beta_j = zeta^j/(1 - zeta^j).  The inner sums sum_i (e^{y_i}-1)^t are
+sum_{n>=t} t! S(n, t) ch_n(N_j); they start in cohomological degree 2t, so
+truncation at the stratum dimension is exact.  The Chern data are rational,
+so the ring algebra runs over Q until it meets beta_j and the prefactor.
 The scalar prefactor is exactly the point-stratum product, which is what
 makes the zero-dimensional collapse automatic.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,13 +56,19 @@ __all__ = [
 
 
 class _Ring:
-    """Commutative graded ring Q(zeta)[generators], truncated above the
-    oracle's top degree.  Elements are dicts exponent-tuple -> Cyclotomic."""
+    """Commutative graded ring over the oracle generators, truncated above
+    the oracle's top degree.  Elements are dicts exponent-tuple -> nonzero
+    coefficient: a Fraction for Chern data, a Cyclotomic once a value meets
+    beta_j or the prefactor."""
 
     def __init__(self, names, degrees, top_degree):
         self.names = list(names)
         self.degrees = list(degrees)
         self.top_degree = top_degree
+
+    @staticmethod
+    def is_zero(c):
+        return c.is_zero() if isinstance(c, Cyclotomic) else not c
 
     def monomial_degree(self, expo):
         return sum(e * d for e, d in zip(expo, self.degrees))
@@ -68,30 +77,24 @@ class _Ring:
         return {}
 
     def one(self):
-        return {(0,) * len(self.names): Cyclotomic.from_rational(1)}
+        return {(0,) * len(self.names): Fraction(1)}
 
     def scalar(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = Cyclotomic.from_rational(c)
-        if c.is_zero():
-            return {}
-        return {(0,) * len(self.names): c}
+        return {(0,) * len(self.names): Fraction(c)} if c else {}
 
     def add(self, a, b):
         out = dict(a)
         for k, v in b.items():
             cur = out.get(k)
             s = v if cur is None else cur + v
-            if s.is_zero():
+            if self.is_zero(s):
                 out.pop(k, None)
             else:
                 out[k] = s
         return out
 
     def scale(self, a, c):
-        if isinstance(c, (int, Fraction)):
-            c = Cyclotomic.from_rational(c)
-        if c.is_zero():
+        if self.is_zero(c):
             return {}
         return {k: v * c for k, v in a.items()}
 
@@ -104,7 +107,7 @@ class _Ring:
                     continue
                 cur = out.get(k)
                 s = va * vb if cur is None else cur + va * vb
-                if s.is_zero():
+                if self.is_zero(s):
                     out.pop(k, None)
                 else:
                     out[k] = s
@@ -145,7 +148,8 @@ def _expect(value, kind, what):
 
 def _parse_poly(ring, obj, what):
     """Polynomial given as {monomial string: "p/q"}; monomials are generator
-    names joined by '*' with optional '^e', or "1" for the constant."""
+    names joined by '*' with optional '^e' (e >= 0), or "1" for the
+    constant."""
     if obj is None:
         return ring.zero()
     out = ring.zero()
@@ -153,24 +157,22 @@ def _parse_poly(ring, obj, what):
         expo = [0] * len(ring.names)
         if mono.strip() not in ("1", ""):
             for part in mono.split("*"):
-                part = part.strip()
-                if "^" in part:
-                    name, e = part.split("^")
-                    e = int(e)
-                else:
-                    name, e = part, 1
-                try:
-                    expo[ring.names.index(name.strip())] += e
-                except ValueError:
-                    raise MissingChernData(
-                        f"{what}: unknown generator {name.strip()!r}"
-                    ) from None
+                name, hat, e = part.partition("^")
+                e = e.strip() if hat else "1"
+                if not e.isdecimal():
+                    raise ValidationError(
+                        f"{what}: monomial {mono!r} needs non-negative integer exponents"
+                    )
+                name = name.strip()
+                if name not in ring.names:
+                    raise MissingChernData(f"{what}: unknown generator {name!r}")
+                expo[ring.names.index(name)] += int(e)
         expo = tuple(expo)
         if ring.monomial_degree(expo) > ring.top_degree:
             raise OracleDegreeOverflow(
                 f"{what}: monomial {mono!r} exceeds the declared top degree"
             )
-        out = ring.add(out, {expo: Cyclotomic.from_rational(rational_from_json(coeff, f"oracle {what}"))})
+        out = ring.add(out, {expo: rational_from_json(coeff, f"oracle {what}")})
     return out
 
 
@@ -212,6 +214,8 @@ class CohomologyOracle:
             gen = _expect(gen, dict, "generator")
             if not isinstance(gen.get("name"), str):
                 raise ValidationError(f"oracle generator {gen!r} has no string name")
+            if gen["name"] in names:
+                raise ValidationError(f"oracle generator name {gen['name']!r} is given twice")
             names.append(gen["name"])
             degrees.append(_expect(gen.get("degree"), int, f"degree of {gen['name']!r}"))
         if any(d <= 0 for d in degrees):
@@ -237,10 +241,17 @@ class CohomologyOracle:
             tangent_chern = [_parse_poly(ring, c, "T_c") for c in classes]
         eigen = {}
         for key, val in chern.items():
-            if not key.startswith("E["):
+            if key in ("T_c", "omega"):
                 continue
-            inner = key[1:].replace("]", "")
-            s, nu = (int(x) for x in inner.strip("[").split("["))
+            match = re.fullmatch(r"E\[(\d+)\]\[(\d+)\]", key)
+            if match is None:
+                raise ValidationError(
+                    f"oracle chern key {key!r} is not T_c, omega or E[s][nu] "
+                    f"with integers s, nu >= 0"
+                )
+            s, nu = int(match[1]), int(match[2])
+            if (s, nu) in eigen:
+                raise ValidationError(f"oracle chern key {key!r} repeats E[{s}][{nu}]")
             val = _expect(val, dict, key)
             classes = _expect(val.get("classes", []), list, f"{key} classes")
             eigen[(s, nu)] = (
@@ -285,63 +296,25 @@ class _ChernCharacter:
 
     @classmethod
     def from_chern_classes(cls, ring, rank, classes, top_n):
-        # Newton's identities give the power sums of the Chern roots from the
-        # elementary symmetric functions c_1, c_2, ...
-        e = [ring.one()] + list(classes)
-        while len(e) <= top_n:
-            e.append(ring.zero())
+        # Newton's identities give the power sums p_n of the Chern roots from
+        # the elementary symmetric functions c_1, c_2, ...; ch_n = p_n / n!
+        e = [ring.one()] + list(classes) + [ring.zero()] * top_n
         p = [ring.scalar(rank)]
         for n in range(1, top_n + 1):
-            acc = ring.scale(e[n], Fraction(n))
-            sign = -1
+            acc = ring.scale(e[n], n)
             for i in range(1, n):
-                acc = ring.add(acc, ring.scale(ring.mul(e[i], p[n - i]), sign))
-                sign = -sign
-            if n % 2 == 0:
-                acc = ring.scale(acc, -1)
-            p.append(acc)
-        comps = [ring.scalar(rank)]
-        for n in range(1, top_n + 1):
-            comps.append(ring.scale(p[n], Fraction(1, factorial(n))))
-        return cls(ring, comps)
-
-    def rank(self):
-        c0 = self.comps[0]
-        if not c0:
-            return Fraction(0)
-        (coeff,) = c0.values()
-        return coeff.rational_value()
+                acc = ring.add(acc, ring.scale(ring.mul(e[i], p[n - i]), (-1) ** i))
+            p.append(ring.scale(acc, (-1) ** (n + 1)))
+        return cls(ring, [ring.scale(c, Fraction(1, factorial(n))) for n, c in enumerate(p)])
 
     def add(self, other):
-        return _ChernCharacter(
-            self.ring,
-            [self.ring.add(a, b) for a, b in zip(self.comps, other.comps)],
-        )
+        return _ChernCharacter(self.ring, [self.ring.add(a, b) for a, b in zip(self.comps, other.comps)])
 
     def scale(self, c):
         return _ChernCharacter(self.ring, [self.ring.scale(a, c) for a in self.comps])
 
     def dual(self):
-        return _ChernCharacter(
-            self.ring,
-            [
-                self.ring.scale(c, Fraction((-1) ** n))
-                for n, c in enumerate(self.comps)
-            ],
-        )
-
-    def adams(self, u):
-        """psi^u: scales the degree-2n part by u^n (u = 0 keeps the rank)."""
-        return _ChernCharacter(
-            self.ring,
-            [self.ring.scale(c, Fraction(u) ** n if n else Fraction(1)) for n, c in enumerate(self.comps)],
-        )
-
-    def total(self):
-        acc = self.ring.zero()
-        for c in self.comps:
-            acc = self.ring.add(acc, c)
-        return acc
+        return _ChernCharacter(self.ring, [self.ring.scale(c, (-1) ** n) for n, c in enumerate(self.comps)])
 
 
 @lru_cache(maxsize=None)
@@ -382,12 +355,11 @@ def _todd_class(ring, rank, classes, top_n):
     if top_n == 0:
         return ring.one()
     ch = _ChernCharacter.from_chern_classes(ring, rank, classes, top_n)
-    # recover power sums p_n = n! * ch_n
     f = _todd_log_coefficients(top_n)
     acc = ring.zero()
     for n in range(1, top_n + 1):
-        p_n = ring.scale(ch.comps[n], Fraction(factorial(n)))
-        acc = ring.add(acc, ring.scale(p_n, f[n - 1]))
+        # the power sum p_n = n! * ch_n
+        acc = ring.add(acc, ring.scale(ch.comps[n], factorial(n) * f[n - 1]))
     return ring.exp(acc)
 
 
@@ -432,27 +404,11 @@ def point_contribution(ranks, z_delta_order):
     return acc
 
 
-def _eigen_character(oracle, s, nu, default_rank):
-    """ch of E^nu at the s-th fixed point; trivial of the canonical rank
-    unless the oracle overrides it."""
-    ring = oracle.ring
-    top_n = oracle.d_c
-    override = oracle.eigen_chern.get((s, nu))
-    if override is None:
-        return _ChernCharacter.from_chern_classes(ring, default_rank, [], top_n)
-    rank, classes = override
-    rank = default_rank if rank is None else rank
-    if rank != default_rank:
-        raise InvariantViolation(
-            f"oracle rank {rank} for E[{s}][{nu}] disagrees with the stratum "
-            f"root count {default_rank}"
-        )
-    return _ChernCharacter.from_chern_classes(ring, rank, classes, top_n)
-
-
 def _normal_characters(data, stratum, group, oracle):
     """ch(N_j) for j = 1..m-1: the eigen-components of the virtual normal
-    bundle, with ranks certified against the stratum ranks."""
+    bundle.  An eigenbundle E^nu at the s-th fixed point is trivial of its
+    canonical rank unless the oracle overrides it, so only overridden ones
+    add Chern classes; the ranks are certified in integers as 2m r_j."""
     m = data.m
     ring = oracle.ring
     top_n = oracle.d_c
@@ -461,30 +417,45 @@ def _normal_characters(data, stratum, group, oracle):
             f"oracle tangent rank {oracle.tangent_rank} differs from stratum "
             f"dimension {stratum.d_c}"
         )
+    # canonical rank of E^nu at the s-th fixed point
+    ranks = [
+        [r + (group.rank if nu == 0 else 0) for nu, r in enumerate(root_eigendata(c, m))]
+        for c in stratum.c_delta
+    ]
+    eigen = {}
+    for (s, nu), (rank, classes) in oracle.eigen_chern.items():
+        if s >= len(ranks) or nu >= m:
+            raise ValidationError(
+                f"oracle key E[{s}][{nu}] names no eigenbundle: s < {len(ranks)} "
+                f"(branch points) and nu < m = {m} are needed"
+            )
+        if rank not in (None, ranks[s][nu]):
+            raise InvariantViolation(
+                f"oracle rank {rank} for E[{s}][{nu}] disagrees with the stratum "
+                f"root count {ranks[s][nu]}"
+            )
+        eigen[(s, nu)] = _ChernCharacter.from_chern_classes(ring, ranks[s][nu], classes, top_n)
     ch_t_dual = _ChernCharacter.from_chern_classes(
         ring, oracle.tangent_rank, oracle.tangent_chern, top_n
     ).dual()
-    roots = [root_eigendata(c, m) for c in stratum.c_delta]
-    eigen = {}
-    for s, r_s in enumerate(roots):
-        for nu in range(m):
-            default = r_s[nu] + (group.rank if nu == 0 else 0)
-            eigen[(s, nu)] = _eigen_character(oracle, s, nu, default)
     tables = [mu2_table(m, n) for _, n in data.branches]
     out = {}
     for j in range(1, m):
         acc = ch_t_dual
+        rank2m = 2 * m * oracle.tangent_rank
         for s, mu2 in enumerate(tables):
             for nu in range(m):
                 # twice mu_m(n_s)(-nu) - mu_m(n_s)(j - nu)
                 w2 = mu2[-nu] - mu2[j - nu]
                 if w2 == 0:
                     continue
-                acc = acc.add(eigen[(s, nu)].scale(Fraction(-w2, 2 * m)))
-        if acc.rank() != stratum.ranks[j]:
+                rank2m -= w2 * ranks[s][nu]
+                if (s, nu) in eigen:
+                    acc = acc.add(eigen[(s, nu)].scale(Fraction(-w2, 2 * m)))
+        if rank2m != 2 * m * stratum.ranks[j]:
             raise InvariantViolation(
-                f"normal bundle eigen-rank {acc.rank()} for j = {j} differs "
-                f"from stratum rank r_{j} = {stratum.ranks[j]}"
+                f"normal bundle eigen-rank {Fraction(rank2m, 2 * m)} for j = {j} "
+                f"differs from stratum rank r_{j} = {stratum.ranks[j]}"
             )
         out[j] = acc
     return out
@@ -506,27 +477,20 @@ def lambda_inverse_expansion(data, stratum, group, oracle):
     for j in range(1, m):
         # zeta^j / (1 - zeta^j) = (1 - zeta^j)^{-1} - 1
         beta = inverses[j] - 1
-        ch = normals[j]
+        comps = normals[j].comps
         beta_pow = Cyclotomic.from_rational(1, m)
         for t in range(1, oracle.d_c + 1):
             beta_pow = beta_pow * beta
-            # sum_i (e^{y_i} - 1)^t via binomial expansion in Adams operations
+            # sum_i (e^{y_i} - 1)^t = sum_{n >= t} t! S(n, t) ch_n, with the
+            # surjection count t! S(n, t) = sum_u (-1)^{t-u} C(t, u) u^n
             p_jt = ring.zero()
-            for u in range(t + 1):
-                term = ch.adams(u).total()
-                p_jt = ring.add(
-                    p_jt, ring.scale(term, Fraction((-1) ** (t - u) * comb(t, u)))
-                )
-            # everything below degree 2t cancels exactly; drop the numerical
-            # zeros and keep the honest part
-            p_jt = {
-                k: v
-                for k, v in p_jt.items()
-                if ring.monomial_degree(k) >= 2 * t and not v.is_zero()
-            }
-            exponent = ring.add(
-                exponent, ring.scale(p_jt, beta_pow * Fraction(1, t))
-            )
+            for n in range(t, oracle.d_c + 1):
+                surj = sum((-1) ** (t - u) * comb(t, u) * u**n for u in range(1, t + 1))
+                p_jt = ring.add(p_jt, ring.scale(comps[n], surj))
+            # this starts in degree 2t; drop what a non-homogeneous user
+            # class puts below
+            p_jt = {k: v for k, v in p_jt.items() if ring.monomial_degree(k) >= 2 * t}
+            exponent = ring.add(exponent, ring.scale(p_jt, beta_pow * Fraction(1, t)))
     return ring.scale(ring.exp(exponent), pref)
 
 

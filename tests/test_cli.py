@@ -357,3 +357,39 @@ def test_malformed_oracle_field_is_invalid_input(tmp_path, capsys, mutate, messa
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set_chern_field("E[9][0]", {"rank": 99, "classes": [{"u": "5"}]}), "E[9][0]"),
+        (_set_chern_field("E[0][4]", {"classes": [{"u": "1"}]}), "E[0][4]"),
+        (_set_chern_field("E[-1][0]", {"classes": []}), "'E[-1][0]'"),
+        (_set_chern_field("E[0][-2]", {"classes": []}), "'E[0][-2]'"),
+        (_set_chern_field("E[0]", {"classes": []}), "'E[0]'"),
+        (_set_chern_field("c_1", {"u": "1"}), "'c_1'"),
+        (
+            lambda e: e["chern"].update({"E[1][2]": {"classes": []}, "E[01][2]": {"classes": []}}),
+            "repeats E[1][2]",
+        ),
+        (lambda e: e.update(pairing={"u^2*u^-1": "1"}), "'u^2*u^-1' needs non-negative integer exponents"),
+        (_set_chern_field("omega", {"u^-1": "1"}), "'u^-1' needs non-negative integer exponents"),
+        (_set_chern_field("omega", {"u^x": "1"}), "'u^x' needs non-negative integer exponents"),
+        (
+            lambda e: _set_generators(e, [{"name": "u", "degree": 2}, {"name": "u", "degree": 4}]),
+            "generator name 'u' is given twice",
+        ),
+    ],
+    ids=[
+        "E-s-above-branches", "E-nu-above-m", "E-negative-s", "E-negative-nu", "E-one-index",
+        "unknown-chern-key", "E-repeated", "pairing-negative-exponent", "omega-negative-exponent",
+        "omega-non-integer-exponent", "generator-twice",
+    ],
+)
+def test_oracle_key_or_exponent_out_of_range_is_invalid_input(tmp_path, capsys, mutate, message):
+    oracles = json.loads((GOLDEN_INPUTS / "z4_su2_oracles.json").read_text())
+    mutate(oracles["40"])
+    code, out, err = _invariant_z4(capsys, tmp_path, oracles=oracles)
+    assert code == 1
+    assert out == ""
+    assert message in err
