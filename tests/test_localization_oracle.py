@@ -51,9 +51,8 @@ class RefRing:
     def lift(self, elem):
         return {k: Cyclotomic.from_rational(v) for k, v in elem.items()}
 
-    def scalar(self, c):
-        c = c if isinstance(c, Cyclotomic) else Cyclotomic.from_rational(c)
-        return {} if c.is_zero() else {self.unit: c}
+    def scalar(self, r):
+        return {self.unit: Cyclotomic.from_rational(r)} if r else {}
 
     def add(self, a, b):
         out = dict(a)
