@@ -263,12 +263,40 @@ def _cmd_fit(args):
     return EXIT_OK
 
 
-def build_parser():
+# name -> (handler, takes --orbit, takes --group, extra arguments), in help order
+INT = {"type": int}
+COMMANDS = {
+    "validate": (_cmd_validate, True, False, ()),
+    "seifert": (_cmd_seifert, True, False, ()),
+    "spectrum": (_cmd_spectrum, True, False, ()),
+    "framing": (_cmd_framing, True, True, (("--level", INT), ("--truncation", INT))),
+    "strata": (_cmd_strata, True, True, ()),
+    "contributions": (_cmd_contributions, True, True, (
+        ("--cs-phases", {"help": "JSON file: stratum index -> phase p/q"}),
+        ("--oracles", {"help": "JSON file: stratum index -> oracle data"}),
+    )),
+    "invariant": (_cmd_invariant, True, True, (
+        ("--cs-phases", {}), ("--oracles", {}), ("--level", INT), ("--precision", INT),
+    )),
+    "fit": (_cmd_fit, False, False, (
+        ("--samples", {"required": True, "help": "CSV file with lines k,re,im"}),
+        ("--qmax", {"type": int, "default": 60}),
+        ("--terms", {"type": int, "default": 4}),
+        ("--degree", {"type": int, "default": 3}),
+        ("--integer-degrees", {"action": "store_true"}),
+        ("--shift", {"type": int, "default": 0}),
+    )),
+}
+
+
+def build_parser(command=None):
+    """The argument parser; with a known ``command`` it holds only that
+    subcommand's parser, which parses that command line the same way."""
     parser = _Parser(prog="torusfibre")
     parser.add_argument("--format", choices=["json", "table"], default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, orbit=True, group=False):
+    for name in [command] if command in COMMANDS else COMMANDS:
+        func, orbit, group, extra = COMMANDS[name]
         p = sub.add_parser(name)
         p.set_defaults(func=func)
         p.add_argument("--format", dest="format_sub", choices=["json", "table"], default=None)
@@ -276,40 +304,29 @@ def build_parser():
             p.add_argument("--orbit", required=True, help="orbit data JSON file")
         if group:
             p.add_argument("--group", default="SU(2)", help="group label, e.g. SU(2)")
-        return p
-
-    add("validate", _cmd_validate)
-    add("seifert", _cmd_seifert)
-    add("spectrum", _cmd_spectrum)
-
-    p = add("framing", _cmd_framing, group=True)
-    p.add_argument("--level", type=int)
-    p.add_argument("--truncation", type=int)
-
-    add("strata", _cmd_strata, group=True)
-
-    p = add("contributions", _cmd_contributions, group=True)
-    p.add_argument("--cs-phases", help="JSON file: stratum index -> phase p/q")
-    p.add_argument("--oracles", help="JSON file: stratum index -> oracle data")
-
-    p = add("invariant", _cmd_invariant, group=True)
-    p.add_argument("--cs-phases")
-    p.add_argument("--oracles")
-    p.add_argument("--level", type=int)
-    p.add_argument("--precision", type=int, default=None)
-
-    p = add("fit", _cmd_fit, orbit=False)
-    p.add_argument("--samples", required=True, help="CSV file with lines k,re,im")
-    p.add_argument("--qmax", type=int, default=60)
-    p.add_argument("--terms", type=int, default=4)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--integer-degrees", action="store_true")
-    p.add_argument("--shift", type=int, default=0)
+        for flag, kwargs in extra:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
+def _command(argv):
+    """The subcommand named in argv after the top-level --format options,
+    or None when anything else comes first."""
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if arg == "--format":
+            i += 2
+        elif arg.startswith("--format="):
+            i += 1
+        else:
+            return arg if arg in COMMANDS else None
+    return None
+
+
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(_command(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -222,6 +222,7 @@ class CohomologyOracle:
             raise ValidationError("generator degrees must be positive")
         ring = _Ring(names, degrees, 2 * d_c)
         pairing = {}
+        keys = {}  # exponent tuple -> the pairing key that named it
         for mono, val in _expect(obj.get("pairing", {}), dict, "pairing").items():
             elem = _parse_poly(ring, {mono: "1"}, "pairing")
             (expo,) = elem.keys()
@@ -229,6 +230,11 @@ class CohomologyOracle:
                 raise ValidationError(
                     f"pairing entry {mono!r} is not of top degree {2 * d_c}"
                 )
+            if expo in keys:
+                raise ValidationError(
+                    f"oracle pairing keys {keys[expo]!r} and {mono!r} name the same monomial"
+                )
+            keys[expo] = mono
             pairing[expo] = rational_from_json(val, f"oracle pairing {mono!r}")
         chern = _expect(obj.get("chern", {}), dict, "chern")
         tc = chern.get("T_c")

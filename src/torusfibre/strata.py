@@ -9,7 +9,7 @@ which makes every operation here integer combinatorics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
@@ -143,66 +143,75 @@ def enumerate_strata(data, group, with_ranks=True):
 
     The center element z' acts by (z, c_1..c_n) -> (z + m z', c_i zeta^{z' m_i}).
     Orbit representatives are the lexicographically least tuples (z, classes)
-    in the angles, so output order is deterministic; the stabilizer order is
-    N over the orbit size.  Ranks are attached when the rank formula applies
-    (every branch orbit a fixed point), else left None; strata whose classes
-    c_delta share their root data share ranks.
+    in the angles, so output order is deterministic.  Since z' moves z by
+    m z' mod N, every orbit meets z < g = gcd(m, N) in exactly one orbit of
+    H = {z' : m z' = 0 mod N}, the subgroup of order g, so only those z are
+    visited and the stabilizer order is g over the H-orbit size.  Classes
+    are numbered in angle order per branch, so a tuple of numbers orders as
+    its classes do: the first tuple met in an H-orbit is its least member,
+    and representatives come out sorted.  Ranks are attached when the rank
+    formula applies (every branch orbit a fixed point), else left None;
+    strata whose classes c_delta share their root data share ranks.
     """
     validate_orbit(data)
     N = group.N
     m = data.m
+    g = gcd(m, N)
     orbit_sizes = data.orbit_sizes()
     k_invs = [pow(n, -1, l) for l, n in data.branches]
+    rankable = with_ranks and data.branches and all(l == m for l, _ in data.branches)
     # every angle of every class met here lies in (1/(N m))Z
     den = N * m
-    moved = {}  # (class, t) -> class times zeta_N^t, per call
-
-    def translate(c, t):
-        out = moved.get((c, t))
-        if out is None:
-            out = moved[c, t] = c.translate(t)
-        return out
-
-    def key(t):
-        return (t[0], tuple(c.residues_over(den) for c in t[1]))
-
-    seen = set()
-    reps = []
-    for z in range(N):
-        per_branch = [classes_with_power_central(N, l, z) for l, _ in data.branches]
-        for combo in product(*per_branch):
-            if (z, combo) in seen:
-                continue
-            orbit = {
-                (
-                    (z + m * zp) % N,
-                    tuple(translate(c, zp * mi % N) for c, mi in zip(combo, orbit_sizes)),
-                )
-                for zp in range(N)
-            }
-            seen |= orbit
-            reps.append((min(orbit, key=key), N // len(orbit)))
-    reps.sort(key=lambda rep: key(rep[0]))
-
-    rankable = with_ranks and data.branches and all(l == m for l, _ in data.branches)
+    # H acts on branch i by the shifts zeta_N^{h m_i}, h a multiple of N / g
+    shifts = [[h * mi % N for h in range(0, N, N // g)] for mi in orbit_sizes]
+    deltas = {}  # (class, k) -> (c^{-k}, its root data when rankable), per call
     memo = {}  # root data of c_delta -> (ranks, d_c), per call
+
+    def delta(c, k):
+        pair = deltas.get((c, k))
+        if pair is None:
+            c_delta = c.power(-k)
+            pair = deltas[c, k] = (c_delta, tuple(root_eigendata(c_delta, m)) if rankable else None)
+        return pair
+
     out = []
-    for (z, classes), z_delta_order in reps:
-        desc = StratumDescriptor(
-            z=z,
-            classes=classes,
-            z_delta_order=z_delta_order,
-            c_delta=tuple(c.power(-k) for c, k in zip(classes, k_invs)),
-            ranks=None,
-            d_c=None,
-        )
-        if rankable:
-            roots = tuple(tuple(root_eigendata(c, m)) for c in desc.c_delta)
-            if roots not in memo:
-                memo[roots] = stratum_ranks(data, desc, group)
-            ranks, d_c = memo[roots]
-            desc = replace(desc, ranks=ranks, d_c=d_c)
-        out.append(desc)
+    for z in range(g):
+        per_branch = [
+            sorted(classes_with_power_central(N, l, z), key=lambda c: c.residues_over(den))
+            for l, _ in data.branches
+        ]
+        if not all(per_branch):
+            continue
+        reps = product(*(range(len(cs)) for cs in per_branch))
+        if g > 1:
+            # perms[i][j][a]: the number of class a of branch i moved by the j-th shift
+            perms = []
+            for cs, ts in zip(per_branch, shifts):
+                number = {c: a for a, c in enumerate(cs)}
+                perms.append([[number[c.translate(t)] for c in cs] for t in ts])
+            seen = set()
+            found = []
+            for combo in reps:
+                if combo in seen:
+                    continue
+                orbit = {tuple(p[j][a] for p, a in zip(perms, combo)) for j in range(g)}
+                seen |= orbit
+                found.append((combo, g // len(orbit)))
+        else:
+            found = ((combo, 1) for combo in reps)
+        per_delta = [[delta(c, k) for c in cs] for cs, k in zip(per_branch, k_invs)]
+        for combo, z_delta_order in found:
+            classes = tuple(cs[a] for cs, a in zip(per_branch, combo))
+            pairs = [dl[a] for dl, a in zip(per_delta, combo)]
+            c_delta = tuple(cd for cd, _ in pairs)
+            ranks = d_c = None
+            if rankable:
+                roots = tuple(r for _, r in pairs)
+                if roots not in memo:
+                    desc = StratumDescriptor(z, classes, z_delta_order, c_delta, None, None)
+                    memo[roots] = stratum_ranks(data, desc, group, roots)
+                ranks, d_c = memo[roots]
+            out.append(StratumDescriptor(z, classes, z_delta_order, c_delta, ranks, d_c))
     return out
 
 
@@ -212,19 +221,14 @@ def count_strata_burnside(data, group):
     N = group.N
     m = data.m
     orbit_sizes = data.orbit_sizes()
+    H = [zp for zp in range(N) if (m * zp) % N == 0]  # the z' that fix z
     total = 0
-    for zp in range(N):
-        if (m * zp) % N != 0:
-            continue
-        for z in range(N):
+    for z in range(N):
+        per_branch = [classes_with_power_central(N, l, z) for l, _ in data.branches]
+        for zp in H:
             fixed = 1
-            for (l, _), mi in zip(data.branches, orbit_sizes):
-                cnt = sum(
-                    1
-                    for c in classes_with_power_central(N, l, z)
-                    if c.translate(zp * mi) == c
-                )
-                fixed *= cnt
+            for classes, mi in zip(per_branch, orbit_sizes):
+                fixed *= sum(1 for c in classes if c.translate(zp * mi) == c)
                 if fixed == 0:
                     break
             total += fixed
@@ -253,7 +257,7 @@ def root_eigendata(c, m):
     return r
 
 
-def stratum_ranks(data, stratum, group):
+def stratum_ranks(data, stratum, group, roots=None):
     """Eigenspace ranks r_0 ... r_{m-1} of the stratum tangent action and the
     stratum dimension d_c = r_0, in integers from the root data r_s of each
     class of c_delta:
@@ -265,7 +269,8 @@ def stratum_ranks(data, stratum, group):
 
     Only valid when every branch orbit is a single fixed point (l_s = m); the
     holomorphic fixed point count behind the formula has no extension to
-    larger orbits here, so anything else is refused.
+    larger orbits here, so anything else is refused.  ``roots``, when given,
+    holds root_eigendata(c, m) for each class of c_delta.
     """
     if not data.branches or any(l != data.m for l, _ in data.branches):
         raise UnsupportedOrbitStructure(
@@ -274,9 +279,10 @@ def stratum_ranks(data, stratum, group):
     m = data.m
     g = total_genus(data)
     base = 2 * group.dim_G * (g - 1)
+    if roots is None:
+        roots = [root_eigendata(c, m) for c in stratum.c_delta]
     terms = []
-    for (_, n), c in zip(data.branches, stratum.c_delta):
-        r_s = root_eigendata(c, m)
+    for (_, n), r_s in zip(data.branches, roots):
         terms.append((mu2_table(m, n), [(j, r) for j, r in enumerate(r_s) if r]))
     ranks = []
     for i in range(m):

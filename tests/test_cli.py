@@ -393,3 +393,61 @@ def test_oracle_key_or_exponent_out_of_range_is_invalid_input(tmp_path, capsys, 
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "key, first",
+    [("v*u", "u*v"), ("u^2*u", "u^3"), ("u*u*u", "u^3")],
+)
+def test_duplicate_pairing_monomial_is_invalid_input(tmp_path, capsys, key, first):
+    oracles = json.loads((GOLDEN_INPUTS / "hyper_su2_oracles_classes.json").read_text())
+    oracles["32"]["pairing"][key] = "7"
+    path = tmp_path / "oracles.json"
+    path.write_text(json.dumps(oracles))
+    code, out, err = run(
+        capsys, "contributions", "--orbit", str(GOLDEN_INPUTS / "hyper.json"),
+        "--cs-phases", str(GOLDEN_INPUTS / "hyper_su2_cs.json"), "--oracles", str(path),
+    )
+    assert code == 1
+    assert out == ""
+    assert f"{first!r} and {key!r} name the same monomial" in err
+
+
+COMMAND_NAMES = [
+    "validate", "seifert", "spectrum", "framing", "strata", "contributions", "invariant", "fit",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["--help"],
+        ["-h", "spectrum"],
+        *[[name, "-h"] for name in COMMAND_NAMES],
+        ["--format", "table", "framing", "--help"],
+        [],
+        ["nosuchcommand"],
+        ["--format", "xml", "spectrum"],
+        ["--format=table", "spectrum"],
+        ["--form", "table", "spectrum"],
+        ["--format"],
+        ["--format", "spectrum"],
+        ["validate"],
+        ["spectrum", "--orbit"],
+        ["framing", "--orbit", "x.json", "--level", "five"],
+        ["strata", "--orbit", "x.json", "--bogus"],
+        ["fit", "--orbit", "x.json"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_front_end_matches_full_parser_tree(monkeypatch, capsys, argv):
+    """main builds only the invoked subcommand's parser; every front-end
+    outcome (help, usage errors, exit codes) is the full tree's."""
+    import torusfibre.cli as cli
+
+    assert list(cli.COMMANDS) == COMMAND_NAMES
+    got = run(capsys, *argv)
+    full_tree = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_tree())
+    assert run(capsys, *argv) == got

@@ -228,7 +228,39 @@ def strata_cases():
             fixed_points_only=fixed,
         )
         cases += [(d, N) for d in suite]
+    # the cells the canonical enumeration branches on that the draws above
+    # miss: g = gcd(m, N) = N at N = 4, and orbits with l < m at every N and g
+    for N, seed, count, m_choices, fixed, max_branches in [
+        (4, 14, 2, [4], True, 2), (4, 15, 1, [4], False, 3), (4, 16, 1, [6], False, 3),
+        (4, 17, 1, [9], False, 3), (3, 18, 2, [4], False, 3), (3, 19, 2, [6], False, 3),
+        (2, 20, 2, [9, 15], False, 4),
+    ]:
+        pool = random_asymmetric_orbits(
+            seed, 40, m_choices, max_branches=max_branches, fixed_points_only=fixed
+        )
+        drawn = [d for d in pool if d.branches and (fixed or _has_orbit(d))]
+        cases += [(d, N) for d in drawn[:count]]
     return cases
+
+
+def _has_orbit(data):
+    return any(l < data.m for l, _ in data.branches)
+
+
+def _cell(data, N):
+    g = gcd(data.m, N)
+    return (N, "g=1" if g == 1 else "g=N" if g == N else "1<g<N", "l<m" if _has_orbit(data) else "fixed")
+
+
+def test_strata_cases_cover_every_cell():
+    cells = {_cell(d, N) for d, N in strata_cases() if d.branches}
+    expected = {
+        (N, g, kind)
+        for N in (2, 3, 4)
+        for g in (["g=1", "1<g<N", "g=N"] if N == 4 else ["g=1", "g=N"])
+        for kind in ("fixed", "l<m")
+    }
+    assert cells == expected
 
 
 @pytest.mark.parametrize("data, N", strata_cases())
