@@ -7,7 +7,6 @@ from .spectrum import (
     EigenSpectrum,
     eigen_dimensions,
     lefschetz_trace,
-    mu_bruteforce,
     mu_value,
     wall_signature,
 )

@@ -46,12 +46,6 @@ def rational_from_json(value, what):
         raise ValidationError(f"{what} = {value!r}: {exc}") from None
 
 
-def _trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def _prime_factors(m):
     out, p = [], 2
     while p * p <= m:
@@ -278,21 +272,17 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via extended gcd with Phi_M."""
+        """Multiplicative inverse by the Galois norm: with P the product of
+        the conjugates sigma_t(x), t a unit mod M other than 1, the norm
+        N(x) = x * P is a nonzero rational for x != 0, and x^-1 = P / N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        # extended Euclid in Q[x] on the numerators: t1*nums + (...)*phi =
-        # constant gcd, since Phi_M is irreducible over Q
-        r0, r1 = phi, _trim([Fraction(c) for c in self.numerators])
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod_q(r0, r1)
-            t0, t1 = t1, [a - b for a, b in _zip_pad(t0, _poly_mul_q(q, t1))]
-            r0, r1 = r1, _trim(r)
-        if not r1 or r1[0] == 0:
-            raise ZeroDivisionError("element is a zero divisor (not canonical?)")
-        return Cyclotomic(self.conductor, t1) * (self.denominator / r1[0])
+        m = self.conductor
+        others = Cyclotomic.from_rational(1, m)
+        for t in range(2, m):
+            if gcd(t, m) == 1:
+                others = others * self.galois(t)
+        return others * (1 / (self * others).rational_value())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -335,16 +325,6 @@ class Cyclotomic:
         for k, c in enumerate(self.numerators):
             out[(k * t) % m] += c
         return Cyclotomic._from_integers(m, out, self.denominator)
-
-    def conjugate(self):
-        return self.galois(self.conductor - 1) if self.conductor > 1 else self
-
-    def to_complex(self):
-        z = cmath.exp(2j * cmath.pi / self.conductor)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
 
     def to_mpc(self, ctx):
         """High precision complex value under an mpmath context."""
@@ -408,40 +388,6 @@ def inverse_one_minus_zeta(m, e):
     for t in range(1, order):
         nums[e * t % m] = -t
     return Cyclotomic._from_integers(m, nums, order)
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return list(zip(a, b))
-
-
-def _poly_mul_q(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else [Fraction(0)]
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_divmod_q(a, b):
-    a = [Fraction(c) for c in a]
-    b = _trim([Fraction(c) for c in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i] / lead
-        if c == 0:
-            continue
-        q[i - (len(b) - 1)] = c
-        for j, bc in enumerate(b):
-            a[i - (len(b) - 1) + j] -= c * bc
-    return q, _trim(a)
 
 
 class PhaseQ:

@@ -397,7 +397,13 @@ class ContributionPolynomial:
 
 def point_contribution(ranks, z_delta_order):
     """(1/|Z_delta|) prod_{i=1}^{m-1} (1 - zeta_m^i)^{-r_i} for a
-    zero-dimensional stratum."""
+    zero-dimensional stratum.
+
+    The negative powers go through Cyclotomic.inverse, a product of Galois
+    conjugates over the norm.  The oracle route (smooth_contribution with a
+    trivial oracle) takes (1 - zeta^j)^{-1} from the closed form of
+    inverse_one_minus_zeta instead, so the CLI's certificate that the two
+    agree compares independent computations."""
     m = len(ranks)
     if ranks[0] != 0:
         raise NotZeroDimensional(

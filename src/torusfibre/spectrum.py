@@ -1,9 +1,10 @@
 """Action of a finite order diffeomorphism on holomorphic differentials.
 
 The eigenvalue multiplicities d_a come from the Chevalley-Weil closed form
-in integers.  The slow literal routes stay public as oracles: mu sums by a
-brute-force evaluator in Q(zeta_m), and the holomorphic Lefschetz traces
-whose average over the group gives the same d_a.
+in integers, and the mu weights from the closed form nbar - (m-1)/2.  The
+holomorphic Lefschetz traces, whose average over the group gives the same
+d_a, are the tests' oracle for the former; the brute-force root-of-unity
+sum for mu lives with the other literal routes in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -13,17 +14,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
 from .errors import DegenerateTerm, GcdViolation, NonIntegralMultiplicity
-from .exact import Cyclotomic, cyclotomic_polynomial, inverse_one_minus_zeta
+from .exact import Cyclotomic, inverse_one_minus_zeta
 from .orbit import total_genus, validate_orbit
 
 __all__ = [
     "EigenSpectrum",
     "mu_value",
     "mu2_table",
-    "mu_bruteforce",
     "lefschetz_trace",
     "eigen_dimensions",
     "wall_signature",
@@ -57,83 +55,6 @@ def mu2_table(m, n):
 def mu_value(m, n, a):
     """Closed form nbar - (m-1)/2 where n*nbar = a mod m, 0 <= nbar < m."""
     return Fraction(mu2_table(m, n)[a % m], 2)
-
-
-@lru_cache(maxsize=64)
-def _mu_tables(m):
-    """Integer tables for the literal mu sum at order m.
-
-    Wmat[j] holds prod_{i != j, 1<=i<=m-1} (1 - x^i) mod x^m - 1, so that
-    (1 - zeta^j)^{-1} = Wmat[j]/m exactly.  R reduces a length-m coefficient
-    vector modulo Phi_m.  All entries are small integers (worst case a few
-    hundred for m <= 50), far inside int64 range.
-    """
-
-    def mul(a, b):
-        out = [0] * m
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[(i + j) % m] += x * y
-        return out
-
-    factors = []
-    for i in range(1, m):
-        p = [0] * m
-        p[0] += 1
-        p[i] -= 1
-        factors.append(p)
-    one = [0] * m
-    one[0] = 1
-    prefix = [one]
-    for p in factors:
-        prefix.append(mul(prefix[-1], p))
-    suffix = [one] * m
-    for idx in range(m - 2, -1, -1):
-        suffix[idx] = mul(factors[idx], suffix[idx + 1])
-    Wmat = np.zeros((m, m), dtype=np.int64)
-    for j in range(1, m):
-        Wmat[j] = mul(prefix[j - 1], suffix[j])
-    # sanity: (1 - x^j) * W_j = x^m - 1 ... = m at every root, i.e. the
-    # product of all factors reduces to the constant m mod Phi_m
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    R = np.zeros((deg, m), dtype=np.int64)
-    cur = [0] * deg
-    cur[0] = 1
-    for t in range(m):
-        R[:, t] = cur
-        carry = cur[-1]
-        cur = [0] + cur[:-1]
-        if carry:
-            for j in range(deg):
-                cur[j] -= carry * phi[j]
-    full = R @ np.asarray(mul(list(Wmat[1]), factors[0]), dtype=np.int64)
-    assert full[0] == m and not full[1:].any(), "cofactor table failed self-check"
-    return Wmat, R
-
-
-def mu_bruteforce(m, n, a):
-    """The literal sum -sum_{beta=1}^{m-1} zeta^{-a beta} / (1 - zeta^{n beta}),
-    evaluated exactly in Q(zeta_m).
-
-    Uses cached integer cofactor vectors for the inverses: each term is
-    zeta^{-a beta} * W_{n beta} / m with W_j the product of the other
-    (1 - zeta^i) factors, so the whole sum is an integer vector gather
-    followed by one reduction modulo Phi_m.
-    """
-    if gcd(n, m) != 1:
-        raise GcdViolation(f"rotation number n = {n} is not a unit mod {m}")
-    Wmat, R = _mu_tables(m)
-    beta = np.arange(1, m)
-    rows = (n * beta) % m
-    # multiplying by zeta^{-a beta} rotates coefficients: coeff t of the
-    # term is W[n beta][(t + a beta) mod m]
-    idx = (np.arange(m)[None, :] + (a * beta)[:, None]) % m
-    acc = Wmat[rows[:, None], idx].sum(axis=0)
-    reduced = R @ acc
-    return Cyclotomic._from_integers(m, [-int(c) for c in reduced], m)
 
 
 def lefschetz_trace(data, beta):

@@ -1,0 +1,173 @@
+"""Literal routes that the tests compare the production closed forms with.
+
+None of this runs outside the tests: extended Euclid over Fraction
+polynomials as the reference for Cyclotomic.inverse, the brute-force
+root-of-unity sum for mu, and complex conjugation and float evaluation of
+Cyclotomic values.
+"""
+
+import cmath
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd
+
+import numpy as np
+
+from torusfibre.errors import GcdViolation
+from torusfibre.exact import Cyclotomic, cyclotomic_polynomial
+
+# -- extended Euclid in Q[x] ---------------------------------------------------
+
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _zip_pad(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return list(zip(a, b))
+
+
+def _poly_mul_q(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else [Fraction(0)]
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod_q(a, b):
+    a = [Fraction(c) for c in a]
+    b = _trim([Fraction(c) for c in b])
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    lead = b[-1]
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        c = a[i] / lead
+        if c == 0:
+            continue
+        q[i - (len(b) - 1)] = c
+        for j, bc in enumerate(b):
+            a[i - (len(b) - 1) + j] -= c * bc
+    return q, _trim(a)
+
+
+def euclid_inverse(x):
+    """x^-1 by extended gcd of its numerators with Phi_M in Q[x]."""
+    if x.is_zero():
+        raise ZeroDivisionError("inverse of zero cyclotomic element")
+    phi = [Fraction(c) for c in cyclotomic_polynomial(x.conductor)]
+    # t1*nums + (...)*phi = constant gcd, since Phi_M is irreducible over Q
+    r0, r1 = phi, _trim([Fraction(c) for c in x.numerators])
+    t0, t1 = [Fraction(0)], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = _poly_divmod_q(r0, r1)
+        t0, t1 = t1, [a - b for a, b in _zip_pad(t0, _poly_mul_q(q, t1))]
+        r0, r1 = r1, _trim(r)
+    if not r1 or r1[0] == 0:
+        raise ZeroDivisionError("element is a zero divisor (not canonical?)")
+    return Cyclotomic(x.conductor, t1) * (x.denominator / r1[0])
+
+
+# -- brute-force mu sum --------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _mu_tables(m):
+    """Integer tables for the literal mu sum at order m.
+
+    Wmat[j] holds prod_{i != j, 1<=i<=m-1} (1 - x^i) mod x^m - 1, so that
+    (1 - zeta^j)^{-1} = Wmat[j]/m exactly.  R reduces a length-m coefficient
+    vector modulo Phi_m.  All entries are small integers (worst case a few
+    hundred for m <= 50), far inside int64 range.
+    """
+
+    def mul(a, b):
+        out = [0] * m
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[(i + j) % m] += x * y
+        return out
+
+    factors = []
+    for i in range(1, m):
+        p = [0] * m
+        p[0] += 1
+        p[i] -= 1
+        factors.append(p)
+    one = [0] * m
+    one[0] = 1
+    prefix = [one]
+    for p in factors:
+        prefix.append(mul(prefix[-1], p))
+    suffix = [one] * m
+    for idx in range(m - 2, -1, -1):
+        suffix[idx] = mul(factors[idx], suffix[idx + 1])
+    Wmat = np.zeros((m, m), dtype=np.int64)
+    for j in range(1, m):
+        Wmat[j] = mul(prefix[j - 1], suffix[j])
+    # sanity: (1 - x^j) * W_j = x^m - 1 ... = m at every root, i.e. the
+    # product of all factors reduces to the constant m mod Phi_m
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    R = np.zeros((deg, m), dtype=np.int64)
+    cur = [0] * deg
+    cur[0] = 1
+    for t in range(m):
+        R[:, t] = cur
+        carry = cur[-1]
+        cur = [0] + cur[:-1]
+        if carry:
+            for j in range(deg):
+                cur[j] -= carry * phi[j]
+    full = R @ np.asarray(mul(list(Wmat[1]), factors[0]), dtype=np.int64)
+    assert full[0] == m and not full[1:].any(), "cofactor table failed self-check"
+    return Wmat, R
+
+
+def mu_bruteforce(m, n, a):
+    """The literal sum -sum_{beta=1}^{m-1} zeta^{-a beta} / (1 - zeta^{n beta}),
+    evaluated exactly in Q(zeta_m).
+
+    Uses cached integer cofactor vectors for the inverses: each term is
+    zeta^{-a beta} * W_{n beta} / m with W_j the product of the other
+    (1 - zeta^i) factors, so the whole sum is an integer vector gather
+    followed by one reduction modulo Phi_m.
+    """
+    if gcd(n, m) != 1:
+        raise GcdViolation(f"rotation number n = {n} is not a unit mod {m}")
+    Wmat, R = _mu_tables(m)
+    beta = np.arange(1, m)
+    rows = (n * beta) % m
+    # multiplying by zeta^{-a beta} rotates coefficients: coeff t of the
+    # term is W[n beta][(t + a beta) mod m]
+    idx = (np.arange(m)[None, :] + (a * beta)[:, None]) % m
+    acc = Wmat[rows[:, None], idx].sum(axis=0)
+    reduced = R @ acc
+    return Cyclotomic._from_integers(m, [-int(c) for c in reduced], m)
+
+
+# -- complex conjugation and float evaluation -----------------------------------
+
+
+def conjugate(x):
+    """The Galois map zeta -> zeta^-1, i.e. complex conjugation."""
+    return x.galois(x.conductor - 1) if x.conductor > 1 else x
+
+
+def to_complex(x):
+    """x as a Python complex, by Horner in the power basis."""
+    z = cmath.exp(2j * cmath.pi / x.conductor)
+    acc = 0j
+    for c in reversed(x.coeffs):
+        acc = acc * z + complex(c)
+    return acc

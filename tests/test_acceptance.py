@@ -12,12 +12,13 @@ from fractions import Fraction as F
 from math import gcd
 
 from conftest import FREE2, FREE3, HYPER, M5, Z3, Z4, random_orbit_suite
+from oracles import mu_bruteforce
 from torusfibre.cli import main as cli_main
 from torusfibre.exact import PhaseQ
 from torusfibre.framing import GroupData, framing_evaluate, framing_phase, framing_series
 from torusfibre.localization import CohomologyOracle, point_contribution, smooth_contribution
 from torusfibre.orbit import OrbitData, seifert_invariants, total_genus
-from torusfibre.spectrum import eigen_dimensions, mu_bruteforce, mu_value, wall_signature
+from torusfibre.spectrum import eigen_dimensions, mu_value, wall_signature
 from torusfibre.strata import count_strata_burnside, enumerate_strata
 
 SU2 = GroupData(2)

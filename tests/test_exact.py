@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import conjugate, euclid_inverse, to_complex
 from torusfibre.exact import (
     Cyclotomic,
     PhaseQ,
@@ -102,15 +103,15 @@ def test_float_crosscheck():
         pa = [F(rng.randint(-1000, 1000)) for _ in range(euler_phi(m))]
         pb = [F(rng.randint(-1000, 1000)) for _ in range(euler_phi(m))]
         a, b = Cyclotomic(m, pa), Cyclotomic(m, pb)
-        lhs = (a * b).to_complex()
-        rhs = a.to_complex() * b.to_complex()
+        lhs = to_complex(a * b)
+        rhs = to_complex(a) * to_complex(b)
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) / scale < 1e-9
 
 
 def test_galois_conjugate_matches_complex_conjugate():
     a = Cyclotomic(7, [F(1), F(2), F(-1), F(0), F(3), F(1, 2)])
-    assert abs(a.conjugate().to_complex() - a.to_complex().conjugate()) < 1e-12
+    assert abs(to_complex(conjugate(a)) - to_complex(a).conjugate()) < 1e-12
 
 
 def test_cyclotomic_polynomial_values():
@@ -281,8 +282,8 @@ def test_arithmetic_matches_fraction_reference(m):
         u = rng.choice([u for u in range(1, m) if math.gcd(u, m) == 1])
         assert a.galois(u).coeffs == _ref_reduce(_spread(a.coeffs, u, m), m)
 
-        # exact inversion of a dense element is slow at large phi(m) (the
-        # inverse has coefficients of hundreds of digits); invert a sparse one
+        # the Euclid oracle is slow on a dense element at large phi(m) (its
+        # remainders grow to hundreds of digits); invert a sparse one
         c = [F(0)] * phi
         for j in rng.sample(range(phi), min(phi, 3)):
             c[j] = F(rng.randint(1, 9), rng.choice((1, 5, 12)))
@@ -290,6 +291,23 @@ def test_arithmetic_matches_fraction_reference(m):
         inv = c.inverse()
         _assert_canonical(inv)
         assert _ref_reduce(_ref_mul(c.coeffs, inv.coeffs), m) == (F(1),) + (F(0),) * (phi - 1)
+        assert inv == euclid_inverse(c)
+
+
+@pytest.mark.parametrize("m", [m for m in range(1, 91) if euler_phi(m) <= 24])
+def test_inverse_matches_euclid_on_dense_elements(m):
+    rng = random.Random(3000 + m)
+    for _ in range(2):
+        a = Cyclotomic(m, _random_coeffs(rng, euler_phi(m)))
+        if not a.is_zero():
+            assert a.inverse() == euclid_inverse(a)
+
+
+@pytest.mark.parametrize("m", [105, 210])
+def test_inverse_of_dense_element_at_large_conductor(m):
+    # phi = 48, where extended Euclid over Fractions needs seconds
+    a = Cyclotomic(m, _random_coeffs(random.Random(m), euler_phi(m)))
+    assert a * a.inverse() == 1
 
 
 @pytest.mark.parametrize("m", ORACLE_CONDUCTORS + [1, 2, 2940])
@@ -310,6 +328,7 @@ def test_inverse_one_minus_zeta_matches_euclid():
                     inverse_one_minus_zeta(m, j)
             elif j in range(1, m):
                 inv = inverse_one_minus_zeta(m, j)
+                assert inv == euclid_inverse(1 - Cyclotomic.zeta(m, j))
                 assert inv == (1 - Cyclotomic.zeta(m, j)).inverse()
             else:
                 assert inverse_one_minus_zeta(m, j) == inverse_one_minus_zeta(m, j % m)

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import M5, Z3
+from conftest import M5, Z3, Z4
 from torusfibre.errors import (
     InvariantViolation,
     MissingChernData,
@@ -170,3 +170,27 @@ def test_trace_and_lambda_inverse_need_no_euclid(monkeypatch):
     for s in enumerate_strata(M5, SU2):
         if s.d_c == 0:
             lambda_inverse_expansion(M5, s, SU2, CohomologyOracle.trivial(0))
+
+
+def test_point_route_needs_no_closed_form_inverse(monkeypatch):
+    # the CLI certifies point_contribution against the oracle route, which
+    # takes (1 - zeta^j)^{-1} from inverse_one_minus_zeta; the point route
+    # must not, or the certificate compares a computation with itself
+    points = [
+        (data, s)
+        for data in (M5, Z4)
+        for s in enumerate_strata(data, SU2)
+        if s.d_c == 0
+    ]
+    assert {data.m for data, _ in points} == {M5.m, Z4.m}
+    expected = [point_contribution(s.ranks, s.z_delta_order) for _, s in points]
+
+    def refuse(m, e):
+        raise AssertionError("inverse_one_minus_zeta called")
+
+    monkeypatch.setattr("torusfibre.exact.inverse_one_minus_zeta", refuse)
+    monkeypatch.setattr("torusfibre.localization.inverse_one_minus_zeta", refuse)
+    for (data, s), value in zip(points, expected):
+        assert point_contribution(s.ranks, s.z_delta_order) == value
+        with pytest.raises(AssertionError, match="inverse_one_minus_zeta"):
+            smooth_contribution(data, s, SU2, CohomologyOracle.trivial(0), PhaseQ(0))

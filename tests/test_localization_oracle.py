@@ -19,6 +19,7 @@ from math import comb, factorial
 import pytest
 
 from conftest import HYPER, M5, Z3, Z4, is_asymmetric, random_asymmetric_orbits
+from oracles import euclid_inverse
 from torusfibre.errors import InvariantViolation
 from torusfibre.exact import Cyclotomic, PhaseQ
 from torusfibre.framing import GroupData
@@ -112,7 +113,7 @@ def ref_adams_total(ring, ch, u):
 def ref_lambda(data, stratum, group, oracle):
     m, d_c = data.m, oracle.d_c
     ring = RefRing(oracle.ring)
-    inverses = [None] + [(1 - Cyclotomic.zeta(m, i)).inverse() for i in range(1, m)]
+    inverses = [None] + [euclid_inverse(1 - Cyclotomic.zeta(m, i)) for i in range(1, m)]
     pref = Cyclotomic.from_rational(1, m)
     for i in range(1, m):
         r = stratum.ranks[i]
