@@ -13,9 +13,14 @@ import sys
 
 from .errors import ConsistencyError, ValidationError
 from .exact import PhaseQ, rational_from_json
-from .expansion import assemble_invariant, evaluate_invariant, fit_expansion
+from .expansion import assemble_invariant, check_precision, evaluate_invariant, fit_expansion
 from .framing import GroupData, framing_evaluate, framing_phase, framing_series
-from .localization import CohomologyOracle, point_contribution, smooth_contribution
+from .localization import (
+    CohomologyOracle,
+    ScalarMemo,
+    point_contribution,
+    smooth_contribution,
+)
 from .orbit import OrbitData, seifert_invariants, validate_orbit
 from .spectrum import eigen_dimensions
 from .strata import count_strata_burnside, enumerate_strata
@@ -92,12 +97,14 @@ def _stratum_phases(strata, cs_map):
 
 def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
     """One entry per stratum: a ContributionPolynomial where computable, a
-    marker dict otherwise.  strict mode turns markers into errors."""
+    marker dict otherwise.  strict mode turns markers into errors.  The
+    strata share one ScalarMemo, which lives for this call only."""
     phases = _stratum_phases(strata, cs_map)
     if oracle_map is not None and not isinstance(oracle_map, dict):
         raise ValidationError(
             "oracles must be a JSON object mapping stratum index to oracle data"
         )
+    memo = ScalarMemo()
     entries = []
     for i, s in enumerate(strata):
         if s.ranks is None:
@@ -109,9 +116,9 @@ def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
             entries.append({"index": i, "empty": True})
             continue
         if s.d_c == 0:
-            value = point_contribution(s.ranks, s.z_delta_order)
+            value = point_contribution(s.ranks, s.z_delta_order, memo)
             contrib = smooth_contribution(
-                data, s, group, CohomologyOracle.trivial(0), cs_phase=phases[i]
+                data, s, group, CohomologyOracle.trivial(0), cs_phase=phases[i], memo=memo
             )
             if not (len(contrib.coefficients) == 1 and contrib.coefficients[0] == value):
                 raise ConsistencyError(
@@ -133,7 +140,7 @@ def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
             {
                 "index": i,
                 "contribution": smooth_contribution(
-                    data, s, group, oracle, cs_phase=phases[i]
+                    data, s, group, oracle, cs_phase=phases[i], memo=memo
                 ),
             }
         )
@@ -168,6 +175,8 @@ def _cmd_framing(args):
     if args.level is not None:
         out["phase_at_k"] = framing_evaluate(fp, args.level).to_json()
     if args.truncation is not None:
+        if args.truncation < 0:
+            raise ValidationError(f"--truncation {args.truncation} is negative")
         out["series"] = framing_series(fp, args.truncation).to_json()
     _emit(out, args.format)
     return EXIT_OK
@@ -208,6 +217,8 @@ def _cmd_contributions(args):
 
 
 def _cmd_invariant(args):
+    if args.precision is not None:
+        check_precision(args.precision, "--precision")
     data = _load_orbit(args.orbit)
     group = GroupData.parse(args.group)
     strata = enumerate_strata(data, group)
@@ -251,6 +262,14 @@ def _cmd_fit(args):
             if len(parts) < 3:
                 raise ValidationError(f"sample line {line!r} is not k,re,im")
             samples.append((k, complex(float(parts[1]), float(parts[2]))))
+    if args.qmax < 1:
+        raise ValidationError(f"--qmax {args.qmax}: the phase denominator bound must be at least 1")
+    low = min((k for k, _ in samples), default=None)
+    if low is not None and low + args.shift <= 0:
+        raise ValidationError(
+            f"--shift {args.shift}: level {low} gives k + shift = {low + args.shift}; "
+            f"every sample needs k + shift > 0"
+        )
     result = fit_expansion(
         samples,
         q_denominator_bound=args.qmax,

@@ -16,6 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, factorial, prod
 
+import mpmath
+from mpmath.libmp import fzero, from_int, mpc_add_mpf, mpc_expjpi, mpc_mul, mpf_div, round_nearest
+
 from .errors import ValidationError
 
 __all__ = [
@@ -326,13 +329,24 @@ class Cyclotomic:
             out[(k * t) % m] += c
         return Cyclotomic._from_integers(m, out, self.denominator)
 
-    def to_mpc(self, ctx):
-        """High precision complex value under an mpmath context."""
-        z = ctx.expjpi(ctx.mpf(2) / self.conductor)
-        acc = ctx.mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + ctx.mpf(c.numerator) / c.denominator
-        return acc
+    def to_mpc(self, prec):
+        """The complex value computed at prec bits, as an mpc of mpmath.mp
+        (later arithmetic on it runs at mpmath.mp's precision).  Horner in
+        z = exp(2 pi i / M) on the integer numerators: each step is one
+        complex product and, for a nonzero coefficient, the addition of
+        n/den in lowest terms, rounded to nearest at every operation."""
+        rnd = round_nearest
+        den = self.denominator
+        angle = mpf_div(from_int(2), from_int(self.conductor), prec, rnd)
+        z = mpc_expjpi((angle, fzero), prec, rnd)
+        acc = (fzero, fzero)
+        for n in reversed(self.numerators):
+            acc = mpc_mul(acc, z, prec, rnd)
+            if n:
+                g = gcd(n, den)
+                c = mpf_div(from_int(n // g, prec, rnd), from_int(den // g), prec, rnd)
+                acc = mpc_add_mpf(acc, c, prec, rnd)
+        return mpmath.mp.make_mpc(acc)
 
     # -- comparisons, hashing, repr ---------------------------------------
 
@@ -364,10 +378,12 @@ class Cyclotomic:
     # -- serialization ----------------------------------------------------
 
     def to_json(self):
-        return {
-            "conductor": self.conductor,
-            "coeffs": [format_rational(c) for c in self.coeffs],
-        }
+        den = self.denominator
+        coeffs = []
+        for n in self.numerators:
+            g = gcd(n, den)
+            coeffs.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return {"conductor": self.conductor, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, obj):

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-import mpmath
 import numpy as np
 
 from .errors import (
     IllConditioned,
     ResidualTooLarge,
     SymbolicPhaseInNumericContext,
+    ValidationError,
 )
 from .exact import Cyclotomic, PhaseQ, format_rational
 from .framing import framing_evaluate
@@ -34,12 +34,33 @@ __all__ = [
     "assemble_invariant",
     "evaluate_invariant",
     "fit_expansion",
+    "check_precision",
     "default_precision",
 ]
 
 
+# bits of a float64, the precision in which the numeric value is printed
+MIN_PRECISION = 53
+
+
+def check_precision(bits, source):
+    """bits, if it is at least MIN_PRECISION; a ValidationError naming the
+    source of the value otherwise."""
+    if bits < MIN_PRECISION:
+        raise ValidationError(
+            f"{source} = {bits} is below {MIN_PRECISION} bits, the precision "
+            f"of the printed float64"
+        )
+    return bits
+
+
 def default_precision():
-    return int(os.environ.get("TORUSFIBRE_PRECISION", "128"))
+    value = os.environ.get("TORUSFIBRE_PRECISION", "128")
+    try:
+        bits = int(value)
+    except ValueError:
+        raise ValidationError(f"TORUSFIBRE_PRECISION = {value!r} is not an integer") from None
+    return check_precision(bits, "TORUSFIBRE_PRECISION")
 
 
 @dataclass
@@ -95,6 +116,7 @@ def evaluate_invariant(model, k, precision=None):
         )
     if k < 1:
         raise ValueError("level k must be a positive integer")
+    prec = default_precision() if precision is None else check_precision(precision, "precision")
     fr = framing_evaluate(model.framing, k).q
     phases = [t.q.scale(k).q for t in model.terms]
     conductor = fr.denominator
@@ -120,9 +142,7 @@ def evaluate_invariant(model, k, precision=None):
                     vec[(shift + j * step) % conductor] += n * scale
             kp *= k
     exact = Cyclotomic._from_integers(conductor, vec, den)
-    ctx = mpmath.mp.clone()
-    ctx.prec = precision or default_precision()
-    return exact, exact.to_mpc(ctx)
+    return exact, exact.to_mpc(prec)
 
 
 @dataclass

@@ -44,6 +44,7 @@ from .strata import root_eigendata
 __all__ = [
     "CohomologyOracle",
     "ContributionPolynomial",
+    "ScalarMemo",
     "point_contribution",
     "lambda_inverse_expansion",
     "smooth_contribution",
@@ -395,7 +396,75 @@ class ContributionPolynomial:
         }
 
 
-def point_contribution(ranks, z_delta_order):
+class ScalarMemo:
+    """The Q(zeta_m) scalars that the strata of one computation share, each
+    built once.  The point route keeps (1 - zeta^i)^{-r} from
+    Cyclotomic.inverse per (i, r) and their product per rank vector; the
+    oracle route keeps the closed-form inverses (1 - zeta^i)^{-1} per m, their
+    powers per (i, r), the lambda prefactor per rank vector and the weights
+    beta_j^t / t per (j, t).  Neither route reads the other's entries, so
+    the CLI's comparison of the two stays a comparison of independent
+    computations.  A memo only grows: make one per computation."""
+
+    def __init__(self):
+        self.point_factors = {}    # (m, i, r) -> (1 - zeta_m^i)^{-r}
+        self.point_products = {}   # ranks -> prod_i (1 - zeta_m^i)^{-r_i}
+        self.inverses = {}         # m -> [None, (1 - zeta_m^i)^{-1} for i = 1..m-1]
+        self.oracle_factors = {}   # (m, i, r) -> (1 - zeta_m^i)^{-r}
+        self.prefactors = {}       # ranks -> prod_i (1 - zeta_m^i)^{-r_i}
+        self.weights = {}          # (m, j, t) -> beta_j^t / t
+
+    @staticmethod
+    def _product(products, factors, ranks, factor):
+        """prod_{i>=1} factor(m, i, r_i) over m = len(ranks), kept in
+        products per rank vector and factors per (m, i, r)."""
+        out = products.get(ranks)
+        if out is None:
+            m = len(ranks)
+            out = Cyclotomic.from_rational(1, m)
+            for i in range(1, m):
+                key = (m, i, ranks[i])
+                if key not in factors:
+                    factors[key] = factor(m, i, ranks[i])
+                out = out * factors[key]
+            products[ranks] = out
+        return out
+
+    def point_product(self, ranks):
+        """prod_{i>=1} (1 - zeta_m^i)^{-r_i}, m = len(ranks), with the
+        negative powers through Cyclotomic.inverse."""
+        return self._product(
+            self.point_products, self.point_factors, ranks,
+            lambda m, i, r: (1 - Cyclotomic.zeta(m, i)) ** -r,
+        )
+
+    def oracle_inverses(self, m):
+        """[None] + [(1 - zeta_m^i)^{-1} for i = 1..m-1], from the closed
+        form of inverse_one_minus_zeta."""
+        if m not in self.inverses:
+            self.inverses[m] = [None] + [inverse_one_minus_zeta(m, i) for i in range(1, m)]
+        return self.inverses[m]
+
+    def prefactor(self, ranks):
+        """The same product as point_product, from oracle_inverses; a
+        negative rank is a positive power of 1 - zeta^i and needs no
+        inverse."""
+        inverses = self.oracle_inverses(len(ranks))
+        return self._product(
+            self.prefactors, self.oracle_factors, ranks,
+            lambda m, i, r: inverses[i] ** r if r > 0 else (1 - Cyclotomic.zeta(m, i)) ** -r,
+        )
+
+    def weight(self, m, j, t):
+        """beta_j^t / t with beta_j = zeta^j / (1 - zeta^j) = (1 - zeta^j)^{-1} - 1."""
+        key = (m, j, t)
+        if key not in self.weights:
+            beta = self.oracle_inverses(m)[j] - 1
+            self.weights[key] = beta**t * Fraction(1, t)
+        return self.weights[key]
+
+
+def point_contribution(ranks, z_delta_order, memo=None):
     """(1/|Z_delta|) prod_{i=1}^{m-1} (1 - zeta_m^i)^{-r_i} for a
     zero-dimensional stratum.
 
@@ -403,17 +472,14 @@ def point_contribution(ranks, z_delta_order):
     conjugates over the norm.  The oracle route (smooth_contribution with a
     trivial oracle) takes (1 - zeta^j)^{-1} from the closed form of
     inverse_one_minus_zeta instead, so the CLI's certificate that the two
-    agree compares independent computations."""
-    m = len(ranks)
+    agree compares independent computations.  The product is taken from
+    memo (a ScalarMemo) when one is given."""
     if ranks[0] != 0:
         raise NotZeroDimensional(
             f"stratum has r_0 = {ranks[0]}; the closed form needs r_0 = 0"
         )
-    acc = Cyclotomic.from_rational(Fraction(1, z_delta_order), m)
-    for i in range(1, m):
-        factor = 1 - Cyclotomic.zeta(m, i)
-        acc = acc * factor ** (-ranks[i])
-    return acc
+    memo = ScalarMemo() if memo is None else memo
+    return memo.point_product(tuple(ranks)) * Fraction(1, z_delta_order)
 
 
 def _normal_characters(data, stratum, group, oracle):
@@ -473,26 +539,20 @@ def _normal_characters(data, stratum, group, oracle):
     return out
 
 
-def lambda_inverse_expansion(data, stratum, group, oracle):
+def lambda_inverse_expansion(data, stratum, group, oracle, memo=None):
     """The equivariant lambda_{-1}-inverse of the normal bundle as a ring
     element, scalar prefactor included.  For the trivial oracle this is the
-    scalar prod (1 - zeta^i)^{-r_i}."""
+    scalar prod (1 - zeta^i)^{-r_i}.  The Q(zeta_m) scalars come from memo
+    (a ScalarMemo) when one is given."""
     m = data.m
     ring = oracle.ring
-    inverses = [None] + [inverse_one_minus_zeta(m, i) for i in range(1, m)]
-    pref = Cyclotomic.from_rational(1, m)
-    for i in range(1, m):
-        r = stratum.ranks[i]
-        pref = pref * (inverses[i] ** r if r > 0 else (1 - Cyclotomic.zeta(m, i)) ** -r)
+    memo = ScalarMemo() if memo is None else memo
+    pref = memo.prefactor(tuple(stratum.ranks))
     normals = _normal_characters(data, stratum, group, oracle)
     exponent = ring.zero()
     for j in range(1, m):
-        # zeta^j / (1 - zeta^j) = (1 - zeta^j)^{-1} - 1
-        beta = inverses[j] - 1
         comps = normals[j].comps
-        beta_pow = Cyclotomic.from_rational(1, m)
         for t in range(1, oracle.d_c + 1):
-            beta_pow = beta_pow * beta
             # sum_i (e^{y_i} - 1)^t = sum_{n >= t} t! S(n, t) ch_n, with the
             # surjection count t! S(n, t) = sum_u (-1)^{t-u} C(t, u) u^n
             p_jt = ring.zero()
@@ -502,17 +562,19 @@ def lambda_inverse_expansion(data, stratum, group, oracle):
             # this starts in degree 2t; drop what a non-homogeneous user
             # class puts below
             p_jt = {k: v for k, v in p_jt.items() if ring.monomial_degree(k) >= 2 * t}
-            exponent = ring.add(exponent, ring.scale(p_jt, beta_pow * Fraction(1, t)))
+            if p_jt:
+                exponent = ring.add(exponent, ring.scale(p_jt, memo.weight(m, j, t)))
     return ring.scale(ring.exp(exponent), pref)
 
 
-def smooth_contribution(data, stratum, group, oracle, cs_phase=None):
+def smooth_contribution(data, stratum, group, oracle, cs_phase=None, memo=None):
     """P_c(k): the full polynomial contribution of one stratum over its
     oracle.  coefficient of k^t is
 
         (1/|Z_delta|) * (m^t/t!) * < omega^t  lambda^{-1}  Td(T_c) >
 
-    with the lambda-inverse prefactor included, from exp(k m omega)."""
+    with the lambda-inverse prefactor included, from exp(k m omega).  memo
+    (a ScalarMemo) shares the Q(zeta_m) scalars between strata."""
     if stratum.ranks is None:
         raise MissingChernData("stratum carries no rank data; run stratum_ranks first")
     if stratum.d_c < 0:
@@ -525,7 +587,7 @@ def smooth_contribution(data, stratum, group, oracle, cs_phase=None):
         )
     ring = oracle.ring
     m = data.m
-    lam = lambda_inverse_expansion(data, stratum, group, oracle)
+    lam = lambda_inverse_expansion(data, stratum, group, oracle, memo)
     todd = _todd_class(ring, oracle.tangent_rank, oracle.tangent_chern, oracle.d_c)
     base = ring.mul(lam, todd)
     coeffs = []

@@ -2,8 +2,9 @@
 
 None of this runs outside the tests: extended Euclid over Fraction
 polynomials as the reference for Cyclotomic.inverse, the brute-force
-root-of-unity sum for mu, and complex conjugation and float evaluation of
-Cyclotomic values.
+root-of-unity sum for mu, complex conjugation and float evaluation of
+Cyclotomic values, and their evaluation under an mpmath context over the
+Fraction view as the reference for Cyclotomic.to_mpc.
 """
 
 import cmath
@@ -170,4 +171,14 @@ def to_complex(x):
     acc = 0j
     for c in reversed(x.coeffs):
         acc = acc * z + complex(c)
+    return acc
+
+
+def horner_mpc(x, ctx):
+    """x as an mpc of the mpmath context ctx, by Horner over the Fraction
+    view in ctx arithmetic."""
+    z = ctx.expjpi(ctx.mpf(2) / x.conductor)
+    acc = ctx.mpc(0)
+    for c in reversed(x.coeffs):
+        acc = acc * z + ctx.mpf(c.numerator) / c.denominator
     return acc

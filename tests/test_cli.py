@@ -451,3 +451,130 @@ def test_front_end_matches_full_parser_tree(monkeypatch, capsys, argv):
     full_tree = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: full_tree())
     assert run(capsys, *argv) == got
+
+
+# -- flag ranges ----------------------------------------------------------------
+
+
+def test_negative_truncation_is_invalid_input(orbit_file, capsys):
+    code, out, err = run(
+        capsys, "framing", "--orbit", orbit_file(M5_JSON), "--truncation", "-1"
+    )
+    assert (code, out) == (1, "")
+    assert "--truncation" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "framing", "--orbit", orbit_file(M5_JSON), "--truncation", "0")
+    assert code == 0 and json.loads(out)["series"]["order"] == 0
+
+
+M5_INVARIANT = [
+    "invariant", "--orbit", str(GOLDEN_INPUTS / "m5.json"),
+    "--cs-phases", str(GOLDEN_INPUTS / "m5_su2_cs.json"),
+    "--oracles", str(GOLDEN_INPUTS / "m5_su2_oracles.json"), "--level", "5",
+]
+
+
+@pytest.mark.parametrize("bits", ["1", "-5", "0", "52"])
+def test_precision_below_float64_is_invalid_input(capsys, bits):
+    code, out, err = run(capsys, *M5_INVARIANT, "--precision", bits)
+    assert (code, out) == (1, "")
+    assert "--precision" in err and "53" in err
+
+
+@pytest.mark.parametrize("bits", ["-3", "0", "52", "many"])
+def test_precision_variable_below_float64_is_invalid_input(monkeypatch, capsys, bits):
+    monkeypatch.setenv("TORUSFIBRE_PRECISION", bits)
+    code, out, err = run(capsys, *M5_INVARIANT)
+    assert (code, out) == (1, "")
+    assert "TORUSFIBRE_PRECISION" in err
+
+
+def test_precision_of_float64_is_accepted(monkeypatch, capsys):
+    # the value is about -0.1397 - 0.1050i; at 53 bits the Horner rounding
+    # errors stay in the last few ulps
+    code, out, _ = run(capsys, *M5_INVARIANT)
+    assert code == 0
+    numeric = json.loads(out)["value"]["numeric"]
+    assert abs(numeric[0] + 0.1397) < 1e-4 and abs(numeric[1] + 0.1050) < 1e-4
+    for argv in ([*M5_INVARIANT, "--precision", "53"], M5_INVARIANT):
+        monkeypatch.setenv("TORUSFIBRE_PRECISION", "53")
+        code, got, _ = run(capsys, *argv)
+        assert code == 0
+        got = json.loads(got)["value"]["numeric"]
+        assert all(abs(a - b) < 1e-14 for a, b in zip(got, numeric))
+
+
+def _fit_samples(tmp_path, first=1, count=40):
+    path = tmp_path / "samples.csv"
+    lines = []
+    for k in range(first, first + count):
+        z = cmath.exp(2j * cmath.pi * k / 3) * (2 * k + 1)
+        lines.append(f"{k},{z.real!r},{z.imag!r}")
+    path.write_text("\n".join(lines))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flags, first, name",
+    [
+        (["--qmax", "-3"], 1, "--qmax"),
+        (["--qmax", "0"], 1, "--qmax"),
+        (["--shift", "-1"], 1, "--shift"),
+        (["--shift", "-40"], 1, "--shift"),
+        (["--shift", "-5"], 5, "--shift"),
+        ([], 0, "--shift"),
+    ],
+)
+def test_fit_flag_out_of_range_is_invalid_input(tmp_path, capsys, flags, first, name):
+    samples = _fit_samples(tmp_path, first)
+    code, out, err = run(
+        capsys, "fit", "--samples", samples, "--terms", "1", "--degree", "1", *flags
+    )
+    assert (code, out) == (1, "")
+    assert name in err
+
+
+def test_fit_accepts_the_least_valid_flags(tmp_path, capsys):
+    samples = _fit_samples(tmp_path, first=5)
+    code, out, _ = run(
+        capsys, "fit", "--samples", samples, "--qmax", "3", "--terms", "1",
+        "--degree", "1", "--shift", "-4",
+    )
+    assert code == 0
+    assert json.loads(out)["terms"][0]["q"] == "1/3"
+
+
+# -- no state between calls -----------------------------------------------------
+
+
+def test_invariant_calls_share_no_memo_state(monkeypatch, capsys):
+    """Each invariant call makes its own ScalarMemo and fills it only with
+    its own orbit's scalars; the outputs are the golden ones in any order."""
+    import torusfibre.cli as cli
+
+    golden = GOLDEN_INPUTS.parent
+    manifest = json.loads((golden / "manifest.json").read_text())
+    memos = []
+
+    class Recording(cli.ScalarMemo):
+        def __init__(self):
+            super().__init__()
+            assert not any(vars(self).values())
+            memos.append(self)
+
+    monkeypatch.setattr(cli, "ScalarMemo", Recording)
+    monkeypatch.chdir(golden)
+    cases = ["invariant_m5_su2_k47", "invariant_z4_su2_k197", "invariant_m5_su2_k47"]
+    for case in cases:
+        code, out, _ = run(capsys, *manifest[case]["argv"])
+        assert code == manifest[case]["exit"] == 0
+        assert out == (golden / f"{case}.out").read_text()
+    assert len(memos) == 3 and len({id(memo) for memo in memos}) == 3
+    for memo, m in zip(memos, (5, 4, 5)):
+        assert memo.point_products and memo.prefactors
+        assert {len(ranks) for ranks in memo.point_products} == {m}
+        assert {key[0] for key in memo.point_factors} == {m}
+        assert set(memo.inverses) == {m}
+    stores = [store for memo in memos for store in vars(memo).values()]
+    assert len({id(store) for store in stores}) == len(stores)
+    assert vars(memos[0]).keys() == vars(memos[2]).keys()
+    assert memos[0].point_products.keys() == memos[2].point_products.keys()

@@ -3,15 +3,17 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
-from oracles import conjugate, euclid_inverse, to_complex
+from oracles import conjugate, euclid_inverse, horner_mpc, to_complex
 from torusfibre.exact import (
     Cyclotomic,
     PhaseQ,
     PhaseSeries,
     cyclotomic_polynomial,
     euler_phi,
+    format_rational,
     inverse_one_minus_zeta,
 )
 
@@ -332,3 +334,53 @@ def test_inverse_one_minus_zeta_matches_euclid():
                 assert inv == (1 - Cyclotomic.zeta(m, j)).inverse()
             else:
                 assert inverse_one_minus_zeta(m, j) == inverse_one_minus_zeta(m, j % m)
+
+
+# -- rendering from the integer numerators ---------------------------------------
+
+# 10010 = 2 * 5 * 7 * 11 * 13 is a conductor above 10^4 with phi = 2880
+RENDER_CONDUCTORS = [1, 2, 12, 60, 2940, 10010]
+BIG = 2**140
+
+
+def _render_elements(m):
+    """Seeded elements of Q(zeta_m): zero, a rational, small integers, and
+    dense ones with about 30% zero coefficients and numerators and
+    denominators above 2^128."""
+    rng = random.Random(f"render-{m}")
+    phi = euler_phi(m)
+    out = [
+        Cyclotomic.from_rational(0, m),
+        Cyclotomic.from_rational(F(-7, 3), m),
+        Cyclotomic._from_integers(m, [rng.randint(-9, 9) for _ in range(phi)]),
+    ]
+    for _ in range(2 if phi > 1000 else 4):
+        nums = [0 if rng.random() < 0.3 else rng.randrange(-BIG, BIG) for _ in range(phi)]
+        nums[0] = rng.randrange(-BIG, BIG)
+        if phi > 1:
+            nums[phi // 2] = 0
+        out.append(Cyclotomic._from_integers(m, nums, rng.randrange(2**129, BIG)))
+    return out
+
+
+@pytest.mark.parametrize("m", RENDER_CONDUCTORS)
+def test_to_mpc_matches_fraction_horner(m):
+    elements = _render_elements(m)
+    big = [x for x in elements if x.denominator > 2**128]
+    assert big and all(max(map(abs, x.numerators)) > 2**128 for x in big)
+    if euler_phi(m) > 1:
+        assert all(0 in x.numerators for x in big)
+    for prec in (53, 128, 300):
+        ctx = mpmath.mp.clone()
+        ctx.prec = prec
+        for x in elements:
+            assert x.to_mpc(prec)._mpc_ == horner_mpc(x, ctx)._mpc_
+
+
+@pytest.mark.parametrize("m", RENDER_CONDUCTORS)
+def test_to_json_matches_fraction_view(m):
+    for x in _render_elements(m):
+        assert x.to_json() == {
+            "conductor": m,
+            "coeffs": [format_rational(c) for c in x.coeffs],
+        }

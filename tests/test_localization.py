@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import M5, Z3, Z4
+from conftest import M5, Z3, Z4, is_asymmetric, random_asymmetric_orbits
+from oracles import euclid_inverse
 from torusfibre.errors import (
     InvariantViolation,
     MissingChernData,
@@ -13,6 +14,7 @@ from torusfibre.exact import Cyclotomic, PhaseQ
 from torusfibre.framing import GroupData
 from torusfibre.localization import (
     CohomologyOracle,
+    ScalarMemo,
     lambda_inverse_expansion,
     point_contribution,
     smooth_contribution,
@@ -194,3 +196,89 @@ def test_point_route_needs_no_closed_form_inverse(monkeypatch):
         assert point_contribution(s.ranks, s.z_delta_order) == value
         with pytest.raises(AssertionError, match="inverse_one_minus_zeta"):
             smooth_contribution(data, s, SU2, CohomologyOracle.trivial(0), PhaseQ(0))
+
+
+def _euclid_product(ranks, inverses):
+    """prod_i (1 - zeta_m^i)^{-r_i}, with inverses[i] = (1 - zeta_m^i)^{-1}."""
+    m = len(ranks)
+    acc = Cyclotomic.from_rational(1, m)
+    for i in range(1, m):
+        r = ranks[i]
+        acc = acc * (inverses[i] ** r if r > 0 else (1 - Cyclotomic.zeta(m, i)) ** -r)
+    return acc
+
+
+def test_memo_scalars_match_direct_products():
+    """One ScalarMemo serves every stratum of an orbit; its point and oracle
+    products and its weights beta_j^t / t equal the products built directly
+    for each stratum, on seeded asymmetric fixed-point data."""
+    suite = random_asymmetric_orbits(
+        43, 120, range(2, 9), max_branches=4, fixed_points_only=True
+    )
+    suite = [d for d in suite if is_asymmetric(d)][:10]
+    assert len(suite) == 10 and len({d.m for d in suite}) > 3
+    strata_seen = shared = 0
+    for data in suite:
+        m = data.m
+        memo = ScalarMemo()
+        inverses = [None] + [euclid_inverse(1 - Cyclotomic.zeta(m, i)) for i in range(1, m)]
+        strata = [s for s in enumerate_strata(data, SU2) if s.d_c is not None and s.d_c >= 0]
+        for s in strata:
+            direct = _euclid_product(s.ranks, inverses)
+            assert memo.point_product(s.ranks) == direct
+            assert memo.prefactor(s.ranks) == direct
+            if s.d_c == 0:
+                value = direct * F(1, s.z_delta_order)
+                assert point_contribution(s.ranks, s.z_delta_order, memo) == value
+                contrib = smooth_contribution(
+                    data, s, SU2, CohomologyOracle.trivial(0), PhaseQ(0), memo
+                )
+                assert contrib.coefficients == [value]
+        for j in range(1, m):
+            beta = Cyclotomic.zeta(m, j) * inverses[j]
+            for t in range(1, 4):
+                assert memo.weight(m, j, t) == beta**t * F(1, t)
+        # the routes keep their own entries, keyed by rank vector
+        assert memo.point_products.keys() == memo.prefactors.keys()
+        assert all(memo.point_products[r] is not memo.prefactors[r] for r in memo.prefactors)
+        strata_seen += len(strata)
+        shared += len(strata) - len(memo.prefactors)
+    assert shared > 0 and strata_seen > 2 * len(suite)
+
+
+def test_rank_certificate_runs_with_a_warm_memo():
+    s = _z3_stratum()
+    memo = ScalarMemo()
+    smooth_contribution(Z3, s, SU2, _toy_oracle(), PhaseQ(0), memo)
+    assert memo.prefactors
+    bad = _toy_oracle({"E[0][1]": {"rank": 5, "classes": []}})
+    with pytest.raises(InvariantViolation):
+        smooth_contribution(Z3, s, SU2, bad, PhaseQ(0), memo)
+
+
+def test_memo_routes_read_their_own_inverses(monkeypatch):
+    # a memo filled by the oracle route must not feed the point route, nor
+    # the other way round
+    points = [s for s in enumerate_strata(M5, SU2) if s.d_c == 0]
+    memo = ScalarMemo()
+    for s in points:
+        smooth_contribution(M5, s, SU2, CohomologyOracle.trivial(0), PhaseQ(0), memo)
+
+    def refuse(self):
+        raise AssertionError("Cyclotomic.inverse called")
+
+    monkeypatch.setattr(Cyclotomic, "inverse", refuse)
+    with pytest.raises(AssertionError, match="Cyclotomic.inverse"):
+        point_contribution(points[0].ranks, points[0].z_delta_order, memo)
+    monkeypatch.undo()
+
+    memo = ScalarMemo()
+    for s in points:
+        point_contribution(s.ranks, s.z_delta_order, memo)
+
+    def refuse_closed_form(m, e):
+        raise AssertionError("inverse_one_minus_zeta called")
+
+    monkeypatch.setattr("torusfibre.localization.inverse_one_minus_zeta", refuse_closed_form)
+    with pytest.raises(AssertionError, match="inverse_one_minus_zeta"):
+        smooth_contribution(M5, points[0], SU2, CohomologyOracle.trivial(0), PhaseQ(0), memo)

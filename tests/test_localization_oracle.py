@@ -25,6 +25,7 @@ from torusfibre.exact import Cyclotomic, PhaseQ
 from torusfibre.framing import GroupData
 from torusfibre.localization import (
     CohomologyOracle,
+    ScalarMemo,
     _todd_log_coefficients,
     lambda_inverse_expansion,
     smooth_contribution,
@@ -292,6 +293,22 @@ def test_smooth_contribution_matches_cyclotomic_reference(case):
             ref_lam = ref_lambda(data, stratum, group, oracle)
             assert lam.keys() == ref_lam.keys()
             assert all(lam[k].to_json() == ref_lam[k].to_json() for k in lam)
+
+
+@pytest.mark.parametrize("case", oracle_cases(), ids=_case_id)
+def test_shared_memo_matches_cyclotomic_reference(case):
+    """One ScalarMemo across the strata of a case, as the CLI uses it."""
+    data, N, seed = case
+    group = GroupData(N)
+    strata = eligible_strata(data, N)
+    rng = random.Random("memo-" + _case_id(case))
+    memo = ScalarMemo()
+    for stratum in rng.sample(strata, min(len(strata), 6)):
+        oracle = CohomologyOracle.from_json(random_oracle(rng, data, stratum, group))
+        got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0), memo=memo)
+        ref = ref_contribution(data, stratum, group, oracle)
+        assert [c.to_json() for c in got.coefficients] == [c.to_json() for c in ref]
+    assert memo.prefactors
 
 
 def test_random_oracles_reach_every_feature():
