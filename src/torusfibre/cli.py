@@ -13,8 +13,20 @@ import sys
 
 from .errors import ConsistencyError, ValidationError
 from .exact import PhaseQ, rational_from_json
-from .expansion import assemble_invariant, check_precision, evaluate_invariant, fit_expansion
-from .framing import GroupData, framing_evaluate, framing_phase, framing_series
+from .expansion import (
+    assemble_invariant,
+    check_precision,
+    check_probe_size,
+    evaluate_invariant,
+    fit_expansion,
+)
+from .framing import (
+    MAX_SERIES_ORDER,
+    GroupData,
+    framing_evaluate,
+    framing_phase,
+    framing_series,
+)
 from .localization import (
     CohomologyOracle,
     ScalarMemo,
@@ -177,6 +189,11 @@ def _cmd_framing(args):
     if args.truncation is not None:
         if args.truncation < 0:
             raise ValidationError(f"--truncation {args.truncation} is negative")
+        if args.truncation > MAX_SERIES_ORDER:
+            raise ValidationError(
+                f"--truncation {args.truncation} is above {MAX_SERIES_ORDER}, "
+                f"the highest series order written"
+            )
         out["series"] = framing_series(fp, args.truncation).to_json()
     _emit(out, args.format)
     return EXIT_OK
@@ -264,6 +281,8 @@ def _cmd_fit(args):
             samples.append((k, complex(float(parts[1]), float(parts[2]))))
     if args.qmax < 1:
         raise ValidationError(f"--qmax {args.qmax}: the phase denominator bound must be at least 1")
+    if samples:
+        check_probe_size(args.qmax, len(samples), "--qmax")
     low = min((k for k, _ in samples), default=None)
     if low is not None and low + args.shift <= 0:
         raise ValidationError(

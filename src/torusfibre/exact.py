@@ -440,9 +440,6 @@ class PhaseQ:
     def to_complex(self):
         return cmath.exp(2j * cmath.pi * float(self.q))
 
-    def to_mpc(self, ctx):
-        return ctx.expjpi(2 * ctx.mpf(self.q.numerator) / self.q.denominator)
-
     def __eq__(self, other):
         if isinstance(other, PhaseQ):
             return self.q == other.q
@@ -473,8 +470,8 @@ class PhaseSeries:
     """exp(2*pi*i*A*k/(k+h)) as exp(2*pi*i*A) * sum_n c_n/(k+h)^n, truncated.
 
     The symbol Pi stands for 2*pi*i, kept uninterpreted so every coefficient
-    lives in Q[Pi]; c_n = (-Pi*A*h)^n / n!.  Numeric evaluation substitutes a
-    high precision value for Pi only at output time.
+    lives in Q[Pi]; c_n = (-Pi*A*h)^n / n!.  Numeric evaluation substitutes
+    the float value of Pi only at evaluation time.
     """
 
     __slots__ = ("leading", "shift", "coeffs", "order")
@@ -497,22 +494,16 @@ class PhaseSeries:
             coeffs.append(poly)
         return cls(PhaseQ(amount), shift, coeffs, order)
 
-    def eval_numeric(self, k, ctx=None):
-        """Evaluate at integer level k; complex (or mpmath mpc if ctx given)."""
-        if ctx is None:
-            pi_val = 2j * cmath.pi
-            lead = self.leading.to_complex()
-            acc = 0j
-        else:
-            pi_val = 2j * ctx.pi
-            lead = self.leading.to_mpc(ctx)
-            acc = ctx.mpc(0)
+    def eval_numeric(self, k):
+        """Evaluate at integer level k as a float complex."""
+        pi_val = 2j * cmath.pi
+        acc = 0j
         for n, poly in enumerate(self.coeffs):
             val = 0
             for p, c in reversed(list(enumerate(poly))):
-                val = val + (float(c) if ctx is None else ctx.mpf(c.numerator) / c.denominator) * pi_val**p
+                val = val + float(c) * pi_val**p
             acc += val / (k + self.shift) ** n
-        return lead * acc
+        return self.leading.to_complex() * acc
 
     def to_json(self):
         return {

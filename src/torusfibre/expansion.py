@@ -5,8 +5,9 @@ leading coefficients) from sampled values.
 The recovery problem is the classical one for finite exponential-polynomial
 sums: phases are searched over reduced fractions with bounded denominator
 (they enter only through e^{2 pi i k q}), growth orders over a half-integer
-grid.  Phases are located with a windowed matched filter; every linear fit
-on the chosen phases is one column-scaled float64 least-squares solve.
+grid.  Phases are located with a windowed matched filter, gathered from a
+table of roots of unity; every linear fit on the chosen phases is one
+column-scaled float64 least-squares solve.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "evaluate_invariant",
     "fit_expansion",
     "check_precision",
+    "check_probe_size",
     "default_precision",
 ]
 
@@ -164,13 +166,70 @@ class FitResult:
         return {"terms": out, "residual": float(self.residual)}
 
 
+# Largest matched-filter matrix fit_expansion builds, in entries of phase
+# candidates times samples: 64 MiB of complex128.
+MAX_PROBE_ENTRIES = 2 ** 22
+
+
+def check_probe_size(q_bound, n_samples, source):
+    """q_bound, if the matched-filter matrix for it and n_samples samples has
+    at most MAX_PROBE_ENTRIES entries; a ValidationError naming the source
+    of the bound otherwise.  The candidates with denominator up to top are
+    counted, before any is made, as the sum of Euler's phi(d) for d <= top
+    from a sieve, with top doubling up to q_bound while the count is inside
+    the limit, so a huge bound is refused after a sieve of a few thousand."""
+    # with no samples (refused by the fit itself) the count alone is bounded
+    columns = max(n_samples, 1)
+    count, top = 0, 0
+    while top < q_bound and count * columns <= MAX_PROBE_ENTRIES:
+        top = min(q_bound, 2 * top + 64)
+        phi = list(range(top + 1))
+        for p in range(2, top + 1):
+            if phi[p] == p:
+                for m in range(p, top + 1, p):
+                    phi[m] -= phi[m] // p
+        count = sum(phi)
+    if count * columns > MAX_PROBE_ENTRIES:
+        raise ValidationError(
+            f"{source} {q_bound} with {n_samples} samples: at least {count} "
+            f"phase candidates, so more than the {MAX_PROBE_ENTRIES} entries "
+            f"allowed in the phase probe (candidates x samples)"
+        )
+    return q_bound
+
+
 def _phase_candidates(q_bound):
-    out = [Fraction(0)]
-    for den in range(2, q_bound + 1):
-        for num in range(1, den):
-            if gcd(num, den) == 1:
-                out.append(Fraction(num, den))
-    return sorted(out)
+    """The reduced fractions in [0, 1) with denominator at most q_bound, as
+    (numerator, denominator) pairs in ascending order: the Farey sequence of
+    order q_bound without its last term 1/1, made by the next-term
+    recurrence, so nothing is sorted."""
+    a, b, c, d = 0, 1, 1, q_bound
+    out = [(0, 1)]
+    while c < d:
+        out.append((c, d))
+        t = (q_bound + b) // d
+        a, b, c, d = c, d, t * c - a, t * d - b
+    return out
+
+
+def _probe(candidates, levels):
+    """The matched-filter matrix e^{-2 pi i q k} for the candidate phases
+    q = num/den and the integer levels k, gathered from a table of the
+    den-th roots of unity at index num k mod den, so q k is reduced mod 1
+    exactly and np.exp runs once per table entry."""
+    nums = np.array([n for n, _ in candidates])[:, None]
+    dens = np.array([d for _, d in candidates])[:, None]
+    sizes = np.arange(1, int(dens.max()) + 1)
+    # the den-th roots for den = 1, 2, ..., each block from den (den - 1) / 2
+    start = sizes * (sizes - 1) // 2
+    den_of = np.repeat(sizes, sizes)
+    table = np.exp(-2j * np.pi * (np.arange(len(den_of)) - start[den_of - 1]) / den_of)
+    # levels past int64 come as Python ints; their residues fit an index
+    index = np.asarray(levels % sizes[:, None], dtype=np.intp)[dens[:, 0] - 1]
+    index *= nums
+    index %= dens
+    index += start[dens - 1]
+    return table[index]
 
 
 def _exponent_grid(degree_bound, half_steps):
@@ -218,7 +277,8 @@ def fit_expansion(
 
     samples: list of (k, complex).  Phases are detected greedily with a
     triangular-window matched filter over all reduced fractions with
-    denominator up to the bound, each pick followed by a joint linear fit
+    denominator up to the bound (at most MAX_PROBE_ENTRIES candidates times
+    samples, or ValidationError), each pick followed by a joint linear fit
     on the phases chosen so far; small terms of the final fit are pruned.
 
     The condition number is that of the design matrix with unit-norm
@@ -242,31 +302,34 @@ def fit_expansion(
         raise ValueError("samples must be finite")
     yscale = float(np.max(np.abs(y))) or 1.0
 
+    check_probe_size(q_denominator_bound, len(samples), "q_denominator_bound")
     candidates = _phase_candidates(q_denominator_bound)
-    cand_arr = np.array([float(q) for q in candidates])
     # triangular window suppresses leakage from the other phases
     window = 1.0 - np.abs(np.linspace(-1.0, 1.0, len(ks)))
     window /= window.sum()
-    probe = np.exp(-2j * np.pi * np.outer(cand_arr, levels))
+    probe = _probe(candidates, levels)
     exponents = _exponent_grid(degree_bound, half_integer_degrees)
     detect_weights = [ks ** -float(d) for d in range(degree_bound + 1)]
 
     def joint_fit(phase_list):
         return _lstsq(_design_matrix(levels, ks, phase_list, exponents), y)
 
-    chosen = []
+    def phase(i):
+        return Fraction(*candidates[i])
+
+    # chosen phases as candidate indices, and as Fractions for the fits
+    taken, chosen = [], []
     resid = y.copy()
     for _ in range(max_terms):
         best = None
         for w in detect_weights:
             scores = np.abs(probe @ (resid * w * window))
-            # mask phases already taken
-            for q in chosen:
-                scores[candidates.index(q)] = -1.0
+            scores[taken] = -1.0
             i = int(np.argmax(scores))
             if best is None or scores[i] > best[0]:
-                best = (scores[i], candidates[i])
-        chosen.append(best[1])
+                best = (scores[i], i)
+        taken.append(best[1])
+        chosen.append(phase(best[1]))
         coeffs, resid, cond = joint_fit(chosen)
         if np.max(np.abs(resid)) < 1e-12 * yscale:
             break
@@ -275,16 +338,17 @@ def fit_expansion(
         for _round in range(2):
             improved = False
             for slot in range(len(chosen)):
-                best_q, best_r = chosen[slot], float(np.linalg.norm(resid))
-                for q in candidates:
-                    if q in chosen:
+                best_i, best_r = taken[slot], float(np.linalg.norm(resid))
+                for i in range(len(candidates)):
+                    if i in taken:
                         continue
-                    trial = chosen[:slot] + [q] + chosen[slot + 1:]
+                    trial = chosen[:slot] + [phase(i)] + chosen[slot + 1:]
                     r = float(np.linalg.norm(joint_fit(trial)[1]))
                     if r < best_r * 0.999:
-                        best_q, best_r = q, r
-                if best_q != chosen[slot]:
-                    chosen[slot] = best_q
+                        best_i, best_r = i, r
+                if best_i != taken[slot]:
+                    taken[slot] = best_i
+                    chosen[slot] = phase(best_i)
                     coeffs, resid, cond = joint_fit(chosen)
                     improved = True
             if not improved:

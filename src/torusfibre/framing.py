@@ -14,7 +14,14 @@ from fractions import Fraction
 
 from .exact import PhaseQ, PhaseSeries
 
-__all__ = ["GroupData", "FramingPhase", "framing_phase", "framing_evaluate", "framing_series"]
+__all__ = [
+    "GroupData",
+    "FramingPhase",
+    "MAX_SERIES_ORDER",
+    "framing_phase",
+    "framing_evaluate",
+    "framing_series",
+]
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,15 @@ def framing_evaluate(p, k):
         raise ValueError("level k must be a positive integer")
     h = p.group.dual_coxeter
     return PhaseQ(p.B * Fraction(k, k + h))
+
+
+# Highest order framing_series is asked for on the command line (framing
+# --truncation).  Order n writes n + 1 polynomials of up to n + 1
+# coefficients, and the digits of (B h)^n / n! grow like n log n, so output
+# and time grow faster than n^2: order 200 takes about 0.1 s and writes about
+# 0.3 MB, order 1000 takes seconds and 8 MB, and order 2000 passes Python's
+# limit on the digits of an int converted to a string.
+MAX_SERIES_ORDER = 200
 
 
 def framing_series(p, order):

@@ -3,8 +3,10 @@
 None of this runs outside the tests: extended Euclid over Fraction
 polynomials as the reference for Cyclotomic.inverse, the brute-force
 root-of-unity sum for mu, complex conjugation and float evaluation of
-Cyclotomic values, and their evaluation under an mpmath context over the
-Fraction view as the reference for Cyclotomic.to_mpc.
+Cyclotomic values, their evaluation under an mpmath context over the
+Fraction view as the reference for Cyclotomic.to_mpc, and the sorted
+Fraction candidates and per-entry np.exp probe of fit_expansion's phase
+search.
 """
 
 import cmath
@@ -182,3 +184,23 @@ def horner_mpc(x, ctx):
     for c in reversed(x.coeffs):
         acc = acc * z + ctx.mpf(c.numerator) / c.denominator
     return acc
+
+
+# -- phase search of fit_expansion ---------------------------------------------
+
+
+def phase_candidates_sorted(q_bound):
+    """The reduced fractions in [0, 1) with denominator at most q_bound, as
+    Fractions, by filtering every num/den and sorting."""
+    out = [Fraction(0)]
+    for den in range(2, q_bound + 1):
+        for num in range(1, den):
+            if gcd(num, den) == 1:
+                out.append(Fraction(num, den))
+    return sorted(out)
+
+
+def probe_exp(candidates, levels):
+    """The matched-filter matrix e^{-2 pi i q k} for Fraction phases q, one
+    np.exp per entry of the float product q k."""
+    return np.exp(-2j * np.pi * np.outer([float(q) for q in candidates], levels))

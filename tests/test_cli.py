@@ -466,6 +466,22 @@ def test_negative_truncation_is_invalid_input(orbit_file, capsys):
     assert code == 0 and json.loads(out)["series"]["order"] == 0
 
 
+@pytest.mark.parametrize("group", ["SU(2)", "SU(5)"])
+def test_truncation_above_the_highest_order_is_invalid_input(orbit_file, capsys, group):
+    from torusfibre.framing import MAX_SERIES_ORDER
+
+    orbit = orbit_file(M5_JSON)
+    argv = ["framing", "--orbit", orbit, "--group", group, "--truncation"]
+    code, out, _ = run(capsys, *argv, str(MAX_SERIES_ORDER))
+    assert code == 0
+    series = json.loads(out)["series"]
+    assert series["order"] == MAX_SERIES_ORDER == len(series["coeffs"]) - 1
+    for order in (MAX_SERIES_ORDER + 1, 2000, 10 ** 5):
+        code, out, err = run(capsys, *argv, str(order))
+        assert (code, out) == (1, "")
+        assert f"--truncation {order}" in err and "Traceback" not in err
+
+
 M5_INVARIANT = [
     "invariant", "--orbit", str(GOLDEN_INPUTS / "m5.json"),
     "--cs-phases", str(GOLDEN_INPUTS / "m5_su2_cs.json"),
@@ -531,6 +547,23 @@ def test_fit_flag_out_of_range_is_invalid_input(tmp_path, capsys, flags, first, 
     )
     assert (code, out) == (1, "")
     assert name in err
+
+
+@pytest.mark.parametrize("qmax", ["100000", "1000000000000"])
+def test_oversized_qmax_is_refused_before_any_candidate(tmp_path, capsys, monkeypatch, qmax):
+    from torusfibre import expansion
+
+    def fail(*args):
+        raise AssertionError("phase candidates built for an oversized --qmax")
+
+    monkeypatch.setattr(expansion, "_phase_candidates", fail)
+    monkeypatch.setattr(expansion, "_probe", fail)
+    samples = _fit_samples(tmp_path)
+    code, out, err = run(
+        capsys, "fit", "--samples", samples, "--qmax", qmax, "--terms", "1", "--degree", "1"
+    )
+    assert (code, out) == (1, "")
+    assert f"--qmax {qmax} with 40 samples" in err and "Traceback" not in err
 
 
 def test_fit_accepts_the_least_valid_flags(tmp_path, capsys):
