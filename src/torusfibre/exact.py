@@ -423,9 +423,6 @@ class PhaseQ:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return PhaseQ(-self.q)
-
     def scale(self, k):
         """k*q mod 1 for an integer k."""
         return PhaseQ(self.q * k)
@@ -446,9 +443,6 @@ class PhaseQ:
         if isinstance(other, (int, Fraction)):
             return self.q == Fraction(other) % 1
         return NotImplemented
-
-    def __lt__(self, other):
-        return self.q < other.q
 
     def __hash__(self):
         return hash(("PhaseQ", self.q))

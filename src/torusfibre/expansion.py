@@ -170,6 +170,9 @@ class FitResult:
 # candidates times samples: 64 MiB of complex128.
 MAX_PROBE_ENTRIES = 2 ** 22
 
+# A fitted coefficient below this fraction of the largest sample is pruned.
+COEFFICIENT_TOLERANCE = 1e-7
+
 
 def check_probe_size(q_bound, n_samples, source):
     """q_bound, if the matched-filter matrix for it and n_samples samples has
@@ -244,7 +247,9 @@ def _design_matrix(levels, ks, phases, exponents):
     the phase is accurate to one ulp at any level."""
     cols = []
     for q in phases:
-        osc = np.exp(2j * np.pi * (q.numerator * levels % q.denominator) / q.denominator)
+        # k mod den first, so num k neither overflows int64 nor needs object arithmetic
+        res = np.asarray(levels % q.denominator, dtype=np.int64) * q.numerator % q.denominator
+        osc = np.exp(2j * np.pi * res / q.denominator)
         for e in exponents:
             cols.append(osc * ks ** float(e))
     return np.stack(cols, axis=1)
@@ -269,7 +274,6 @@ def fit_expansion(
     degree_bound,
     half_integer_degrees=True,
     variable_shift=0,
-    coefficient_tolerance=1e-7,
     residual_threshold=None,
     condition_threshold=None,
 ):
@@ -279,7 +283,8 @@ def fit_expansion(
     triangular-window matched filter over all reduced fractions with
     denominator up to the bound (at most MAX_PROBE_ENTRIES candidates times
     samples, or ValidationError), each pick followed by a joint linear fit
-    on the phases chosen so far; small terms of the final fit are pruned.
+    on the phases chosen so far; terms of the final fit below
+    COEFFICIENT_TOLERANCE of the largest sample are pruned.
 
     The condition number is that of the design matrix with unit-norm
     columns; above condition_threshold (default 2**32, which leaves at least
@@ -295,8 +300,15 @@ def fit_expansion(
         raise ValueError(
             f"need at least {need} samples at consecutive integer levels"
         )
-    levels = np.array(ks_int)
-    ks = levels + float(variable_shift)
+    # exact integer levels: int64 where they fit, Python ints past it
+    try:
+        levels = np.array(ks_int, dtype=np.int64)
+    except OverflowError:
+        levels = np.array(ks_int, dtype=object)
+    try:
+        ks = levels.astype(float) + float(variable_shift)
+    except OverflowError:
+        raise ValueError("sample levels must lie within the float64 range") from None
     y = np.array([complex(v) for _, v in samples])
     if not np.isfinite(y).all():
         raise ValueError("samples must be finite")
@@ -368,7 +380,7 @@ def fit_expansion(
             f"relative residual {rel_resid:.3e} above {residual_threshold:.3e}"
         )
 
-    tol = coefficient_tolerance * yscale
+    tol = COEFFICIENT_TOLERANCE * yscale
     terms = []
     for i, q in enumerate(chosen):
         block = coeffs[i * len(exponents):(i + 1) * len(exponents)]

@@ -14,10 +14,14 @@ y_i contributes
     prod_i (1 - zeta^j e^{y_i})^{-1}
       = (1 - zeta^j)^{-r_j} * exp( sum_t (beta_j^t / t) * sum_i (e^{y_i}-1)^t )
 
-with beta_j = zeta^j/(1 - zeta^j).  The inner sums sum_i (e^{y_i}-1)^t are
-sum_{n>=t} t! S(n, t) ch_n(N_j); they start in cohomological degree 2t, so
-truncation at the stratum dimension is exact.  The Chern data are rational,
-so the ring algebra runs over Q until it meets beta_j and the prefactor.
+with beta_j = zeta^j/(1 - zeta^j).  Bundles are kept as power sums p_n of
+their Chern roots.  The inner sums sum_i (e^{y_i}-1)^t are sum_{n>=t}
+t! S(n, t) p_n(N_j)/n!; they start in cohomological degree 2t, so
+truncation at the stratum dimension is exact.  Each N_j is T_c^dual plus
+rational multiples of the eigenbundles the oracle overrides, so the
+exponent is summed per bundle, with the sum over j in its Q(zeta_m)
+scalar.  The Chern data are rational, so the ring algebra runs over Q until
+it meets beta_j and the prefactor.
 The scalar prefactor is exactly the point-stratum product, which is what
 makes the zero-dimensional collapse automatic.
 """
@@ -27,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 
 from .errors import (
@@ -79,9 +83,6 @@ class _Ring:
 
     def one(self):
         return {(0,) * len(self.names): Fraction(1)}
-
-    def scalar(self, c):
-        return {(0,) * len(self.names): Fraction(c)} if c else {}
 
     def add(self, a, b):
         out = dict(a)
@@ -276,6 +277,12 @@ class CohomologyOracle:
             omega=omega,
         )
 
+    @cached_property
+    def tangent_power_sums(self):
+        """The power sums p_0..p_{d_c} of T_c's Chern roots, built once and
+        shared by the normal bundle and the Todd class."""
+        return _power_sums(self.ring, self.tangent_rank, self.tangent_chern, self.d_c)
+
     def pair(self, elem):
         """Evaluate against the fundamental class: picks out top degree."""
         acc = Cyclotomic.from_rational(0)
@@ -289,84 +296,41 @@ class CohomologyOracle:
 
 
 # ---------------------------------------------------------------------------
-# Chern characters
+# characteristic classes on power sums of Chern roots
 # ---------------------------------------------------------------------------
 
 
-class _ChernCharacter:
-    """ch(V) stored by cohomological degree: comps[n] is the degree-2n part;
-    comps[0] is the (rational) rank times 1."""
-
-    def __init__(self, ring, comps):
-        self.ring = ring
-        self.comps = comps
-
-    @classmethod
-    def from_chern_classes(cls, ring, rank, classes, top_n):
-        # Newton's identities give the power sums p_n of the Chern roots from
-        # the elementary symmetric functions c_1, c_2, ...; ch_n = p_n / n!
-        e = [ring.one()] + list(classes) + [ring.zero()] * top_n
-        p = [ring.scalar(rank)]
-        for n in range(1, top_n + 1):
-            acc = ring.scale(e[n], n)
-            for i in range(1, n):
-                acc = ring.add(acc, ring.scale(ring.mul(e[i], p[n - i]), (-1) ** i))
-            p.append(ring.scale(acc, (-1) ** (n + 1)))
-        return cls(ring, [ring.scale(c, Fraction(1, factorial(n))) for n, c in enumerate(p)])
-
-    def add(self, other):
-        return _ChernCharacter(self.ring, [self.ring.add(a, b) for a, b in zip(self.comps, other.comps)])
-
-    def scale(self, c):
-        return _ChernCharacter(self.ring, [self.ring.scale(a, c) for a in self.comps])
-
-    def dual(self):
-        return _ChernCharacter(self.ring, [self.ring.scale(c, (-1) ** n) for n, c in enumerate(self.comps)])
+def _power_sums(ring, rank, classes, top_n):
+    """[p_0, ..., p_top_n]: the power sums of the Chern roots of a bundle of
+    the given rank with Chern classes c_1, c_2, ..., by Newton's identities;
+    p_0 = rank, and ch_n = p_n / n!."""
+    e = [ring.one()] + list(classes) + [ring.zero()] * top_n
+    p = [ring.scale(ring.one(), rank)]
+    for n in range(1, top_n + 1):
+        acc = ring.scale(e[n], n)
+        for i in range(1, n):
+            acc = ring.add(acc, ring.scale(ring.mul(e[i], p[n - i]), (-1) ** i))
+        p.append(ring.scale(acc, (-1) ** (n + 1)))
+    return p
 
 
 @lru_cache(maxsize=None)
 def _todd_log_coefficients(top_n):
-    """Coefficients f_n with log(x/(1-e^{-x})) = sum_{n>=1} f_n x^n, so that
-    Td(V) = exp(sum f_n p_n(V)) on power sums of Chern roots."""
-    # Bernoulli numbers with the B_1 = +1/2 convention give the series
-    # x/(1-e^{-x}) = sum B_n^+ x^n / n!
-    order = top_n + 1
-    bern = [Fraction(0)] * order
-    bern[0] = Fraction(1)
-    for n in range(1, order):
-        acc = Fraction(0)
-        for j in range(n):
-            acc += comb(n + 1, j) * bern[j]
-        bern[n] = -acc / (n + 1)
-    series = [b / factorial(n) for n, b in enumerate(bern)]
-    if order > 1:
-        series[1] = Fraction(1, 2)  # flip to the B_1^+ convention
-    # formal log: log(1 + s) with s the tail of the series
-    logc = [Fraction(0)] * order
-    power = [Fraction(1)] + [Fraction(0)] * (order - 1)  # s^i accumulator
-    tail = [Fraction(0)] + series[1:]
-    for i in range(1, order):
-        nxt = [Fraction(0)] * order
-        for a in range(order):
-            if power[a] == 0:
-                continue
-            for b in range(1, order - a):
-                nxt[a + b] += power[a] * tail[b]
-        power = nxt
-        for n in range(order):
-            logc[n] += Fraction((-1) ** (i + 1), i) * power[n]
-    return tuple(logc[1:top_n + 1])
-
-
-def _todd_class(ring, rank, classes, top_n):
-    if top_n == 0:
-        return ring.one()
-    ch = _ChernCharacter.from_chern_classes(ring, rank, classes, top_n)
-    f = _todd_log_coefficients(top_n)
-    acc = ring.zero()
+    """f_1, ..., f_top_n with log(x/(1-e^{-x})) = sum_{n>=1} f_n x^n, so that
+    Td(V) = exp(sum f_n p_n(V)).  The log has derivative 1/x - 1/(e^x - 1)
+    = -sum_{n>=1} B_n x^{n-1}/n!, so f_n = -B_n/(n n!) with B_1 = -1/2."""
+    bern = [Fraction(1)]
     for n in range(1, top_n + 1):
-        # the power sum p_n = n! * ch_n
-        acc = ring.add(acc, ring.scale(ch.comps[n], factorial(n) * f[n - 1]))
+        bern.append(-sum(comb(n + 1, j) * b for j, b in enumerate(bern)) / (n + 1))
+    return tuple(-bern[n] / (n * factorial(n)) for n in range(1, top_n + 1))
+
+
+def _todd_class(ring, p):
+    """Td(V) from the power sums p = [p_0, ..., p_top_n] of V."""
+    f = _todd_log_coefficients(len(p) - 1)
+    acc = ring.zero()
+    for n in range(1, len(p)):
+        acc = ring.add(acc, ring.scale(p[n], f[n - 1]))
     return ring.exp(acc)
 
 
@@ -482,14 +446,15 @@ def point_contribution(ranks, z_delta_order, memo=None):
     return memo.point_product(tuple(ranks)) * Fraction(1, z_delta_order)
 
 
-def _normal_characters(data, stratum, group, oracle):
-    """ch(N_j) for j = 1..m-1: the eigen-components of the virtual normal
-    bundle.  An eigenbundle E^nu at the s-th fixed point is trivial of its
-    canonical rank unless the oracle overrides it, so only overridden ones
-    add Chern classes; the ranks are certified in integers as 2m r_j."""
+def _normal_bundle(data, stratum, group, oracle):
+    """The eigen-components N_j, j = 1..m-1, of the virtual normal bundle as
+    a list of (power sums, weights): N_j is the sum over the list of
+    weights.get(j, 0) times the bundle.  Every N_j is T_c^dual plus the multiples
+    -w2/(2m) of the eigenbundles E^nu at the s-th fixed point, and such an
+    eigenbundle is trivial of its canonical rank unless the oracle overrides
+    it, so only overridden ones are listed.  The ranks are certified in
+    integers as 2m r_j."""
     m = data.m
-    ring = oracle.ring
-    top_n = oracle.d_c
     if oracle.tangent_rank != stratum.d_c:
         raise InvariantViolation(
             f"oracle tangent rank {oracle.tangent_rank} differs from stratum "
@@ -500,7 +465,23 @@ def _normal_characters(data, stratum, group, oracle):
         [r + (group.rank if nu == 0 else 0) for nu, r in enumerate(root_eigendata(c, m))]
         for c in stratum.c_delta
     ]
-    eigen = {}
+    # w2[s][nu][j] is twice mu_m(n_s)(-nu) - mu_m(n_s)(j - nu)
+    w2 = [
+        [[mu2[-nu] - mu2[j - nu] for j in range(m)] for nu in range(m)]
+        for mu2 in (mu2_table(m, n) for _, n in data.branches)
+    ]
+    for j in range(1, m):
+        rank2m = 2 * m * oracle.tangent_rank - sum(
+            w[nu][j] * ranks[s][nu] for s, w in enumerate(w2) for nu in range(m)
+        )
+        if rank2m != 2 * m * stratum.ranks[j]:
+            raise InvariantViolation(
+                f"normal bundle eigen-rank {Fraction(rank2m, 2 * m)} for j = {j} "
+                f"differs from stratum rank r_{j} = {stratum.ranks[j]}"
+            )
+    ring = oracle.ring
+    tangent_dual = [ring.scale(p, (-1) ** n) for n, p in enumerate(oracle.tangent_power_sums)]
+    out = [(tangent_dual, dict.fromkeys(range(1, m), 1))]
     for (s, nu), (rank, classes) in oracle.eigen_chern.items():
         if s >= len(ranks) or nu >= m:
             raise ValidationError(
@@ -512,30 +493,9 @@ def _normal_characters(data, stratum, group, oracle):
                 f"oracle rank {rank} for E[{s}][{nu}] disagrees with the stratum "
                 f"root count {ranks[s][nu]}"
             )
-        eigen[(s, nu)] = _ChernCharacter.from_chern_classes(ring, ranks[s][nu], classes, top_n)
-    ch_t_dual = _ChernCharacter.from_chern_classes(
-        ring, oracle.tangent_rank, oracle.tangent_chern, top_n
-    ).dual()
-    tables = [mu2_table(m, n) for _, n in data.branches]
-    out = {}
-    for j in range(1, m):
-        acc = ch_t_dual
-        rank2m = 2 * m * oracle.tangent_rank
-        for s, mu2 in enumerate(tables):
-            for nu in range(m):
-                # twice mu_m(n_s)(-nu) - mu_m(n_s)(j - nu)
-                w2 = mu2[-nu] - mu2[j - nu]
-                if w2 == 0:
-                    continue
-                rank2m -= w2 * ranks[s][nu]
-                if (s, nu) in eigen:
-                    acc = acc.add(eigen[(s, nu)].scale(Fraction(-w2, 2 * m)))
-        if rank2m != 2 * m * stratum.ranks[j]:
-            raise InvariantViolation(
-                f"normal bundle eigen-rank {Fraction(rank2m, 2 * m)} for j = {j} "
-                f"differs from stratum rank r_{j} = {stratum.ranks[j]}"
-            )
-        out[j] = acc
+        weights = {j: Fraction(-w2[s][nu][j], 2 * m) for j in range(1, m) if w2[s][nu][j]}
+        if weights:
+            out.append((_power_sums(ring, ranks[s][nu], classes, oracle.d_c), weights))
     return out
 
 
@@ -543,27 +503,28 @@ def lambda_inverse_expansion(data, stratum, group, oracle, memo=None):
     """The equivariant lambda_{-1}-inverse of the normal bundle as a ring
     element, scalar prefactor included.  For the trivial oracle this is the
     scalar prod (1 - zeta^i)^{-r_i}.  The Q(zeta_m) scalars come from memo
-    (a ScalarMemo) when one is given."""
+    (a ScalarMemo) when one is given.  The exponent is linear in N_j, so
+    each bundle of _normal_bundle enters once per t, with the scalar
+    sum_j weights[j] beta_j^t / t."""
     m = data.m
     ring = oracle.ring
     memo = ScalarMemo() if memo is None else memo
     pref = memo.prefactor(tuple(stratum.ranks))
-    normals = _normal_characters(data, stratum, group, oracle)
     exponent = ring.zero()
-    for j in range(1, m):
-        comps = normals[j].comps
+    for p, weights in _normal_bundle(data, stratum, group, oracle):
         for t in range(1, oracle.d_c + 1):
-            # sum_i (e^{y_i} - 1)^t = sum_{n >= t} t! S(n, t) ch_n, with the
+            # sum_i (e^{y_i} - 1)^t = sum_{n >= t} t! S(n, t) p_n / n!, with the
             # surjection count t! S(n, t) = sum_u (-1)^{t-u} C(t, u) u^n
-            p_jt = ring.zero()
+            p_t = ring.zero()
             for n in range(t, oracle.d_c + 1):
                 surj = sum((-1) ** (t - u) * comb(t, u) * u**n for u in range(1, t + 1))
-                p_jt = ring.add(p_jt, ring.scale(comps[n], surj))
+                p_t = ring.add(p_t, ring.scale(p[n], Fraction(surj, factorial(n))))
             # this starts in degree 2t; drop what a non-homogeneous user
             # class puts below
-            p_jt = {k: v for k, v in p_jt.items() if ring.monomial_degree(k) >= 2 * t}
-            if p_jt:
-                exponent = ring.add(exponent, ring.scale(p_jt, memo.weight(m, j, t)))
+            p_t = {k: v for k, v in p_t.items() if ring.monomial_degree(k) >= 2 * t}
+            if p_t:
+                scalar = sum(memo.weight(m, j, t) * w for j, w in weights.items())
+                exponent = ring.add(exponent, ring.scale(p_t, scalar))
     return ring.scale(ring.exp(exponent), pref)
 
 
@@ -588,8 +549,7 @@ def smooth_contribution(data, stratum, group, oracle, cs_phase=None, memo=None):
     ring = oracle.ring
     m = data.m
     lam = lambda_inverse_expansion(data, stratum, group, oracle, memo)
-    todd = _todd_class(ring, oracle.tangent_rank, oracle.tangent_chern, oracle.d_c)
-    base = ring.mul(lam, todd)
+    base = ring.mul(lam, _todd_class(ring, oracle.tangent_power_sums))
     coeffs = []
     omega_pow = ring.one()
     for t in range(stratum.d_c + 1):

@@ -138,7 +138,7 @@ def classes_with_power_central(N, l, z):
     ]
 
 
-def enumerate_strata(data, group, with_ranks=True):
+def enumerate_strata(data, group):
     """All strata for the given branch data, one descriptor per center orbit.
 
     The center element z' acts by (z, c_1..c_n) -> (z + m z', c_i zeta^{z' m_i}).
@@ -159,7 +159,7 @@ def enumerate_strata(data, group, with_ranks=True):
     g = gcd(m, N)
     orbit_sizes = data.orbit_sizes()
     k_invs = [pow(n, -1, l) for l, n in data.branches]
-    rankable = with_ranks and data.branches and all(l == m for l, _ in data.branches)
+    rankable = data.branches and all(l == m for l, _ in data.branches)
     # every angle of every class met here lies in (1/(N m))Z
     den = N * m
     # H acts on branch i by the shifts zeta_N^{h m_i}, h a multiple of N / g

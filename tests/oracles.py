@@ -6,13 +6,13 @@ root-of-unity sum for mu, complex conjugation and float evaluation of
 Cyclotomic values, their evaluation under an mpmath context over the
 Fraction view as the reference for Cyclotomic.to_mpc, and the sorted
 Fraction candidates and per-entry np.exp probe of fit_expansion's phase
-search.
+search, and the formal log of the Bernoulli series for the Todd class.
 """
 
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, factorial, gcd
 
 import numpy as np
 
@@ -204,3 +204,38 @@ def probe_exp(candidates, levels):
     """The matched-filter matrix e^{-2 pi i q k} for Fraction phases q, one
     np.exp per entry of the float product q k."""
     return np.exp(-2j * np.pi * np.outer([float(q) for q in candidates], levels))
+
+
+# -- Todd class ------------------------------------------------------------------
+
+
+def todd_log_series(top_n):
+    """Coefficients f_1..f_top_n of log(x/(1-e^{-x})) = sum f_n x^n: the
+    series x/(1-e^{-x}) = sum B_n^+ x^n / n! from the Bernoulli recurrence,
+    then log(1 + s) = sum_i (-1)^{i+1} s^i / i over its tail s by truncated
+    power products."""
+    order = top_n + 1
+    bern = [Fraction(0)] * order
+    bern[0] = Fraction(1)
+    for n in range(1, order):
+        acc = Fraction(0)
+        for j in range(n):
+            acc += comb(n + 1, j) * bern[j]
+        bern[n] = -acc / (n + 1)
+    series = [b / factorial(n) for n, b in enumerate(bern)]
+    if order > 1:
+        series[1] = Fraction(1, 2)  # flip to the B_1^+ convention
+    logc = [Fraction(0)] * order
+    power = [Fraction(1)] + [Fraction(0)] * (order - 1)  # s^i accumulator
+    tail = [Fraction(0)] + series[1:]
+    for i in range(1, order):
+        nxt = [Fraction(0)] * order
+        for a in range(order):
+            if power[a] == 0:
+                continue
+            for b in range(1, order - a):
+                nxt[a + b] += power[a] * tail[b]
+        power = nxt
+        for n in range(order):
+            logc[n] += Fraction((-1) ** (i + 1), i) * power[n]
+    return tuple(logc[1:top_n + 1])

@@ -4,13 +4,15 @@ show when the benchmark runs with --trace.  This installs the tracer over
 the loaded package and removes it again, writing nothing under bench/."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
-import torusfibre.cli  # noqa: F401  (loads every module the tracer wraps)
+import torusfibre.cli  # loads every module the tracer wraps
 from torusfibre.exact import Cyclotomic
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_layer_tracer_targets_resolve(monkeypatch):
@@ -25,3 +27,26 @@ def test_layer_tracer_targets_resolve(monkeypatch):
     finally:
         tracer.uninstall()
     assert Cyclotomic.__dict__["inverse"] is inverse
+
+
+def test_layer_tracer_counts_localization(monkeypatch, capsys):
+    """A traced contributions call on golden inputs with oracles reaches
+    every localization counter, so a refactor that bypasses a wrapped
+    function cannot leave its counter silently at 0; stdout is the golden
+    one."""
+    case = "contributions_z4_su3"
+    argv = json.loads((GOLDEN / "manifest.json").read_text())[case]["argv"]
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.chdir(GOLDEN)
+    layertrace = importlib.import_module("layertrace")
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        code = torusfibre.cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text()
+    for name in ("localization.smooth", "localization.lambda", "localization.point"):
+        assert tracer.calls[name] > 0, name

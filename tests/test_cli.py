@@ -576,6 +576,51 @@ def test_fit_accepts_the_least_valid_flags(tmp_path, capsys):
     assert json.loads(out)["terms"][0]["q"] == "1/3"
 
 
+def _phase_samples(tmp_path, first, num, den, count=40):
+    """count samples of 1.5 e^{2 pi i (num/den) k} from level first, with the
+    phase reduced exactly in integers."""
+    path = tmp_path / "samples.csv"
+    lines = []
+    for k in range(first, first + count):
+        z = 1.5 * cmath.exp(2j * cmath.pi * (num * k % den) / den)
+        lines.append(f"{k},{z.real!r},{z.imag!r}")
+    path.write_text("\n".join(lines))
+    return str(path)
+
+
+@pytest.mark.parametrize("first", [2**63 - 20, 2**64 - 20, 10**30])
+def test_fit_levels_past_int64_stay_exact(tmp_path, capsys, first):
+    samples = _phase_samples(tmp_path, first, 1, 3)
+    code, out, _ = run(
+        capsys, "fit", "--samples", samples, "--terms", "1", "--degree", "0", "--qmax", "10"
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert [(t["q"], t["d"]) for t in obj["terms"]] == [("1/3", "0")]
+    assert obj["residual"] < 1e-12
+
+
+def test_fit_levels_past_float64_are_invalid_input(tmp_path, capsys):
+    samples = _phase_samples(tmp_path, 10**309, 1, 3)
+    code, out, err = run(
+        capsys, "fit", "--samples", samples, "--terms", "1", "--degree", "0", "--qmax", "10"
+    )
+    assert (code, out) == (1, "")
+    assert "float64 range" in err and "Traceback" not in err
+
+
+def test_fit_phase_at_large_int64_levels(tmp_path, capsys):
+    # 7 k overflows int64 at k = 2**62 unless k is reduced mod 10 first
+    samples = _phase_samples(tmp_path, 2**62, 7, 10)
+    code, out, _ = run(
+        capsys, "fit", "--samples", samples, "--terms", "1", "--degree", "0", "--qmax", "10"
+    )
+    assert code == 0
+    (term,) = json.loads(out)["terms"]
+    assert term["q"] == "7/10"
+    assert abs(complex(*term["b"]) - 1.5) < 1e-9
+
+
 # -- no state between calls -----------------------------------------------------
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import M5, Z3, Z4, is_asymmetric, random_asymmetric_orbits
-from oracles import euclid_inverse
+from oracles import euclid_inverse, todd_log_series
 from torusfibre.errors import (
     InvariantViolation,
     MissingChernData,
@@ -150,12 +150,27 @@ def test_empty_stratum_refused():
 
 
 def test_todd_of_trivial_bundle_is_one():
-    from torusfibre.localization import _todd_class
+    from torusfibre.localization import _power_sums, _todd_class
 
     oracle = _toy_oracle()
-    td = _todd_class(oracle.ring, 4, [], 1)
+    td = _todd_class(oracle.ring, _power_sums(oracle.ring, 4, [], 1))
     assert list(td.keys()) == [(0,)]
     assert td[(0,)] == 1
+
+
+@pytest.mark.parametrize("top_n", range(25))
+def test_todd_closed_form_matches_formal_log(top_n):
+    from torusfibre.localization import _todd_log_coefficients
+
+    assert _todd_log_coefficients(top_n) == todd_log_series(top_n)
+
+
+def test_todd_log_coefficients_first_values():
+    from torusfibre.localization import _todd_log_coefficients
+
+    assert _todd_log_coefficients(6) == (
+        F(1, 2), F(-1, 24), 0, F(1, 2880), 0, F(-1, 181440)
+    )
 
 
 def test_trace_and_lambda_inverse_need_no_euclid(monkeypatch):

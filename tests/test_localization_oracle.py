@@ -19,14 +19,13 @@ from math import comb, factorial
 import pytest
 
 from conftest import HYPER, M5, Z3, Z4, is_asymmetric, random_asymmetric_orbits
-from oracles import euclid_inverse
+from oracles import euclid_inverse, todd_log_series
 from torusfibre.errors import InvariantViolation
 from torusfibre.exact import Cyclotomic, PhaseQ
 from torusfibre.framing import GroupData
 from torusfibre.localization import (
     CohomologyOracle,
     ScalarMemo,
-    _todd_log_coefficients,
     lambda_inverse_expansion,
     smooth_contribution,
 )
@@ -161,7 +160,7 @@ def ref_todd(ring, rank, classes, top_n):
     if top_n == 0:
         return ring.scalar(1)
     ch = ref_chern_character(ring, rank, classes, top_n)
-    f = _todd_log_coefficients(top_n)
+    f = todd_log_series(top_n)
     acc = {}
     for n in range(1, top_n + 1):
         acc = ring.add(acc, ring.scale(ch[n], factorial(n) * f[n - 1]))

@@ -80,7 +80,7 @@ def test_enumeration_completeness_small():
             for combo in product(*pools):
                 legal.add((z, combo))
         regenerated = []
-        for s in enumerate_strata(data, group, with_ranks=False):
+        for s in enumerate_strata(data, group):
             orbit = set()
             for zp in range(N):
                 z2 = (s.z + m * zp) % N
