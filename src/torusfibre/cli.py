@@ -59,31 +59,120 @@ def _load_orbit(path):
 
 
 def _emit(obj, fmt):
+    """Print ``obj``: JSON values, where a value with a ``to_json`` method
+    stands for what that method returns."""
     if fmt == "table":
         _print_table(obj)
     else:
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        _write_json(obj, sys.stdout)
+
+
+_CHUNK = 1 << 16  # characters per write
+_INF = float("inf")
+
+
+def _write_json(obj, out):
+    """Write exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` to
+    ``out`` in writes of at least _CHUNK characters (but the last), without
+    building the whole text.  A ``to_json`` value is rendered once per
+    (value, depth) in this call, so it must be hashable.  Lists and tuples
+    are never memoised: 1, True and 1.0 are equal but render differently."""
+    quote = json.encoder.encode_basestring_ascii
+    # leaves of exactly these types; subclasses take the isinstance route
+    leaves = {str: quote, int: int.__repr__, float: _scalar, bool: _scalar, type(None): _scalar}
+    memo = {}
+    top = []
+
+    def flush(last=False):
+        text = "".join(top)
+        top.clear()
+        if last or len(text) >= _CHUNK:
+            out.write(text)
+        else:
+            top.append(text)
+
+    def fragment(o, depth):
+        text = memo.get((o, depth))
+        if text is None:
+            sub = []
+            put(o.to_json(), depth, sub)
+            text = memo[o, depth] = "".join(sub)
+        return text
+
+    def put(o, depth, parts):
+        keyed = isinstance(o, dict)
+        if not (keyed or isinstance(o, (list, tuple))):
+            text = _scalar(o)
+            if text is None:
+                if not hasattr(o, "to_json"):
+                    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+                text = fragment(o, depth)
+            parts.append(text)
+            return
+        brackets = "{}" if keyed else "[]"
+        if not o:
+            parts.append(brackets)
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep = brackets[0] + inner
+        for v in sorted(o.items()) if keyed else o:
+            label = sep
+            if keyed:
+                # json writes number, bool and None keys as their text; any
+                # other key type fails in quote()
+                k, v = v
+                label += quote(k if isinstance(k, str) else _scalar(k)) + ": "
+            leaf = leaves.get(type(v))
+            if leaf is not None:
+                parts.append(label + leaf(v))
+            elif hasattr(v, "to_json"):
+                parts.append(label + fragment(v, depth + 1))
+            else:
+                parts.append(label)
+                put(v, depth + 1, parts)
+            sep = "," + inner
+            if parts is top and len(top) >= 512:
+                flush()
+        parts.append(inner[:-2] + brackets[1])
+
+    put(obj, 0, top)
+    top.append("\n")
+    flush(last=True)
+
+
+def _scalar(o):
+    """The JSON text of a str, None, bool, int or float as ``json`` writes
+    it, else None."""
+    if isinstance(o, str):
+        return json.encoder.encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        return "Infinity" if o == _INF else "-Infinity" if o == -_INF else float.__repr__(o)
+    return None
 
 
 def _print_table(obj, indent=0):
     pad = "  " * indent
+    obj = obj.to_json() if hasattr(obj, "to_json") else obj
     if isinstance(obj, dict):
-        for key in obj:
-            val = obj[key]
-            if isinstance(val, (dict, list)):
-                print(f"{pad}{key}:")
-                _print_table(val, indent + 1)
-            else:
-                print(f"{pad}{key}: {val}")
-    elif isinstance(obj, list):
-        for i, val in enumerate(obj):
-            if isinstance(val, (dict, list)):
-                print(f"{pad}[{i}]")
-                _print_table(val, indent + 1)
-            else:
-                print(f"{pad}[{i}] {val}")
+        rows = [(f"{key}:", f"{key}: ", val) for key, val in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        rows = [(f"[{i}]", f"[{i}] ", val) for i, val in enumerate(obj)]
     else:
         print(f"{pad}{obj}")
+        return
+    for head, label, val in rows:
+        val = val.to_json() if hasattr(val, "to_json") else val
+        if isinstance(val, (dict, list, tuple)):
+            print(pad + head)
+            _print_table(val, indent + 1)
+        else:
+            print(f"{pad}{label}{val}")
 
 
 def _is_trivial_stratum(stratum):
@@ -147,7 +236,10 @@ def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
                 )
             entries.append({"index": i, "needs_oracle": True, "d_c": s.d_c})
             continue
-        oracle = CohomologyOracle.from_json(oracle_obj)
+        try:
+            oracle = CohomologyOracle.from_json(oracle_obj)
+        except ValidationError as exc:
+            raise ValidationError(f"stratum {i}: {exc}") from None
         entries.append(
             {
                 "index": i,

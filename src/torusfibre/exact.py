@@ -11,7 +11,6 @@ into a common multiple (smallest lcm, no global conductor).
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, factorial, prod
@@ -385,10 +384,6 @@ class Cyclotomic:
             coeffs.append(str(n // g) if g == den else f"{n // g}/{den // g}")
         return {"conductor": self.conductor, "coeffs": coeffs}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["conductor"], [Fraction(s) for s in obj["coeffs"]])
-
 
 def inverse_one_minus_zeta(m, e):
     """(1 - zeta_m^e)^(-1) in Q(zeta_m), for e not divisible by m.
@@ -427,16 +422,6 @@ class PhaseQ:
         """k*q mod 1 for an integer k."""
         return PhaseQ(self.q * k)
 
-    def to_cyclotomic(self, conductor=None):
-        den = self.q.denominator
-        m = den if conductor is None else conductor
-        if m % den != 0:
-            raise ValueError(f"denominator {den} does not divide conductor {m}")
-        return Cyclotomic.zeta(m, self.q.numerator * (m // den))
-
-    def to_complex(self):
-        return cmath.exp(2j * cmath.pi * float(self.q))
-
     def __eq__(self, other):
         if isinstance(other, PhaseQ):
             return self.q == other.q
@@ -452,12 +437,6 @@ class PhaseQ:
 
     def to_json(self):
         return f"{format_rational(self.q)} mod 1"
-
-    @classmethod
-    def from_json(cls, s):
-        if isinstance(s, str) and s.endswith(" mod 1"):
-            s = s[: -len(" mod 1")]
-        return cls(Fraction(s))
 
 
 class PhaseSeries:
@@ -487,17 +466,6 @@ class PhaseSeries:
             poly = [Fraction(0)] * n + [Fraction((-amount * shift) ** n, factorial(n))]
             coeffs.append(poly)
         return cls(PhaseQ(amount), shift, coeffs, order)
-
-    def eval_numeric(self, k):
-        """Evaluate at integer level k as a float complex."""
-        pi_val = 2j * cmath.pi
-        acc = 0j
-        for n, poly in enumerate(self.coeffs):
-            val = 0
-            for p, c in reversed(list(enumerate(poly))):
-                val = val + float(c) * pi_val**p
-            acc += val / (k + self.shift) ** n
-        return self.leading.to_complex() * acc
 
     def to_json(self):
         return {

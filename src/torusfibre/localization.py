@@ -148,10 +148,10 @@ def _expect(value, kind, what):
     return value
 
 
-def _parse_poly(ring, obj, what):
+def _parse_poly(ring, obj, what, chern=False):
     """Polynomial given as {monomial string: "p/q"}; monomials are generator
     names joined by '*' with optional '^e' (e >= 0), or "1" for the
-    constant."""
+    constant.  A Chern class (``chern``) has no term of degree 0."""
     if obj is None:
         return ring.zero()
     out = ring.zero()
@@ -174,8 +174,27 @@ def _parse_poly(ring, obj, what):
             raise OracleDegreeOverflow(
                 f"{what}: monomial {mono!r} exceeds the declared top degree"
             )
+        if chern and ring.monomial_degree(expo) == 0:
+            raise ValidationError(
+                f"{what}: Chern class term {mono!r} has degree 0; "
+                f"a Chern class starts in positive degree"
+            )
         out = ring.add(out, {expo: rational_from_json(coeff, f"oracle {what}")})
     return out
+
+
+def _parse_bundle(ring, entry, what):
+    """A T_c or E[s][nu] entry {"rank": r, "classes": [c_1, c_2, ...]}: the
+    rank, None when not given, and the Chern classes as ring elements."""
+    entry = _expect(entry, dict, what)
+    for key in entry:
+        if key not in ("rank", "classes"):
+            raise ValidationError(
+                f"oracle {what} has unknown key {key!r}; an entry holds rank and classes"
+            )
+    rank = _expect(entry["rank"], int, f"{what} rank") if "rank" in entry else None
+    classes = _expect(entry.get("classes", []), list, f"{what} classes")
+    return rank, [_parse_poly(ring, c, what, chern=True) for c in classes]
 
 
 @dataclass
@@ -243,10 +262,9 @@ class CohomologyOracle:
         tangent_chern = []
         tangent_rank = d_c
         if tc is not None:
-            tc = _expect(tc, dict, "T_c")
-            tangent_rank = _expect(tc.get("rank", d_c), int, "T_c rank")
-            classes = _expect(tc.get("classes", []), list, "T_c classes")
-            tangent_chern = [_parse_poly(ring, c, "T_c") for c in classes]
+            rank, tangent_chern = _parse_bundle(ring, tc, "T_c")
+            if rank is not None:
+                tangent_rank = rank
         eigen = {}
         for key, val in chern.items():
             if key in ("T_c", "omega"):
@@ -260,12 +278,7 @@ class CohomologyOracle:
             s, nu = int(match[1]), int(match[2])
             if (s, nu) in eigen:
                 raise ValidationError(f"oracle chern key {key!r} repeats E[{s}][{nu}]")
-            val = _expect(val, dict, key)
-            classes = _expect(val.get("classes", []), list, f"{key} classes")
-            eigen[(s, nu)] = (
-                _expect(val["rank"], int, f"{key} rank") if "rank" in val else None,
-                [_parse_poly(ring, c, key) for c in classes],
-            )
+            eigen[(s, nu)] = _parse_bundle(ring, val, key)
         omega = _parse_poly(ring, chern.get("omega"), "omega")
         return cls(
             d_c=d_c,

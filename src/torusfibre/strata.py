@@ -66,12 +66,6 @@ class ConjClassSU:
             denominator //= g
         return cls(N, tuple(res), denominator)
 
-    @classmethod
-    def from_angles(cls, N, angles):
-        """The class with the given rational angles (ints or Fractions)."""
-        den = lcm(*(a.denominator for a in angles))
-        return cls.from_residues(N, [a.numerator * (den // a.denominator) for a in angles], den)
-
     @property
     def angles(self):
         """The sorted angles as Fractions (a read-only view)."""
@@ -95,9 +89,6 @@ class ConjClassSU:
             self.N, [r + shift for r in self.residues_over(den)], den
         )
 
-    def is_central(self):
-        return len(set(self.residues)) == 1
-
     def to_json(self):
         return [_ratio(r, self.denominator) for r in self.residues]
 
@@ -112,12 +103,14 @@ class StratumDescriptor:
     d_c: int | None
 
     def to_json(self):
+        """The fields in output order; the classes stay ConjClassSU values,
+        which the CLI writer renders once per call."""
         return {
             "z": self.z,
-            "classes": [c.to_json() for c in self.classes],
+            "classes": self.classes,
             "Z_delta": self.z_delta_order,
-            "c_delta": [c.to_json() for c in self.c_delta],
-            "ranks": list(self.ranks) if self.ranks is not None else None,
+            "c_delta": self.c_delta,
+            "ranks": self.ranks,
             "d_c": self.d_c,
         }
 

@@ -7,17 +7,21 @@ Cyclotomic values, their evaluation under an mpmath context over the
 Fraction view as the reference for Cyclotomic.to_mpc, and the sorted
 Fraction candidates and per-entry np.exp probe of fit_expansion's phase
 search, and the formal log of the Bernoulli series for the Todd class.
+Also here: the readers of the JSON forms of Cyclotomic and PhaseQ values,
+phases as roots of unity and as complex floats, float evaluation of phase
+series, and conjugacy classes built from rational angles.
 """
 
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 import numpy as np
 
 from torusfibre.errors import GcdViolation
-from torusfibre.exact import Cyclotomic, cyclotomic_polynomial
+from torusfibre.exact import Cyclotomic, PhaseQ, cyclotomic_polynomial
+from torusfibre.strata import ConjClassSU
 
 # -- extended Euclid in Q[x] ---------------------------------------------------
 
@@ -239,3 +243,57 @@ def todd_log_series(top_n):
         for n in range(order):
             logc[n] += Fraction((-1) ** (i + 1), i) * power[n]
     return tuple(logc[1:top_n + 1])
+
+
+# -- JSON readers, phases and classes ------------------------------------------
+
+
+def cyclotomic_from_json(obj):
+    """The Cyclotomic value written as ``Cyclotomic.to_json`` writes it."""
+    return Cyclotomic(obj["conductor"], [Fraction(s) for s in obj["coeffs"]])
+
+
+def phase_from_json(s):
+    """The PhaseQ written as ``PhaseQ.to_json`` writes it ("p/q mod 1"), or
+    a bare rational."""
+    if isinstance(s, str) and s.endswith(" mod 1"):
+        s = s[: -len(" mod 1")]
+    return PhaseQ(Fraction(s))
+
+
+def phase_to_cyclotomic(p, conductor=None):
+    """exp(2 pi i q) as a root of unity in Q(zeta_conductor); the conductor
+    defaults to the denominator of q and must be a multiple of it."""
+    den = p.q.denominator
+    m = den if conductor is None else conductor
+    if m % den != 0:
+        raise ValueError(f"denominator {den} does not divide conductor {m}")
+    return Cyclotomic.zeta(m, p.q.numerator * (m // den))
+
+
+def phase_to_complex(p):
+    """exp(2 pi i q) as a Python complex."""
+    return cmath.exp(2j * cmath.pi * float(p.q))
+
+
+def series_eval_numeric(series, k):
+    """A PhaseSeries evaluated at integer level k as a float complex."""
+    pi_val = 2j * cmath.pi
+    acc = 0j
+    for n, poly in enumerate(series.coeffs):
+        val = 0
+        for p, c in reversed(list(enumerate(poly))):
+            val = val + float(c) * pi_val**p
+        acc += val / (k + series.shift) ** n
+    return phase_to_complex(series.leading) * acc
+
+
+def conj_class_from_angles(N, angles):
+    """The SU(N) class with the given rational angles (ints or Fractions)."""
+    den = lcm(*(a.denominator for a in angles))
+    return ConjClassSU.from_residues(N, [a.numerator * (den // a.denominator) for a in angles], den)
+
+
+def is_central(c):
+    """Whether the class is a central element: all angles equal."""
+    return len(set(c.residues)) == 1

@@ -413,6 +413,32 @@ def test_duplicate_pairing_monomial_is_invalid_input(tmp_path, capsys, key, firs
     assert f"{first!r} and {key!r} name the same monomial" in err
 
 
+@pytest.mark.parametrize(
+    "mutate, key",
+    [
+        (_set_chern_field("T_c", {"u": "1"}), "'u'"),
+        (_set_chern_field("E[0][1]", {"rank": 0, "clases": []}), "'clases'"),
+    ],
+    ids=["T_c", "E"],
+)
+def test_unknown_key_in_oracle_bundle_entry_is_invalid_input(tmp_path, capsys, mutate, key):
+    oracles = json.loads((GOLDEN_INPUTS / "z4_su2_oracles.json").read_text())
+    mutate(oracles["40"])
+    code, out, err = _invariant_z4(capsys, tmp_path, oracles=oracles)
+    assert code == 1
+    assert out == ""
+    assert "stratum 40" in err and f"unknown key {key}" in err
+
+
+def test_degree_zero_chern_class_term_is_invalid_input(tmp_path, capsys):
+    oracles = json.loads((GOLDEN_INPUTS / "z4_su2_oracles.json").read_text())
+    oracles["40"]["chern"]["T_c"]["classes"] = [{"1": "2", "u": "1"}]
+    code, out, err = _invariant_z4(capsys, tmp_path, oracles=oracles)
+    assert code == 1
+    assert out == ""
+    assert "stratum 40" in err and "T_c" in err and "term '1' has degree 0" in err
+
+
 COMMAND_NAMES = [
     "validate", "seifert", "spectrum", "framing", "strata", "contributions", "invariant", "fit",
 ]

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import phase_to_cyclotomic
 from torusfibre.cli import _collect_contributions
 from torusfibre.errors import (
     IllConditioned,
@@ -228,8 +229,8 @@ def _evaluate_literal(model, k):
         for c in t.coefficients:
             poly = poly + c.embed(conductor) * kp
             kp *= k
-        acc = acc + PhaseQ(t.q.q * k).to_cyclotomic(conductor) * poly
-    return fr.to_cyclotomic(conductor) * acc
+        acc = acc + phase_to_cyclotomic(PhaseQ(t.q.q * k), conductor) * poly
+    return phase_to_cyclotomic(fr, conductor) * acc
 
 
 def _golden_model(name, seed):
