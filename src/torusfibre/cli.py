@@ -419,24 +419,88 @@ COMMANDS = {
 }
 
 
+FORMATS = ["json", "table"]
+
+
+def _options(name):
+    """The (flag, add_argument keywords) pairs of a subcommand, in help order."""
+    _, orbit, group, extra = COMMANDS[name]
+    options = [("--format", {"dest": "format_sub", "choices": FORMATS, "default": None})]
+    if orbit:
+        options.append(("--orbit", {"required": True, "help": "orbit data JSON file"}))
+    if group:
+        options.append(("--group", {"default": "SU(2)", "help": "group label, e.g. SU(2)"}))
+    return options + list(extra)
+
+
 def build_parser(command=None):
     """The argument parser; with a known ``command`` it holds only that
     subcommand's parser, which parses that command line the same way."""
     parser = _Parser(prog="torusfibre")
-    parser.add_argument("--format", choices=["json", "table"], default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in [command] if command in COMMANDS else COMMANDS:
-        func, orbit, group, extra = COMMANDS[name]
         p = sub.add_parser(name)
-        p.set_defaults(func=func)
-        p.add_argument("--format", dest="format_sub", choices=["json", "table"], default=None)
-        if orbit:
-            p.add_argument("--orbit", required=True, help="orbit data JSON file")
-        if group:
-            p.add_argument("--group", default="SU(2)", help="group label, e.g. SU(2)")
-        for flag, kwargs in extra:
+        p.set_defaults(func=COMMANDS[name][0])
+        for flag, kwargs in _options(name):
             p.add_argument(flag, **kwargs)
     return parser
+
+
+def _fast_parse(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns when argv is
+    an optional top-level --format, a command and exact long flags of that
+    command, each given once as ``--flag value`` or ``--flag=value`` with a
+    value that is not empty and does not start with "-"; None for anything
+    else, which is left to argparse (help, usage errors, abbreviations)."""
+    top = {}
+    i = 0
+    if argv and argv[0].partition("=")[0] == "--format":
+        i = _fast_option(argv, 0, {"--format": {"choices": FORMATS}}, top)
+    if i is None or i >= len(argv) or argv[i] not in COMMANDS:
+        return None
+    name = argv[i]
+    options = dict(_options(name))
+    given = {}
+    i += 1
+    while i is not None and i < len(argv):
+        i = _fast_option(argv, i, options, given)
+    if i is None:
+        return None
+    args = argparse.Namespace(format=top.get("--format"), command=name, func=COMMANDS[name][0])
+    for flag, kwargs in options.items():
+        if flag not in given and kwargs.get("required"):
+            return None
+        default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        setattr(args, kwargs.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+    return args
+
+
+def _fast_option(argv, i, options, given):
+    """Read the flag at argv[i], and its value, into ``given``; the index
+    after them, or None unless the flag is one of ``options``, not yet in
+    ``given`` and well-formed with a valid value."""
+    flag, eq, value = argv[i].partition("=")
+    kwargs = options.get(flag)
+    if kwargs is None or flag in given:
+        return None
+    if kwargs.get("action") == "store_true":
+        given[flag] = True
+        return None if eq else i + 1
+    if not eq:
+        i += 1
+        value = argv[i] if i < len(argv) else ""
+    if not value or value[0] == "-":
+        return None
+    if "type" in kwargs:
+        try:
+            value = kwargs["type"](value)
+        except ValueError:
+            return None
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        return None
+    given[flag] = value
+    return i + 1
 
 
 def _command(argv):
@@ -456,11 +520,12 @@ def _command(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(_command(argv))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_OK
+    args = _fast_parse(argv)
+    if args is None:
+        try:
+            args = build_parser(_command(argv)).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else EXIT_OK
     args.format = getattr(args, "format_sub", None) or args.format or "json"
     try:
         return args.func(args)

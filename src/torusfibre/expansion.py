@@ -267,6 +267,7 @@ def _lstsq(A, y):
     return coef / scale, y - scaled @ coef, cond
 
 
+@np.errstate(over="ignore")
 def fit_expansion(
     samples,
     q_denominator_bound,
@@ -289,12 +290,16 @@ def fit_expansion(
     The condition number is that of the design matrix with unit-norm
     columns; above condition_threshold (default 2**32, which leaves at least
     six significant digits of float64 in the coefficients) the fit raises
-    IllConditioned.
+    IllConditioned.  A fit whose residual or coefficients overflow float64
+    raises ValueError (numpy's overflow warning is silenced here).
     """
     if max_terms < 1 or degree_bound < 0:
         raise ValueError("need at least one term and a non-negative degree bound")
-    samples = sorted(samples)
+    samples = sorted(samples, key=lambda sample: sample[0])
     ks_int = [int(k) for k, _ in samples]
+    for k, after in zip(ks_int, ks_int[1:]):
+        if k == after:
+            raise ValueError(f"level {k} is given more than once")
     need = 2 * max_terms * (degree_bound + 2)
     if len(samples) < need or ks_int != list(range(ks_int[0], ks_int[0] + len(ks_int))):
         raise ValueError(
@@ -375,6 +380,11 @@ def fit_expansion(
             f"k = 1 or lower the degree bound"
         )
     rel_resid = float(np.linalg.norm(resid)) / yscale
+    if not (np.isfinite(rel_resid) and np.isfinite(coeffs).all()):
+        raise ValueError(
+            f"the fit left the float64 range (relative residual {rel_resid}); "
+            f"scale the samples down"
+        )
     if residual_threshold is not None and rel_resid > residual_threshold:
         raise ResidualTooLarge(
             f"relative residual {rel_resid:.3e} above {residual_threshold:.3e}"

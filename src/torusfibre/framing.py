@@ -50,13 +50,17 @@ class GroupData:
         return f"SU({self.N})"
 
     @classmethod
-    def parse(cls, s):
-        s = s.strip().upper().replace(" ", "")
+    def parse(cls, label):
+        s = label.strip().upper().replace(" ", "")
         if s.startswith("SU(") and s.endswith(")"):
-            return cls(int(s[3:-1]))
-        if s.startswith("SU"):
-            return cls(int(s[2:]))
-        raise ValueError(f"unrecognized group label {s!r}; expected SU(N)")
+            digits = s[3:-1]
+        else:
+            digits = s[2:] if s.startswith("SU") else ""
+        try:
+            n = int(digits)
+        except ValueError:
+            raise ValueError(f"unrecognized group label {label!r}; expected SU(N)") from None
+        return cls(n)
 
 
 @dataclass(frozen=True)

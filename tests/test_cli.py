@@ -1,5 +1,6 @@
 import cmath
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -464,6 +465,12 @@ COMMAND_NAMES = [
         ["framing", "--orbit", "x.json", "--level", "five"],
         ["strata", "--orbit", "x.json", "--bogus"],
         ["fit", "--orbit", "x.json"],
+        ["fit", "--samples", "s.csv", "--shift", "-3"],
+        ["framing", "--orbit", "x.json", "--lev", "5"],
+        ["fit", "--samples", "s.csv", "--integer-degrees=1"],
+        ["framing", "--orbit", "x.json", "--level", "5", "--level", "6"],
+        ["spectrum", "--", "--orbit", "x.json"],
+        ["spectrum", "--orbit="],
     ],
     ids=lambda argv: " ".join(argv) or "no-arguments",
 )
@@ -477,6 +484,80 @@ def test_front_end_matches_full_parser_tree(monkeypatch, capsys, argv):
     full_tree = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: full_tree())
     assert run(capsys, *argv) == got
+
+
+OWN_FLAGS = {
+    "framing": ["--group", "--level", "--truncation"],
+    "strata": ["--group"],
+    "contributions": ["--group", "--cs-phases", "--oracles"],
+    "invariant": ["--group", "--cs-phases", "--oracles", "--level", "--precision"],
+    "fit": ["--qmax", "--terms", "--degree", "--integer-degrees", "--shift"],
+}
+FLAGS = sorted({flag for flags in OWN_FLAGS.values() for flag in flags}) + [
+    "--format", "--orbit", "--samples", "--lev", "--", "-h",
+]
+VALUES = ["x.json", "SU(3)", "json", "table", "5", "0", "+7"]
+ODD_VALUES = ["xml", "-3", "five", "", "--lev", "--", "-h"]
+
+
+def _draw_argv(rng):
+    """A command line built mostly of a command and its own flags with
+    values, with the forms and values argparse refuses or reads its own way
+    mixed in."""
+    argv = []
+    if rng.random() < 0.3:
+        value = rng.choice(["json", "table", "xml", ""])
+        argv += rng.choice([["--format", value], [f"--format={value}"]])
+    command = rng.choice(COMMAND_NAMES + ["", "-h", "--", "nosuchcommand"])
+    argv.append(command)
+    if rng.random() < 0.9:
+        argv += ["--samples" if command == "fit" else "--orbit", "x.json"]
+    own = OWN_FLAGS.get(command, []) + ["--format"]
+    for _ in range(rng.randint(0, 3)):
+        flag = rng.choice(own if rng.random() < 0.7 else FLAGS)
+        value = rng.choice(VALUES if rng.random() < 0.8 else ODD_VALUES)
+        form = rng.random()
+        argv += [flag, value] if form < 0.5 else [f"{flag}={value}"] if form < 0.85 else [flag]
+    return argv
+
+
+def test_fast_parse_matches_the_full_parser_tree(capsys):
+    """Whenever the front end reads a command line without argparse, it
+    reads it as the full parser tree does."""
+    import random
+
+    import torusfibre.cli as cli
+
+    rng = random.Random(12)
+    accepted = 0
+    for _ in range(8000):
+        argv = _draw_argv(rng)
+        fast = cli._fast_parse(argv)
+        if fast is not None:
+            accepted += 1
+            assert vars(fast) == vars(cli.build_parser().parse_args(argv)), argv
+    assert accepted > 1000
+    assert capsys.readouterr() == ("", "")
+
+
+def test_golden_command_lines_build_no_parser(monkeypatch):
+    """Every golden command line is well formed, so main reads it without
+    building an argument parser and exits as recorded."""
+    import contextlib
+    import io
+
+    import torusfibre.cli as cli
+
+    def fail(command=None):
+        raise AssertionError("argparse built for a well-formed command line")
+
+    monkeypatch.setattr(cli, "build_parser", fail)
+    golden = GOLDEN_INPUTS.parent
+    monkeypatch.chdir(golden)
+    manifest = json.loads((golden / "manifest.json").read_text())
+    for case, entry in sorted(manifest.items()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(entry["argv"]) == entry["exit"], case
 
 
 # -- flag ranges ----------------------------------------------------------------
@@ -645,6 +726,37 @@ def test_fit_phase_at_large_int64_levels(tmp_path, capsys):
     (term,) = json.loads(out)["terms"]
     assert term["q"] == "7/10"
     assert abs(complex(*term["b"]) - 1.5) < 1e-9
+
+
+def test_fit_repeated_level_is_invalid_input(tmp_path, capsys):
+    path = Path(_fit_samples(tmp_path))
+    path.write_text(path.read_text() + "\n6,1.0,0.0")
+    code, out, err = run(
+        capsys, "fit", "--samples", str(path), "--terms", "1", "--degree", "1", "--qmax", "10"
+    )
+    assert (code, out) == (1, "")
+    assert "level 6 is given more than once" in err and "Traceback" not in err
+
+
+def test_fit_overflowing_float64_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    lines = []
+    for k in range(1, 61):
+        z = cmath.exp(2j * cmath.pi * k / 3) * (2 * k + 1) * 1e298
+        lines.append(f"{k},{z.real!r},{z.imag!r}")
+    path.write_text("\n".join(lines))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "fit", "--samples", str(path))
+    assert (code, out) == (1, "")
+    assert "float64 range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("group", ["SU(2", "SU", "SU()", "SP(2)", "5", "SU(two)"])
+def test_unreadable_group_label_is_invalid_input(orbit_file, capsys, group):
+    code, out, err = run(capsys, "strata", "--orbit", orbit_file(M5_JSON), "--group", group)
+    assert (code, out) == (1, "")
+    assert f"unrecognized group label {group!r}; expected SU(N)" in err
 
 
 # -- no state between calls -----------------------------------------------------
