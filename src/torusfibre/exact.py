@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd, lcm, factorial, prod
 
 import mpmath
-from mpmath.libmp import fzero, from_int, mpc_add_mpf, mpc_expjpi, mpc_mul, mpf_div, round_nearest
+from mpmath.libmp import fzero, from_int, from_man_exp, mpc_expjpi, mpf_div, round_nearest
 
 from .errors import ValidationError
 
@@ -149,6 +149,48 @@ def _fill(obj, conductor, nums, den):
     return obj
 
 
+def _signed(x):
+    """The raw mpf x, a finite number, as (signed mantissa, exponent)."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
+def _add_rounded(sm, se, tm, te, prec):
+    """mpf_add on (signed odd mantissa, exponent) pairs: s + t rounded to
+    nearest at prec bits, ties to even, with an odd mantissa or 0 back.
+    Like mpf_add, an operand more than 100 exponent steps and prec + 4 bits
+    below the other enters only through its sign, as one unit prec + 4 bits
+    below the other's lowest bit."""
+    if not tm:
+        m, e = sm, se
+    elif not sm:
+        m, e = tm, te
+    elif se - te > 100 and se - te + sm.bit_length() - tm.bit_length() > prec + 4:
+        m, e = (sm << prec + 4) + (1 if tm > 0 else -1), se - prec - 4
+    elif te - se > 100 and te - se + tm.bit_length() - sm.bit_length() > prec + 4:
+        m, e = (tm << prec + 4) + (1 if sm > 0 else -1), te - prec - 4
+    elif se >= te:
+        m, e = (sm << se - te) + tm, te
+    else:
+        m, e = sm + (tm << te - se), se
+    if not m:
+        return 0, 0
+    a = -m if m < 0 else m
+    n = a.bit_length() - prec
+    if n > 0:
+        t = a >> (n - 1)
+        if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)):
+            a = (t >> 1) + 1
+        else:
+            a = t >> 1
+        e += n
+    if not a & 1:
+        z = (a & -a).bit_length() - 1
+        a >>= z
+        e += z
+    return (-a if m < 0 else a), e
+
+
 def _make(conductor, nums, den):
     return _fill(object.__new__(Cyclotomic), conductor, nums, den)
 
@@ -211,6 +253,8 @@ class Cyclotomic:
 
     @staticmethod
     def _common(a, b):
+        if a.conductor == b.conductor:
+            return a, b
         m = lcm(a.conductor, b.conductor)
         return a.embed(m), b.embed(m)
 
@@ -260,7 +304,9 @@ class Cyclotomic:
             )
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        a, b = Cyclotomic._common(self, other)
+        a, b = self, other
+        if a.conductor != b.conductor:
+            a, b = Cyclotomic._common(a, b)
         bn = [(j, y) for j, y in enumerate(b.numerators) if y]
         out = [0] * (len(a.numerators) + len(b.numerators) - 1)
         for i, x in enumerate(a.numerators):
@@ -296,12 +342,20 @@ class Cyclotomic:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        out = Cyclotomic.from_rational(1, 1)
+        if e == 0:
+            return Cyclotomic.from_rational(1, 1)
+        # square-and-multiply from the lowest set bit: no squaring after
+        # the highest one
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        out = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
         return out
 
@@ -331,21 +385,28 @@ class Cyclotomic:
     def to_mpc(self, prec):
         """The complex value computed at prec bits, as an mpc of mpmath.mp
         (later arithmetic on it runs at mpmath.mp's precision).  Horner in
-        z = exp(2 pi i / M) on the integer numerators: each step is one
+        z = exp(2 pi i / M) on the integer numerators, with every number a
+        pair (odd signed mantissa, exponent) of Python ints: each step is one
         complex product and, for a nonzero coefficient, the addition of
-        n/den in lowest terms, rounded to nearest at every operation."""
+        n/den in lowest terms.  Each product component and each sum is
+        rounded once to nearest, as mpc_mul and mpf_add round, so the value
+        is bit for bit mpmath's Horner at prec bits."""
         rnd = round_nearest
         den = self.denominator
         angle = mpf_div(from_int(2), from_int(self.conductor), prec, rnd)
-        z = mpc_expjpi((angle, fzero), prec, rnd)
-        acc = (fzero, fzero)
+        (cm, ce), (dm, de) = map(_signed, mpc_expjpi((angle, fzero), prec, rnd))
+        am = ae = bm = be = 0
         for n in reversed(self.numerators):
-            acc = mpc_mul(acc, z, prec, rnd)
+            if am or bm:
+                am, ae, bm, be = (
+                    *_add_rounded(am * cm, ae + ce, -bm * dm, be + de, prec),
+                    *_add_rounded(am * dm, ae + de, bm * cm, be + ce, prec),
+                )
             if n:
                 g = gcd(n, den)
-                c = mpf_div(from_int(n // g, prec, rnd), from_int(den // g), prec, rnd)
-                acc = mpc_add_mpf(acc, c, prec, rnd)
-        return mpmath.mp.make_mpc(acc)
+                c = _signed(mpf_div(from_int(n // g, prec, rnd), from_int(den // g), prec, rnd))
+                am, ae = _add_rounded(am, ae, *c, prec)
+        return mpmath.mp.make_mpc((from_man_exp(am, ae), from_man_exp(bm, be)))
 
     # -- comparisons, hashing, repr ---------------------------------------
 

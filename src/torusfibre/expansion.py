@@ -43,15 +43,26 @@ __all__ = [
 
 # bits of a float64, the precision in which the numeric value is printed
 MIN_PRECISION = 53
+# The rendering costs about phi(M) products of prec-bit numbers: 65536 bits
+# take about a second at level 5, and a million bits runs past 100 s.
+MAX_PRECISION = 2 ** 16
+# Largest conductor M evaluated: the value is an integer vector of length M
+# reduced mod Phi_M.  Level 99991 (M = 1999860 on the M5 orbit) is inside.
+MAX_CONDUCTOR = 2 ** 22
 
 
 def check_precision(bits, source):
-    """bits, if it is at least MIN_PRECISION; a ValidationError naming the
-    source of the value otherwise."""
+    """bits, if it lies in [MIN_PRECISION, MAX_PRECISION]; a ValidationError
+    naming the source of the value otherwise."""
     if bits < MIN_PRECISION:
         raise ValidationError(
             f"{source} = {bits} is below {MIN_PRECISION} bits, the precision "
             f"of the printed float64"
+        )
+    if bits > MAX_PRECISION:
+        raise ValidationError(
+            f"{source} = {bits} is above {MAX_PRECISION} bits, the highest "
+            f"precision rendered"
         )
     return bits
 
@@ -126,6 +137,11 @@ def evaluate_invariant(model, k, precision=None):
         conductor = lcm(conductor, phase.denominator)
         for c in t.coefficients:
             conductor = lcm(conductor, c.conductor)
+    if conductor > MAX_CONDUCTOR:
+        raise ValidationError(
+            f"level {k} needs conductor M = {conductor}, above the "
+            f"{MAX_CONDUCTOR} evaluated"
+        )
     # Each term (framing phase) (term phase) k^i c_i is the coefficient
     # vector of c_i, spread into conductor M and shifted by the exponent of
     # the two roots of unity.  All terms go into one integer vector mod

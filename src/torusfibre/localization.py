@@ -96,8 +96,12 @@ class _Ring:
         return out
 
     def scale(self, a, c):
+        # a Cyclotomic factor goes on the left, so that a Fraction never
+        # tries it first
         if self.is_zero(c):
             return {}
+        if isinstance(c, Cyclotomic):
+            return {k: c * v for k, v in a.items()}
         return {k: v * c for k, v in a.items()}
 
     def mul(self, a, b):
@@ -108,7 +112,8 @@ class _Ring:
                 if self.monomial_degree(k) > self.top_degree:
                     continue
                 cur = out.get(k)
-                s = va * vb if cur is None else cur + va * vb
+                v = vb * va if isinstance(vb, Cyclotomic) else va * vb
+                s = v if cur is None else cur + v
                 if self.is_zero(s):
                     out.pop(k, None)
                 else:
@@ -374,14 +379,19 @@ class ContributionPolynomial:
 
 
 class ScalarMemo:
-    """The Q(zeta_m) scalars that the strata of one computation share, each
-    built once.  The point route keeps (1 - zeta^i)^{-r} from
-    Cyclotomic.inverse per (i, r) and their product per rank vector; the
-    oracle route keeps the closed-form inverses (1 - zeta^i)^{-1} per m, their
-    powers per (i, r), the lambda prefactor per rank vector and the weights
-    beta_j^t / t per (j, t).  Neither route reads the other's entries, so
-    the CLI's comparison of the two stays a comparison of independent
-    computations.  A memo only grows: make one per computation."""
+    """The values that the strata of one computation share, each built once.
+
+    The point route keeps (1 - zeta^i)^{-r} from Cyclotomic.inverse per
+    (i, r) and their product per rank vector.  The oracle route keeps the
+    closed-form inverses (1 - zeta^i)^{-1} per m, their powers per (i, r),
+    the lambda prefactor per rank vector, the weights beta_j^t / t per
+    (j, t), and the tables that depend only on the orbit data: the w2
+    table, the canonical eigenbundle ranks per class, the surjection
+    coefficients and the exponent scalars per bundle.  Entries that depend
+    on the orbit are keyed by its OrbitData, so one memo never mixes two
+    orbits.  Neither route reads the other's entries, so the CLI's
+    comparison of the two stays a comparison of independent computations.
+    A memo only grows: make one per computation."""
 
     def __init__(self):
         self.point_factors = {}    # (m, i, r) -> (1 - zeta_m^i)^{-r}
@@ -390,20 +400,26 @@ class ScalarMemo:
         self.oracle_factors = {}   # (m, i, r) -> (1 - zeta_m^i)^{-r}
         self.prefactors = {}       # ranks -> prod_i (1 - zeta_m^i)^{-r_i}
         self.weights = {}          # (m, j, t) -> beta_j^t / t
+        self.w2 = {}               # data -> w2[s][nu][j]
+        self.ranks = {}            # (data, group, s, c) -> canonical ranks of E^nu, w2 sums
+        self.surjections = {}      # (t, n) -> t! S(n, t) / n!
+        self.scalars = {}          # (data, bundle, t) -> sum_j w_j beta_j^t / t
 
     @staticmethod
     def _product(products, factors, ranks, factor):
-        """prod_{i>=1} factor(m, i, r_i) over m = len(ranks), kept in
-        products per rank vector and factors per (m, i, r)."""
+        """prod_{i>=1} factor(m, i, r_i) over m = len(ranks) and r_i != 0,
+        kept in products per rank vector and factors per (m, i, r)."""
         out = products.get(ranks)
         if out is None:
             m = len(ranks)
-            out = Cyclotomic.from_rational(1, m)
             for i in range(1, m):
-                key = (m, i, ranks[i])
-                if key not in factors:
-                    factors[key] = factor(m, i, ranks[i])
-                out = out * factors[key]
+                if ranks[i]:
+                    key = (m, i, ranks[i])
+                    if key not in factors:
+                        factors[key] = factor(m, i, ranks[i])
+                    out = factors[key] if out is None else out * factors[key]
+            if out is None:
+                out = Cyclotomic.from_rational(1, m)
             products[ranks] = out
         return out
 
@@ -440,6 +456,54 @@ class ScalarMemo:
             self.weights[key] = beta**t * Fraction(1, t)
         return self.weights[key]
 
+    def w2_table(self, data):
+        """w2[s][nu][j] = twice mu_m(n_s)(-nu) - mu_m(n_s)(j - nu), per
+        branch point s."""
+        if data not in self.w2:
+            m = data.m
+            self.w2[data] = [
+                [[mu2[-nu] - mu2[j - nu] for j in range(m)] for nu in range(m)]
+                for mu2 in (mu2_table(m, n) for _, n in data.branches)
+            ]
+        return self.w2[data]
+
+    def eigen_ranks(self, data, group, s, c):
+        """The canonical ranks of E^nu, nu = 0..m-1, at the s-th fixed point
+        with class c (the root count r^nu, plus the rank of G at nu = 0),
+        and their sums sum_nu w2[s][nu][j] rank(E^nu) per j."""
+        key = (data, group, s, c)
+        if key not in self.ranks:
+            m = data.m
+            ranks = [r + (group.rank if nu == 0 else 0) for nu, r in enumerate(root_eigendata(c, m))]
+            w2 = self.w2_table(data)[s]
+            sums = [sum(w2[nu][j] * ranks[nu] for nu in range(m)) for j in range(m)]
+            self.ranks[key] = ranks, sums
+        return self.ranks[key]
+
+    def surjection(self, t, n):
+        """t! S(n, t) / n!, from the surjection count
+        t! S(n, t) = sum_u (-1)^{t-u} C(t, u) u^n."""
+        key = (t, n)
+        if key not in self.surjections:
+            surj = sum((-1) ** (t - u) * comb(t, u) * u**n for u in range(1, t + 1))
+            self.surjections[key] = Fraction(surj, factorial(n))
+        return self.surjections[key]
+
+    def exponent_scalar(self, data, bundle, t):
+        """sum_{j=1}^{m-1} w_j beta_j^t / t for the weights w_j with which a
+        bundle enters N_j: 1 for T_c^dual (bundle None) and -w2[s][nu][j]/(2m)
+        for E[s][nu] (bundle (s, nu))."""
+        key = (data, bundle, t)
+        if key not in self.scalars:
+            m = data.m
+            if bundle is None:
+                weights = dict.fromkeys(range(1, m), 1)
+            else:
+                w = self.w2_table(data)[bundle[0]][bundle[1]]
+                weights = {j: Fraction(-w[j], 2 * m) for j in range(1, m) if w[j]}
+            self.scalars[key] = sum(self.weight(m, j, t) * w for j, w in weights.items())
+        return self.scalars[key]
+
 
 def point_contribution(ranks, z_delta_order, memo=None):
     """(1/|Z_delta|) prod_{i=1}^{m-1} (1 - zeta_m^i)^{-r_i} for a
@@ -459,34 +523,26 @@ def point_contribution(ranks, z_delta_order, memo=None):
     return memo.point_product(tuple(ranks)) * Fraction(1, z_delta_order)
 
 
-def _normal_bundle(data, stratum, group, oracle):
+def _normal_bundle(data, stratum, group, oracle, memo):
     """The eigen-components N_j, j = 1..m-1, of the virtual normal bundle as
-    a list of (power sums, weights): N_j is the sum over the list of
-    weights.get(j, 0) times the bundle.  Every N_j is T_c^dual plus the multiples
-    -w2/(2m) of the eigenbundles E^nu at the s-th fixed point, and such an
-    eigenbundle is trivial of its canonical rank unless the oracle overrides
-    it, so only overridden ones are listed.  The ranks are certified in
-    integers as 2m r_j."""
+    a list of (power sums, bundle): N_j is the sum over the list of the
+    bundle's weight w_j (ScalarMemo.exponent_scalar) times the bundle, which
+    is None for T_c^dual and (s, nu) for E[s][nu].  Every N_j is T_c^dual
+    plus the multiples -w2/(2m) of the eigenbundles E^nu at the s-th fixed
+    point, and such an eigenbundle is trivial of its canonical rank unless
+    the oracle overrides it, so only overridden ones are listed.  The ranks
+    are certified in integers as 2m r_j for every stratum; the w2 table and
+    the canonical ranks come from memo (a ScalarMemo)."""
     m = data.m
     if oracle.tangent_rank != stratum.d_c:
         raise InvariantViolation(
             f"oracle tangent rank {oracle.tangent_rank} differs from stratum "
             f"dimension {stratum.d_c}"
         )
-    # canonical rank of E^nu at the s-th fixed point
-    ranks = [
-        [r + (group.rank if nu == 0 else 0) for nu, r in enumerate(root_eigendata(c, m))]
-        for c in stratum.c_delta
-    ]
-    # w2[s][nu][j] is twice mu_m(n_s)(-nu) - mu_m(n_s)(j - nu)
-    w2 = [
-        [[mu2[-nu] - mu2[j - nu] for j in range(m)] for nu in range(m)]
-        for mu2 in (mu2_table(m, n) for _, n in data.branches)
-    ]
+    eigen = [memo.eigen_ranks(data, group, s, c) for s, c in enumerate(stratum.c_delta)]
+    ranks = [r for r, _ in eigen]
     for j in range(1, m):
-        rank2m = 2 * m * oracle.tangent_rank - sum(
-            w[nu][j] * ranks[s][nu] for s, w in enumerate(w2) for nu in range(m)
-        )
+        rank2m = 2 * m * oracle.tangent_rank - sum(sums[j] for _, sums in eigen)
         if rank2m != 2 * m * stratum.ranks[j]:
             raise InvariantViolation(
                 f"normal bundle eigen-rank {Fraction(rank2m, 2 * m)} for j = {j} "
@@ -494,7 +550,7 @@ def _normal_bundle(data, stratum, group, oracle):
             )
     ring = oracle.ring
     tangent_dual = [ring.scale(p, (-1) ** n) for n, p in enumerate(oracle.tangent_power_sums)]
-    out = [(tangent_dual, dict.fromkeys(range(1, m), 1))]
+    out = [(tangent_dual, None)]
     for (s, nu), (rank, classes) in oracle.eigen_chern.items():
         if s >= len(ranks) or nu >= m:
             raise ValidationError(
@@ -506,37 +562,33 @@ def _normal_bundle(data, stratum, group, oracle):
                 f"oracle rank {rank} for E[{s}][{nu}] disagrees with the stratum "
                 f"root count {ranks[s][nu]}"
             )
-        weights = {j: Fraction(-w2[s][nu][j], 2 * m) for j in range(1, m) if w2[s][nu][j]}
-        if weights:
-            out.append((_power_sums(ring, ranks[s][nu], classes, oracle.d_c), weights))
+        if any(memo.w2_table(data)[s][nu][1:]):
+            out.append((_power_sums(ring, ranks[s][nu], classes, oracle.d_c), (s, nu)))
     return out
 
 
 def lambda_inverse_expansion(data, stratum, group, oracle, memo=None):
     """The equivariant lambda_{-1}-inverse of the normal bundle as a ring
     element, scalar prefactor included.  For the trivial oracle this is the
-    scalar prod (1 - zeta^i)^{-r_i}.  The Q(zeta_m) scalars come from memo
-    (a ScalarMemo) when one is given.  The exponent is linear in N_j, so
-    each bundle of _normal_bundle enters once per t, with the scalar
-    sum_j weights[j] beta_j^t / t."""
-    m = data.m
+    scalar prod (1 - zeta^i)^{-r_i}.  The Q(zeta_m) scalars and the tables
+    that depend only on the orbit come from memo (a ScalarMemo) when one is
+    given.  The exponent is linear in N_j, so each bundle of _normal_bundle
+    enters once per t, with the scalar sum_j w_j beta_j^t / t."""
     ring = oracle.ring
     memo = ScalarMemo() if memo is None else memo
     pref = memo.prefactor(tuple(stratum.ranks))
     exponent = ring.zero()
-    for p, weights in _normal_bundle(data, stratum, group, oracle):
+    for p, bundle in _normal_bundle(data, stratum, group, oracle, memo):
         for t in range(1, oracle.d_c + 1):
-            # sum_i (e^{y_i} - 1)^t = sum_{n >= t} t! S(n, t) p_n / n!, with the
-            # surjection count t! S(n, t) = sum_u (-1)^{t-u} C(t, u) u^n
+            # sum_i (e^{y_i} - 1)^t = sum_{n >= t} t! S(n, t) p_n / n!
             p_t = ring.zero()
             for n in range(t, oracle.d_c + 1):
-                surj = sum((-1) ** (t - u) * comb(t, u) * u**n for u in range(1, t + 1))
-                p_t = ring.add(p_t, ring.scale(p[n], Fraction(surj, factorial(n))))
+                p_t = ring.add(p_t, ring.scale(p[n], memo.surjection(t, n)))
             # this starts in degree 2t; drop what a non-homogeneous user
             # class puts below
             p_t = {k: v for k, v in p_t.items() if ring.monomial_degree(k) >= 2 * t}
             if p_t:
-                scalar = sum(memo.weight(m, j, t) * w for j, w in weights.items())
+                scalar = memo.exponent_scalar(data, bundle, t)
                 exponent = ring.add(exponent, ring.scale(p_t, scalar))
     return ring.scale(ring.exp(exponent), pref)
 

@@ -611,6 +611,35 @@ def test_precision_variable_below_float64_is_invalid_input(monkeypatch, capsys, 
     assert "TORUSFIBRE_PRECISION" in err
 
 
+@pytest.mark.parametrize("bits", [2**16 + 1, 10**6])
+def test_precision_above_the_ceiling_is_invalid_input(monkeypatch, capsys, bits):
+    # a million bits ran past 100 s; the ceiling is checked before any work
+    from torusfibre.expansion import MAX_PRECISION, check_precision
+
+    assert check_precision(MAX_PRECISION, "bits") == MAX_PRECISION == 2**16
+    code, out, err = run(capsys, *M5_INVARIANT, "--precision", str(bits))
+    assert (code, out) == (1, "")
+    assert f"--precision = {bits}" in err and "65536" in err and "Traceback" not in err
+    monkeypatch.setenv("TORUSFIBRE_PRECISION", str(bits))
+    code, out, err = run(capsys, *M5_INVARIANT)
+    assert (code, out) == (1, "")
+    assert f"TORUSFIBRE_PRECISION = {bits}" in err and "65536" in err
+
+
+def test_level_above_the_conductor_ceiling_is_invalid_input(capsys):
+    # the vector of length M was allocated first, and M past an index
+    # overflowed; level 99991 (M = 1999860) stays inside the ceiling
+    from torusfibre.expansion import MAX_CONDUCTOR
+
+    assert MAX_CONDUCTOR >= max(2**22, 1999860)
+    level = 10**30 + 1
+    argv = [a if a != "5" else str(level) for a in M5_INVARIANT]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"M = {60 * level + 120}" in err and str(MAX_CONDUCTOR) in err
+    assert "Traceback" not in err
+
+
 def test_precision_of_float64_is_accepted(monkeypatch, capsys):
     # the value is about -0.1397 - 0.1050i; at 53 bits the Horner rounding
     # errors stay in the last few ulps

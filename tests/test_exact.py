@@ -386,6 +386,56 @@ def test_to_mpc_matches_fraction_horner(m):
             assert x.to_mpc(prec)._mpc_ == horner_mpc(x, ctx)._mpc_
 
 
+def _cancelling_element(ctx):
+    """An element of Q(zeta_8) whose Horner accumulator is exactly 0 after
+    three of its four steps in ctx arithmetic.  z = (c, c) there, so from
+    (1, 0) the steps give (c, c), then (-c, c) after adding -2c, then
+    (-round(2c^2), 0) times z plus round(2c^2) = (0, 0); the value is the
+    last coefficient 5 / 2^K."""
+    z = ctx.expjpi(ctx.mpf(2) / 8)
+    assert z.real == z.imag
+    _, man, exp, _ = z.real._mpf_
+    square = ctx.mpf((man * man, 2 * exp + 1))._mpf_
+    scale = -min(exp, square[2])
+    nums = [5, square[1] << scale + square[2], -man << scale + exp + 1, 1 << scale]
+    return Cyclotomic._from_integers(8, nums, 1 << scale)
+
+
+@pytest.mark.parametrize("prec", [53, 128, 300])
+def test_to_mpc_edge_cases_match_fraction_horner(prec):
+    """Bit equality with mpmath's Horner where its rounding takes its less
+    common branches: operands 2^400 next to +-1 (exponent offsets above 100
+    bits, where mpf_add keeps only the sign of the smaller one), conductors
+    1, 2 and 4 with z exact and numerators 2^prec + 1 and 2^prec + 3
+    (half-way cases, rounded to even), and an accumulator that cancels to
+    exactly 0 before the last step."""
+    ctx = mpmath.mp.clone()
+    ctx.prec = prec
+    big = 2**400
+    elements = []
+    for m in (3, 5, 7, 12, 60):
+        phi = euler_phi(m)
+        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            for den in (1, 3, 2**200 + 1):
+                for first in (0, 1):
+                    nums = [
+                        (signs[0] * big if (j + first) % 2 else signs[1])
+                        for j in range(phi)
+                    ]
+                    elements.append(Cyclotomic._from_integers(m, nums, den))
+    for m in (1, 2, 4):
+        for n in (2**prec + 1, 2**prec + 3):
+            for sign in (1, -1):
+                nums = [sign * n] + [n - 2 * sign] * (euler_phi(m) - 1)
+                elements += [Cyclotomic._from_integers(m, list(nums), den) for den in (1, 3)]
+    cancelling = _cancelling_element(ctx)
+    elements.append(cancelling)
+    value = horner_mpc(cancelling, ctx)
+    assert value.imag == 0 and value.real == ctx.mpf(5) / cancelling.denominator
+    for x in elements:
+        assert x.to_mpc(prec)._mpc_ == horner_mpc(x, ctx)._mpc_
+
+
 @pytest.mark.parametrize("m", RENDER_CONDUCTORS)
 def test_to_json_matches_fraction_view(m):
     for x in _render_elements(m):

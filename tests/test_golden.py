@@ -38,6 +38,17 @@ def test_golden_output(case, monkeypatch):
     assert out == (GOLDEN / f"{case}.out").read_text()
 
 
+def test_calls_in_a_row_share_nothing(monkeypatch):
+    """Each call builds its localization tables afresh: Z4 SU(3)
+    contributions, then an M5 invariant, then Z4 SU(3) again, all in one
+    process, each give their golden bytes."""
+    monkeypatch.chdir(GOLDEN)
+    for case in ("contributions_z4_su3", "invariant_m5_su2_k50", "contributions_z4_su3"):
+        code, out = _run(MANIFEST[case]["argv"])
+        assert code == MANIFEST[case]["exit"]
+        assert out == (GOLDEN / f"{case}.out").read_text()
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
     os.chdir(GOLDEN)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -269,6 +270,49 @@ def test_rank_certificate_runs_with_a_warm_memo():
     bad = _toy_oracle({"E[0][1]": {"rank": 5, "classes": []}})
     with pytest.raises(InvariantViolation):
         smooth_contribution(Z3, s, SU2, bad, PhaseQ(0), memo)
+
+
+def test_rank_certificate_runs_with_filled_tables():
+    """The canonical ranks and the w2 table are built once per call; a
+    stratum with a wrong rank entry, after one with the same c_delta
+    classes has filled them, still fails the 2m r_j certificate."""
+    memo = ScalarMemo()
+    cases = [(M5, next(s for s in enumerate_strata(M5, SU2) if s.d_c == 0),
+              CohomologyOracle.trivial(0)),
+             (Z3, _z3_stratum(), _toy_oracle())]
+    for data, good, oracle in cases:
+        smooth_contribution(data, good, SU2, oracle, PhaseQ(0), memo)
+        filled = dict(memo.ranks)
+        assert all((data, SU2, s, c) in filled for s, c in enumerate(good.c_delta))
+        for j in range(1, data.m):
+            ranks = list(good.ranks)
+            ranks[j] += 1
+            bad = dataclasses.replace(good, ranks=tuple(ranks))
+            with pytest.raises(InvariantViolation, match=f"r_{j} = {ranks[j]}"):
+                smooth_contribution(data, bad, SU2, oracle, PhaseQ(0), memo)
+        assert memo.ranks == filled
+
+
+def test_one_memo_keeps_orbits_apart():
+    """The orbit tables of a memo are keyed by the OrbitData: orbits of one
+    order, among them Z3 with its branches reordered (so the eigenbundle
+    E[1][1] sits at another branch type), get through one shared memo what
+    a fresh memo gives each, and the override makes the reordering show."""
+    orbits = [Z3, OrbitData(3, 0, [(3, 1), (3, 2), (3, 1), (3, 2)]), OrbitData(3, 1, [(3, 2)] * 3)]
+    oracle = _toy_oracle({"E[1][1]": {"classes": [{"u": "3"}]}, "T_c": {"rank": 1, "classes": [{"u": "2"}]}})
+    shared = ScalarMemo()
+    values = []
+    for data in orbits:
+        for s in enumerate_strata(data, SU2):
+            if s.d_c in (0, 1):
+                used = oracle if s.d_c else CohomologyOracle.trivial(0)
+                got = smooth_contribution(data, s, SU2, used, PhaseQ(0), shared)
+                fresh = smooth_contribution(data, s, SU2, used, PhaseQ(0), ScalarMemo())
+                assert got.coefficients == fresh.coefficients
+                if s.d_c and data.quotient_genus == 0:
+                    values.append(got.coefficients)
+    assert len(values) == 2 and values[0] != values[1]
+    assert {key[0] for key in shared.scalars} == set(orbits)
 
 
 def test_memo_routes_read_their_own_inverses(monkeypatch):
