@@ -51,7 +51,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise json.JSONDecodeError("arrays or objects nested too deeply", "", 0) from None
 
 
 def _load_orbit(path):
@@ -433,13 +436,12 @@ def _options(name):
     return options + list(extra)
 
 
-def build_parser(command=None):
-    """The argument parser; with a known ``command`` it holds only that
-    subcommand's parser, which parses that command line the same way."""
+def build_parser():
+    """The argument parser with every subcommand, for help and refusals."""
     parser = _Parser(prog="torusfibre")
     parser.add_argument("--format", choices=FORMATS, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in COMMANDS else COMMANDS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.set_defaults(func=COMMANDS[name][0])
         for flag, kwargs in _options(name):
@@ -503,27 +505,12 @@ def _fast_option(argv, i, options, given):
     return i + 1
 
 
-def _command(argv):
-    """The subcommand named in argv after the top-level --format options,
-    or None when anything else comes first."""
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--format":
-            i += 2
-        elif arg.startswith("--format="):
-            i += 1
-        else:
-            return arg if arg in COMMANDS else None
-    return None
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _fast_parse(argv)
     if args is None:
         try:
-            args = build_parser(_command(argv)).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if exc.code is not None else EXIT_OK
     args.format = getattr(args, "format_sub", None) or args.format or "json"

@@ -82,7 +82,3 @@ class SymbolicPhaseInNumericContext(ValidationError):
 
 class IllConditioned(ConsistencyError):
     pass
-
-
-class ResidualTooLarge(ConsistencyError):
-    pass

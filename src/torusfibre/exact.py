@@ -201,19 +201,10 @@ class Cyclotomic:
 
     __slots__ = ("conductor", "numerators", "denominator")
 
-    def __init__(self, conductor, coeffs):
-        if conductor < 1:
-            raise ValueError("conductor must be positive")
-        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
-        den = lcm(1, *(c.denominator for c in coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in coeffs]
-        _fill(self, conductor, _reduce(nums, conductor), den)
-
-    @classmethod
-    def _from_integers(cls, conductor, nums, den=1):
+    def __init__(self, conductor, nums, den=1):
         """The element sum_j nums[j] z^j / den of Q(zeta_conductor), for any
         list of ints (consumed) and den > 0: one reduction mod Phi."""
-        return _make(conductor, _reduce(nums, conductor), den)
+        _fill(self, conductor, _reduce(nums, conductor), den)
 
     @property
     def coeffs(self):
@@ -234,7 +225,7 @@ class Cyclotomic:
     @classmethod
     def zeta(cls, m, exponent=1):
         """zeta_m ** exponent."""
-        return cls._from_integers(m, [0] * (exponent % m) + [1])
+        return cls(m, [0] * (exponent % m) + [1])
 
     # -- conductor handling ---------------------------------------------
 
@@ -249,7 +240,7 @@ class Cyclotomic:
         t = conductor // self.conductor
         out = [0] * ((len(self.numerators) - 1) * t + 1)
         out[::t] = self.numerators
-        return Cyclotomic._from_integers(conductor, out, self.denominator)
+        return Cyclotomic(conductor, out, self.denominator)
 
     @staticmethod
     def _common(a, b):
@@ -313,9 +304,7 @@ class Cyclotomic:
             if x:
                 for j, y in bn:
                     out[i + j] += x * y
-        return Cyclotomic._from_integers(
-            a.conductor, out, a.denominator * b.denominator
-        )
+        return Cyclotomic(a.conductor, out, a.denominator * b.denominator)
 
     __rmul__ = __mul__
 
@@ -380,7 +369,7 @@ class Cyclotomic:
         out = [0] * m
         for k, c in enumerate(self.numerators):
             out[(k * t) % m] += c
-        return Cyclotomic._from_integers(m, out, self.denominator)
+        return Cyclotomic(m, out, self.denominator)
 
     def to_mpc(self, prec):
         """The complex value computed at prec bits, as an mpc of mpmath.mp
@@ -459,7 +448,7 @@ def inverse_one_minus_zeta(m, e):
     nums = [0] * m
     for t in range(1, order):
         nums[e * t % m] = -t
-    return Cyclotomic._from_integers(m, nums, order)
+    return Cyclotomic(m, nums, order)
 
 
 class PhaseQ:
@@ -469,15 +458,6 @@ class PhaseQ:
 
     def __init__(self, q):
         self.q = Fraction(q) % 1
-
-    def __add__(self, other):
-        if isinstance(other, PhaseQ):
-            return PhaseQ(self.q + other.q)
-        if isinstance(other, (int, Fraction)):
-            return PhaseQ(self.q + other)
-        return NotImplemented
-
-    __radd__ = __add__
 
     def scale(self, k):
         """k*q mod 1 for an integer k."""

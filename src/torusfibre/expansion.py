@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     IllConditioned,
-    ResidualTooLarge,
     SymbolicPhaseInNumericContext,
     ValidationError,
 )
@@ -159,7 +158,7 @@ def evaluate_invariant(model, k, precision=None):
                 if n:
                     vec[(shift + j * step) % conductor] += n * scale
             kp *= k
-    exact = Cyclotomic._from_integers(conductor, vec, den)
+    exact = Cyclotomic(conductor, vec, den)
     return exact, exact.to_mpc(prec)
 
 
@@ -291,7 +290,6 @@ def fit_expansion(
     degree_bound,
     half_integer_degrees=True,
     variable_shift=0,
-    residual_threshold=None,
     condition_threshold=None,
 ):
     """Recover (q_j, d_j, b_j) from values at consecutive integer levels.
@@ -400,10 +398,6 @@ def fit_expansion(
         raise ValueError(
             f"the fit left the float64 range (relative residual {rel_resid}); "
             f"scale the samples down"
-        )
-    if residual_threshold is not None and rel_resid > residual_threshold:
-        raise ResidualTooLarge(
-            f"relative residual {rel_resid:.3e} above {residual_threshold:.3e}"
         )
 
     tol = COEFFICIENT_TOLERANCE * yscale

@@ -364,10 +364,6 @@ class ContributionPolynomial:
     coefficients: list     # Cyclotomic, k^0 .. k^degree
     q: object              # PhaseQ, or a string tag for a symbolic phase
 
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
     def is_symbolic(self):
         return not isinstance(self.q, PhaseQ)
 

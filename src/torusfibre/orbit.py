@@ -40,25 +40,29 @@ class OrbitData:
 
     @classmethod
     def from_json(cls, obj):
-        """Parse {"m", "quotient_genus", "branches": [{"l", "n"}, ...]};
-        a wrong shape is a ValidationError."""
+        """Parse {"m", "quotient_genus", "branches": [{"l", "n"}, ...]}, each
+        number a JSON integer; a wrong shape is a ValidationError."""
         try:
             return cls(
-                int(obj["m"]),
-                int(obj["quotient_genus"]),
-                [(br["l"], br["n"]) for br in obj.get("branches", [])],
+                _integer(obj["m"], "m"),
+                _integer(obj["quotient_genus"], "quotient_genus"),
+                [
+                    (_integer(br["l"], f"branches[{i}].l"), _integer(br["n"], f"branches[{i}].n"))
+                    for i, br in enumerate(obj.get("branches", []))
+                ],
             )
         except KeyError as exc:
             raise ValidationError(f"orbit data has no field {exc}") from None
         except TypeError as exc:
             raise ValidationError(f"orbit data has the wrong shape: {exc}") from None
 
-    def to_json(self):
-        return {
-            "m": self.m,
-            "quotient_genus": self.quotient_genus,
-            "branches": [{"l": l, "n": n} for l, n in self.branches],
-        }
+
+def _integer(value, field):
+    """value, a JSON integer (not a bool, float or string); a
+    ValidationError naming field otherwise."""
+    if type(value) is not int:
+        raise ValidationError(f"orbit field {field} is {value!r}, not an integer")
+    return value
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,6 @@ class EigenSpectrum:
     m: int
     d: tuple  # d[a] = multiplicity of eigenvalue e^{2 pi i a/m}
 
-    def genus(self):
-        return sum(self.d)
-
     def to_json(self):
         return {"m": self.m, "d": list(self.d), "wall_signature": wall_signature(self)}
 

@@ -10,7 +10,6 @@ which makes every operation here integer combinatorics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
@@ -65,11 +64,6 @@ class ConjClassSU:
             res = [r // g for r in res]
             denominator //= g
         return cls(N, tuple(res), denominator)
-
-    @property
-    def angles(self):
-        """The sorted angles as Fractions (a read-only view)."""
-        return tuple(Fraction(r, self.denominator) for r in self.residues)
 
     def residues_over(self, den):
         """The angles as integers over den, a multiple of the denominator."""
@@ -201,8 +195,7 @@ def enumerate_strata(data, group):
             if rankable:
                 roots = tuple(r for _, r in pairs)
                 if roots not in memo:
-                    desc = StratumDescriptor(z, classes, z_delta_order, c_delta, None, None)
-                    memo[roots] = stratum_ranks(data, desc, group, roots)
+                    memo[roots] = stratum_ranks(data, group, roots)
                 ranks, d_c = memo[roots]
             out.append(StratumDescriptor(z, classes, z_delta_order, c_delta, ranks, d_c))
     return out
@@ -250,7 +243,7 @@ def root_eigendata(c, m):
     return r
 
 
-def stratum_ranks(data, stratum, group, roots=None):
+def stratum_ranks(data, group, roots):
     """Eigenspace ranks r_0 ... r_{m-1} of the stratum tangent action and the
     stratum dimension d_c = r_0, in integers from the root data r_s of each
     class of c_delta:
@@ -262,8 +255,8 @@ def stratum_ranks(data, stratum, group, roots=None):
 
     Only valid when every branch orbit is a single fixed point (l_s = m); the
     holomorphic fixed point count behind the formula has no extension to
-    larger orbits here, so anything else is refused.  ``roots``, when given,
-    holds root_eigendata(c, m) for each class of c_delta.
+    larger orbits here, so anything else is refused.  ``roots`` holds
+    root_eigendata(c, m) for each class of c_delta.
     """
     if not data.branches or any(l != data.m for l, _ in data.branches):
         raise UnsupportedOrbitStructure(
@@ -272,8 +265,6 @@ def stratum_ranks(data, stratum, group, roots=None):
     m = data.m
     g = total_genus(data)
     base = 2 * group.dim_G * (g - 1)
-    if roots is None:
-        roots = [root_eigendata(c, m) for c in stratum.c_delta]
     terms = []
     for (_, n), r_s in zip(data.branches, roots):
         terms.append((mu2_table(m, n), [(j, r) for j, r in enumerate(r_s) if r]))

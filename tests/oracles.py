@@ -7,9 +7,10 @@ Cyclotomic values, their evaluation under an mpmath context over the
 Fraction view as the reference for Cyclotomic.to_mpc, and the sorted
 Fraction candidates and per-entry np.exp probe of fit_expansion's phase
 search, and the formal log of the Bernoulli series for the Todd class.
-Also here: the readers of the JSON forms of Cyclotomic and PhaseQ values,
+Also here: Cyclotomic values from Fraction coefficients, the readers of
+the JSON forms of Cyclotomic and PhaseQ values, the JSON form of orbit data,
 phases as roots of unity and as complex floats, float evaluation of phase
-series, and conjugacy classes built from rational angles.
+series, and conjugacy classes built from or read as rational angles.
 """
 
 import cmath
@@ -80,7 +81,7 @@ def euclid_inverse(x):
         r0, r1 = r1, _trim(r)
     if not r1 or r1[0] == 0:
         raise ZeroDivisionError("element is a zero divisor (not canonical?)")
-    return Cyclotomic(x.conductor, t1) * (x.denominator / r1[0])
+    return cyclotomic(x.conductor, t1) * (x.denominator / r1[0])
 
 
 # -- brute-force mu sum --------------------------------------------------------
@@ -160,7 +161,7 @@ def mu_bruteforce(m, n, a):
     idx = (np.arange(m)[None, :] + (a * beta)[:, None]) % m
     acc = Wmat[rows[:, None], idx].sum(axis=0)
     reduced = R @ acc
-    return Cyclotomic._from_integers(m, [-int(c) for c in reduced], m)
+    return Cyclotomic(m, [-int(c) for c in reduced], m)
 
 
 # -- complex conjugation and float evaluation -----------------------------------
@@ -245,12 +246,29 @@ def todd_log_series(top_n):
     return tuple(logc[1:top_n + 1])
 
 
-# -- JSON readers, phases and classes ------------------------------------------
+# -- Fraction and JSON forms, phases and classes --------------------------------
+
+
+def cyclotomic(m, coeffs):
+    """The element sum_j coeffs[j] z^j of Q(zeta_m), for rational coeffs
+    (ints, Fractions or strings p/q), over their common denominator."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = lcm(1, *(c.denominator for c in coeffs))
+    return Cyclotomic(m, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
 
 def cyclotomic_from_json(obj):
     """The Cyclotomic value written as ``Cyclotomic.to_json`` writes it."""
-    return Cyclotomic(obj["conductor"], [Fraction(s) for s in obj["coeffs"]])
+    return cyclotomic(obj["conductor"], obj["coeffs"])
+
+
+def orbit_to_json(data):
+    """OrbitData in the JSON form ``OrbitData.from_json`` reads."""
+    return {
+        "m": data.m,
+        "quotient_genus": data.quotient_genus,
+        "branches": [{"l": l, "n": n} for l, n in data.branches],
+    }
 
 
 def phase_from_json(s):
@@ -292,6 +310,11 @@ def conj_class_from_angles(N, angles):
     """The SU(N) class with the given rational angles (ints or Fractions)."""
     den = lcm(*(a.denominator for a in angles))
     return ConjClassSU.from_residues(N, [a.numerator * (den // a.denominator) for a in angles], den)
+
+
+def angles(c):
+    """The sorted eigenvalue angles of the class c as Fractions."""
+    return tuple(Fraction(r, c.denominator) for r in c.residues)
 
 
 def is_central(c):

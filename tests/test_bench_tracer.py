@@ -50,3 +50,25 @@ def test_layer_tracer_counts_localization(monkeypatch, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text()
     for name in ("localization.smooth", "localization.lambda", "localization.point"):
         assert tracer.calls[name] > 0, name
+
+
+def test_layer_tracer_counts_constructions(monkeypatch, capsys):
+    """A traced invariant call at level 47 on the golden M5 inputs counts
+    Cyclotomic constructions and sees the conductor of the evaluation,
+    M = 2940; stdout is the golden one."""
+    case = "invariant_m5_su2_k47"
+    argv = json.loads((GOLDEN / "manifest.json").read_text())[case]["argv"]
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.chdir(GOLDEN)
+    layertrace = importlib.import_module("layertrace")
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        code = torusfibre.cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text()
+    assert tracer.calls["exact.construct"] > 0
+    assert tracer.max_conductor == 2940

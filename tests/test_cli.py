@@ -103,6 +103,44 @@ def test_branch_without_l_or_n_is_invalid_input(orbit_file, capsys):
         assert "invalid input" in err
 
 
+def test_fractional_rotation_number_is_invalid_input(orbit_file, capsys):
+    obj = dict(Z4_JSON, branches=[{"l": 4, "n": 1.7}] + Z4_JSON["branches"][1:])
+    code, out, err = run(capsys, "validate", "--orbit", orbit_file(obj))
+    assert code == 1
+    assert out == ""
+    assert "branches[0].n" in err and "1.7" in err
+
+
+def test_string_order_is_invalid_input(orbit_file, capsys):
+    code, _, err = run(capsys, "validate", "--orbit", orbit_file(dict(HYPER_JSON, m="2")))
+    assert code == 1
+    assert "orbit field m is '2', not an integer" in err
+
+
+def test_boolean_quotient_genus_is_invalid_input(orbit_file, capsys):
+    obj = dict(HYPER_JSON, quotient_genus=True)
+    code, _, err = run(capsys, "spectrum", "--orbit", orbit_file(obj))
+    assert code == 1
+    assert "orbit field quotient_genus is True, not an integer" in err
+
+
+def test_overflowing_order_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "orbit.json"
+    path.write_text('{"m": 1e400, "quotient_genus": 0, "branches": []}')
+    code, _, err = run(capsys, "seifert", "--orbit", str(path))
+    assert code == 1
+    assert "orbit field m is inf, not an integer" in err
+
+
+def test_deeply_nested_json_is_io_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "validate", "--orbit", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("i/o error: ") and "nested too deeply" in err
+
+
 def test_short_fit_sample_line_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     path.write_text("k,re,im\n1,1.0\n")
@@ -475,14 +513,14 @@ COMMAND_NAMES = [
     ids=lambda argv: " ".join(argv) or "no-arguments",
 )
 def test_front_end_matches_full_parser_tree(monkeypatch, capsys, argv):
-    """main builds only the invoked subcommand's parser; every front-end
-    outcome (help, usage errors, exit codes) is the full tree's."""
+    """Every front-end outcome of main (help, usage errors, exit codes) is
+    the full tree's."""
     import torusfibre.cli as cli
 
     assert list(cli.COMMANDS) == COMMAND_NAMES
     got = run(capsys, *argv)
     full_tree = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_tree())
+    monkeypatch.setattr(cli, "build_parser", lambda: full_tree())
     assert run(capsys, *argv) == got
 
 
@@ -548,7 +586,7 @@ def test_golden_command_lines_build_no_parser(monkeypatch):
 
     import torusfibre.cli as cli
 
-    def fail(command=None):
+    def fail():
         raise AssertionError("argparse built for a well-formed command line")
 
     monkeypatch.setattr(cli, "build_parser", fail)

@@ -15,7 +15,7 @@ from math import gcd
 import pytest
 
 from conftest import HYPER, M5, Z3, Z4, is_asymmetric, random_asymmetric_orbits
-from oracles import conj_class_from_angles, is_central
+from oracles import angles as class_angles, conj_class_from_angles, is_central
 from torusfibre.exact import Cyclotomic
 from torusfibre.framing import GroupData, framing_phase
 from torusfibre.orbit import OrbitData, total_genus
@@ -130,7 +130,7 @@ def test_classes_match_fraction_reference():
         for l in range(1, 7):
             for z in range(-N, 2 * N):
                 got = classes_with_power_central(N, l, z)
-                assert [c.angles for c in got] == ref_classes(N, l, z)
+                assert [class_angles(c) for c in got] == ref_classes(N, l, z)
 
 
 def random_class(rng):
@@ -147,14 +147,14 @@ def test_class_operations_match_fraction_reference():
         N, angles = random_class(rng)
         c = conj_class_from_angles(N, angles)
         ref = ref_normalize(angles)
-        assert c.angles == ref
+        assert class_angles(c) == ref
         assert gcd(c.denominator, *c.residues) == 1
         assert c.to_json() == [f"{a.numerator}/{a.denominator}" for a in ref]
         assert is_central(c) == (len(set(ref)) == 1)
         p = rng.randint(-7, 7)
-        assert c.power(p).angles == ref_normalize(a * p for a in ref)
+        assert class_angles(c.power(p)) == ref_normalize(a * p for a in ref)
         t = rng.randint(-6, 6)
-        assert c.translate(t).angles == ref_normalize(a + F(t, N) for a in ref)
+        assert class_angles(c.translate(t)) == ref_normalize(a + F(t, N) for a in ref)
         assert c.translate(t) == conj_class_from_angles(N, [a + F(t, N) for a in ref])
         m = rng.randint(1, 12) * c.denominator
         assert root_eigendata(c, m) == ref_root_eigendata(ref, m)
@@ -268,12 +268,13 @@ def test_strata_match_fraction_reference(data, N):
     group = GroupData(N)
     got = enumerate_strata(data, group)
     ref = ref_strata(data, N)
-    assert [(s.z, tuple(c.angles for c in s.classes), s.z_delta_order,
-             tuple(c.angles for c in s.c_delta)) for s in got] == ref
+    assert [(s.z, tuple(class_angles(c) for c in s.classes), s.z_delta_order,
+             tuple(class_angles(c) for c in s.c_delta)) for s in got] == ref
     assert count_strata_burnside(data, group) == len(got)
     if all(l == data.m for l, _ in data.branches) and data.branches:
         for s, (_, _, _, c_delta) in zip(got, ref):
             assert s.ranks == ref_ranks(data, c_delta, group)
-            assert stratum_ranks(data, s, group) == (s.ranks, s.d_c)
+            roots = [root_eigendata(c, data.m) for c in s.c_delta]
+            assert stratum_ranks(data, group, roots) == (s.ranks, s.d_c)
     else:
         assert all(s.ranks is None for s in got)

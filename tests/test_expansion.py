@@ -12,7 +12,6 @@ from oracles import phase_to_cyclotomic
 from torusfibre.cli import _collect_contributions
 from torusfibre.errors import (
     IllConditioned,
-    ResidualTooLarge,
     SymbolicPhaseInNumericContext,
 )
 from torusfibre.exact import Cyclotomic, PhaseQ
@@ -145,13 +144,6 @@ def test_fit_shifted_variable():
 def test_fit_insufficient_samples():
     with pytest.raises(ValueError):
         fit_expansion([(k, 1.0 + 0j) for k in range(1, 6)], 5, 2, 2)
-
-
-def test_fit_residual_threshold():
-    # quadratic data fit with a degree-0 basis cannot be tight
-    samples = [(k, complex(k * k)) for k in range(1, 41)]
-    with pytest.raises(ResidualTooLarge):
-        fit_expansion(samples, 3, 1, 0, residual_threshold=1e-6)
 
 
 def test_fit_condition_threshold():
