@@ -202,13 +202,14 @@ def _stratum_phases(strata, cs_map):
 def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
     """One entry per stratum: a ContributionPolynomial where computable, a
     marker dict otherwise.  strict mode turns markers into errors.  The
-    strata share one ScalarMemo, which lives for this call only."""
+    strata share one ScalarMemo and one trivial oracle, for this call only."""
     phases = _stratum_phases(strata, cs_map)
     if oracle_map is not None and not isinstance(oracle_map, dict):
         raise ValidationError(
             "oracles must be a JSON object mapping stratum index to oracle data"
         )
     memo = ScalarMemo()
+    point = CohomologyOracle.trivial(0)
     entries = []
     for i, s in enumerate(strata):
         if s.ranks is None:
@@ -221,9 +222,7 @@ def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
             continue
         if s.d_c == 0:
             value = point_contribution(s.ranks, s.z_delta_order, memo)
-            contrib = smooth_contribution(
-                data, s, group, CohomologyOracle.trivial(0), cs_phase=phases[i], memo=memo
-            )
+            contrib = smooth_contribution(data, s, group, point, cs_phase=phases[i], memo=memo)
             if not (len(contrib.coefficients) == 1 and contrib.coefficients[0] == value):
                 raise ConsistencyError(
                     f"stratum {i}: closed form and oracle route disagree"

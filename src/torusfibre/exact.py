@@ -249,18 +249,15 @@ class Cyclotomic:
         m = lcm(a.conductor, b.conductor)
         return a.embed(m), b.embed(m)
 
-    def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(other, 1)
-        return None
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            den = lcm(self.denominator, other.denominator)
+            nums = [c * (den // self.denominator) for c in self.numerators]
+            nums[0] += other.numerator * (den // other.denominator)
+            return _make(self.conductor, nums, den)
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = Cyclotomic._common(self, other)
         den = lcm(a.denominator, b.denominator)
@@ -277,8 +274,7 @@ class Cyclotomic:
         return _make(self.conductor, [-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (int, Fraction, Cyclotomic)):
             return NotImplemented
         return self + (-other)
 

@@ -19,11 +19,14 @@ their Chern roots.  The inner sums sum_i (e^{y_i}-1)^t are sum_{n>=t}
 t! S(n, t) p_n(N_j)/n!; they start in cohomological degree 2t, so
 truncation at the stratum dimension is exact.  Each N_j is T_c^dual plus
 rational multiples of the eigenbundles the oracle overrides, so the
-exponent is summed per bundle, with the sum over j in its Q(zeta_m)
+exponent E is summed per bundle, with the sum over j in its Q(zeta_m)
 scalar.  The Chern data are rational, so the ring algebra runs over Q until
-it meets beta_j and the prefactor.
-The scalar prefactor is exactly the point-stratum product, which is what
-makes the zero-dimensional collapse automatic.
+it meets beta_j and the prefactor.  The integrand is one exponential
+X = exp(E + log Td(T_c)), paired rationally as sum_a X[a] sum_b
+omega^t[b] pairing[a + b]; the prefactor and m^t/(t! |Z_delta|) multiply
+the paired scalars last.  The prefactor is exactly the point-stratum
+product, which makes the zero-dimensional collapse automatic: there the
+value is the prefactor times the pairing of the point, with no ring algebra.
 """
 
 from __future__ import annotations
@@ -77,9 +80,6 @@ class _Ring:
 
     def monomial_degree(self, expo):
         return sum(e * d for e, d in zip(expo, self.degrees))
-
-    def zero(self):
-        return {}
 
     def one(self):
         return {(0,) * len(self.names): Fraction(1)}
@@ -158,8 +158,8 @@ def _parse_poly(ring, obj, what, chern=False):
     names joined by '*' with optional '^e' (e >= 0), or "1" for the
     constant.  A Chern class (``chern``) has no term of degree 0."""
     if obj is None:
-        return ring.zero()
-    out = ring.zero()
+        return {}
+    out = {}
     for mono, coeff in _expect(obj, dict, what).items():
         expo = [0] * len(ring.names)
         if mono.strip() not in ("1", ""):
@@ -216,17 +216,8 @@ class CohomologyOracle:
 
     @classmethod
     def trivial(cls, d_c=0):
-        ring = _Ring([], [], 2 * d_c)
-        pairing = {(): Fraction(1)} if d_c == 0 else {}
-        return cls(
-            d_c=d_c,
-            ring=ring,
-            pairing=pairing,
-            tangent_chern=[],
-            tangent_rank=d_c,
-            eigen_chern={},
-            omega=ring.zero(),
-        )
+        """The oracle with no generators; at d_c = 0 the point pairs to 1."""
+        return cls.from_json({"d_c": d_c, "pairing": {} if d_c else {"1": 1}})
 
     @classmethod
     def from_json(cls, obj):
@@ -301,15 +292,20 @@ class CohomologyOracle:
         shared by the normal bundle and the Todd class."""
         return _power_sums(self.ring, self.tangent_rank, self.tangent_chern, self.d_c)
 
-    def pair(self, elem):
-        """Evaluate against the fundamental class: picks out top degree."""
-        acc = Cyclotomic.from_rational(0)
-        for expo, coeff in elem.items():
-            if self.ring.monomial_degree(expo) != 2 * self.d_c:
-                continue
-            val = self.pairing.get(expo)
-            if val is not None:
-                acc = acc + coeff * val
+    def pair(self, x, form):
+        """<form x> for a rational form, as sum_a x[a] sum_b form[b]
+        pairing[a + b] with the rational sums first; None when no monomial
+        of the pairing table has a nonzero coefficient in form x."""
+        dual = {}  # a -> sum_b form[b] pairing[a + b]
+        for b, fb in form.items():
+            for k, pk in self.pairing.items():
+                a = tuple(i - j for i, j in zip(k, b))
+                if min(a, default=0) >= 0:
+                    dual[a] = dual.get(a, 0) + fb * pk
+        terms = [x[a] * w for a, w in dual.items() if a in x and w]
+        acc = sum(terms[1:], terms[0]) if terms else Fraction(0)
+        if self.ring.is_zero(acc) and not any(k in self.ring.mul(form, x) for k in self.pairing):
+            return None
         return acc
 
 
@@ -322,7 +318,7 @@ def _power_sums(ring, rank, classes, top_n):
     """[p_0, ..., p_top_n]: the power sums of the Chern roots of a bundle of
     the given rank with Chern classes c_1, c_2, ..., by Newton's identities;
     p_0 = rank, and ch_n = p_n / n!."""
-    e = [ring.one()] + list(classes) + [ring.zero()] * top_n
+    e = [ring.one()] + list(classes) + [{}] * top_n
     p = [ring.scale(ring.one(), rank)]
     for n in range(1, top_n + 1):
         acc = ring.scale(e[n], n)
@@ -343,10 +339,10 @@ def _todd_log_coefficients(top_n):
     return tuple(-bern[n] / (n * factorial(n)) for n in range(1, top_n + 1))
 
 
-def _todd_class(ring, p):
-    """Td(V) from the power sums p = [p_0, ..., p_top_n] of V."""
+def _todd_class(ring, p, exponent=None):
+    """Td(V) from the power sums p = [p_0, ..., p_top_n] of V, times exp(exponent)."""
     f = _todd_log_coefficients(len(p) - 1)
-    acc = ring.zero()
+    acc = {} if exponent is None else exponent
     for n in range(1, len(p)):
         acc = ring.add(acc, ring.scale(p[n], f[n - 1]))
     return ring.exp(acc)
@@ -519,16 +515,12 @@ def point_contribution(ranks, z_delta_order, memo=None):
     return memo.point_product(tuple(ranks)) * Fraction(1, z_delta_order)
 
 
-def _normal_bundle(data, stratum, group, oracle, memo):
-    """The eigen-components N_j, j = 1..m-1, of the virtual normal bundle as
-    a list of (power sums, bundle): N_j is the sum over the list of the
-    bundle's weight w_j (ScalarMemo.exponent_scalar) times the bundle, which
-    is None for T_c^dual and (s, nu) for E[s][nu].  Every N_j is T_c^dual
-    plus the multiples -w2/(2m) of the eigenbundles E^nu at the s-th fixed
-    point, and such an eigenbundle is trivial of its canonical rank unless
-    the oracle overrides it, so only overridden ones are listed.  The ranks
-    are certified in integers as 2m r_j for every stratum; the w2 table and
-    the canonical ranks come from memo (a ScalarMemo)."""
+def _lambda_exponent(data, stratum, group, oracle, memo):
+    """The exponent of the lambda_{-1}-inverse of the normal bundle, without
+    its prefactor.  It is linear in N_j = T_c^dual - sum w2/(2m) E^nu, E^nu
+    trivial of its canonical rank unless overridden, so T_c^dual (bundle
+    None) and each overridden E[s][nu] (bundle (s, nu)) enter once per t with
+    ScalarMemo.exponent_scalar.  The ranks are certified as 2m r_j."""
     m = data.m
     if oracle.tangent_rank != stratum.d_c:
         raise InvariantViolation(
@@ -545,8 +537,7 @@ def _normal_bundle(data, stratum, group, oracle, memo):
                 f"differs from stratum rank r_{j} = {stratum.ranks[j]}"
             )
     ring = oracle.ring
-    tangent_dual = [ring.scale(p, (-1) ** n) for n, p in enumerate(oracle.tangent_power_sums)]
-    out = [(tangent_dual, None)]
+    bundles = [([ring.scale(p, (-1) ** n) for n, p in enumerate(oracle.tangent_power_sums)], None)]
     for (s, nu), (rank, classes) in oracle.eigen_chern.items():
         if s >= len(ranks) or nu >= m:
             raise ValidationError(
@@ -559,25 +550,12 @@ def _normal_bundle(data, stratum, group, oracle, memo):
                 f"root count {ranks[s][nu]}"
             )
         if any(memo.w2_table(data)[s][nu][1:]):
-            out.append((_power_sums(ring, ranks[s][nu], classes, oracle.d_c), (s, nu)))
-    return out
-
-
-def lambda_inverse_expansion(data, stratum, group, oracle, memo=None):
-    """The equivariant lambda_{-1}-inverse of the normal bundle as a ring
-    element, scalar prefactor included.  For the trivial oracle this is the
-    scalar prod (1 - zeta^i)^{-r_i}.  The Q(zeta_m) scalars and the tables
-    that depend only on the orbit come from memo (a ScalarMemo) when one is
-    given.  The exponent is linear in N_j, so each bundle of _normal_bundle
-    enters once per t, with the scalar sum_j w_j beta_j^t / t."""
-    ring = oracle.ring
-    memo = ScalarMemo() if memo is None else memo
-    pref = memo.prefactor(tuple(stratum.ranks))
-    exponent = ring.zero()
-    for p, bundle in _normal_bundle(data, stratum, group, oracle, memo):
+            bundles.append((_power_sums(ring, ranks[s][nu], classes, oracle.d_c), (s, nu)))
+    exponent = {}
+    for p, bundle in bundles:
         for t in range(1, oracle.d_c + 1):
             # sum_i (e^{y_i} - 1)^t = sum_{n >= t} t! S(n, t) p_n / n!
-            p_t = ring.zero()
+            p_t = {}
             for n in range(t, oracle.d_c + 1):
                 p_t = ring.add(p_t, ring.scale(p[n], memo.surjection(t, n)))
             # this starts in degree 2t; drop what a non-homogeneous user
@@ -586,7 +564,17 @@ def lambda_inverse_expansion(data, stratum, group, oracle, memo=None):
             if p_t:
                 scalar = memo.exponent_scalar(data, bundle, t)
                 exponent = ring.add(exponent, ring.scale(p_t, scalar))
-    return ring.scale(ring.exp(exponent), pref)
+    return exponent
+
+
+def lambda_inverse_expansion(data, stratum, group, oracle, memo=None):
+    """The equivariant lambda_{-1}-inverse of the normal bundle as a ring
+    element, prefactor included (for the trivial oracle the scalar
+    prod (1 - zeta^i)^{-r_i}); memo (a ScalarMemo) supplies shared scalars."""
+    ring = oracle.ring
+    memo = ScalarMemo() if memo is None else memo
+    pref = memo.prefactor(tuple(stratum.ranks))
+    return ring.scale(ring.exp(_lambda_exponent(data, stratum, group, oracle, memo)), pref)
 
 
 def smooth_contribution(data, stratum, group, oracle, cs_phase=None, memo=None):
@@ -595,8 +583,10 @@ def smooth_contribution(data, stratum, group, oracle, cs_phase=None, memo=None):
 
         (1/|Z_delta|) * (m^t/t!) * < omega^t  lambda^{-1}  Td(T_c) >
 
-    with the lambda-inverse prefactor included, from exp(k m omega).  memo
-    (a ScalarMemo) shares the Q(zeta_m) scalars between strata."""
+    with the lambda-inverse prefactor included, from exp(k m omega).  The
+    prefactor and m^t/(t! |Z_delta|) multiply the pairings of one exponential
+    exp(E + log Td(T_c)), E the exponent of lambda^{-1}; d_c = 0 pairs the
+    prefactor alone.  memo (a ScalarMemo) shares scalars between strata."""
     if stratum.ranks is None:
         raise MissingChernData("stratum carries no rank data; run stratum_ranks first")
     if stratum.d_c < 0:
@@ -608,17 +598,24 @@ def smooth_contribution(data, stratum, group, oracle, cs_phase=None, memo=None):
             f"oracle dimension {oracle.d_c} does not match stratum d_c = {stratum.d_c}"
         )
     ring = oracle.ring
-    m = data.m
-    lam = lambda_inverse_expansion(data, stratum, group, oracle, memo)
-    base = ring.mul(lam, _todd_class(ring, oracle.tangent_power_sums))
-    coeffs = []
-    omega_pow = ring.one()
-    for t in range(stratum.d_c + 1):
-        if t > 0:
-            omega_pow = ring.mul(omega_pow, oracle.omega)
-        paired = oracle.pair(ring.mul(omega_pow, base))
-        scale = Fraction(m**t, factorial(t) * stratum.z_delta_order)
-        coeffs.append(paired * scale)
+    memo = ScalarMemo() if memo is None else memo
+    if stratum.d_c == 0:
+        ((unit, scalar),) = lambda_inverse_expansion(data, stratum, group, oracle, memo).items()
+        val = oracle.pairing.get(unit)
+        coeffs = [Cyclotomic.from_rational(0) if val is None else scalar * val]
+    else:
+        pref = memo.prefactor(tuple(stratum.ranks))
+        exponent = _lambda_exponent(data, stratum, group, oracle, memo)
+        integrand = _todd_class(ring, oracle.tangent_power_sums, exponent)
+        coeffs = []
+        omega_pow = ring.one()
+        for t in range(stratum.d_c + 1):
+            if t > 0:
+                omega_pow = ring.mul(omega_pow, oracle.omega)
+            paired = oracle.pair(integrand, omega_pow)
+            coeffs.append(Cyclotomic.from_rational(0) if paired is None else pref * paired)
+    z = stratum.z_delta_order
+    coeffs = [c * Fraction(data.m**t, factorial(t) * z) for t, c in enumerate(coeffs)]
     while len(coeffs) > 1 and coeffs[-1].is_zero():
         coeffs.pop()
     q = cs_phase if cs_phase is not None else "q?"

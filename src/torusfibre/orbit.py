@@ -25,6 +25,10 @@ from .errors import (
 
 __all__ = ["OrbitData", "SeifertData", "validate_orbit", "total_genus", "seifert_invariants"]
 
+# Largest order m handled: spectrum, linear in m, takes about 0.1 s and writes
+# 0.45 MB at m = 2**16 (Python 3.11, shared 2-vCPU VM), and days at 10**12.
+MAX_ORDER = 2**16
+
 
 @dataclass(frozen=True)
 class OrbitData:
@@ -91,10 +95,10 @@ def _inverse_mod(n, l):
 def validate_orbit(data, raise_on_failure=True):
     """Run all realizability checks; returns a report dict.
 
-    Checks: (a) each l_i >= 2 divides m, (b) gcd(n_i, l_i) = 1 with
-    0 < n_i < l_i, (c) the total genus is an integer >= 2, (d) the branch
-    data is realizable: sum_i (m/l_i) * k_i = 0 mod m with k_i the inverse
-    of n_i mod l_i (equivalently, the obstruction term b is integral).
+    Checks: 2 <= m <= MAX_ORDER, (a) each l_i >= 2 divides m, (b)
+    gcd(n_i, l_i) = 1 with 0 < n_i < l_i, (c) the total genus is an integer
+    >= 2, (d) the branch data is realizable: sum_i (m/l_i) * k_i = 0 mod m
+    with k_i the inverse of n_i mod l_i (equivalently, b is integral).
     """
     report = {"m": data.m, "checks": {}, "valid": True}
 
@@ -104,8 +108,8 @@ def validate_orbit(data, raise_on_failure=True):
         if raise_on_failure:
             raise InvalidBranch(check, index, message)
 
-    if data.m < 2:
-        fail("order", None, f"order m = {data.m} must be at least 2")
+    if not 2 <= data.m <= MAX_ORDER:
+        fail("order", None, f"order m = {data.m} must be at least 2 and at most {MAX_ORDER}")
         return report
     if data.quotient_genus < 0:
         fail("quotient_genus", None, "quotient genus must be non-negative")

@@ -153,6 +153,7 @@ def enumerate_strata(data, group):
     shifts = [[h * mi % N for h in range(0, N, N // g)] for mi in orbit_sizes]
     deltas = {}  # (class, k) -> (c^{-k}, its root data when rankable), per call
     memo = {}  # root data of c_delta -> (ranks, d_c), per call
+    vectors = {}  # (s, r_s) -> branch vector of stratum_ranks, per call
 
     def delta(c, k):
         pair = deltas.get((c, k))
@@ -195,7 +196,7 @@ def enumerate_strata(data, group):
             if rankable:
                 roots = tuple(r for _, r in pairs)
                 if roots not in memo:
-                    memo[roots] = stratum_ranks(data, group, roots)
+                    memo[roots] = stratum_ranks(data, group, roots, vectors)
                 ranks, d_c = memo[roots]
             out.append(StratumDescriptor(z, classes, z_delta_order, c_delta, ranks, d_c))
     return out
@@ -243,15 +244,16 @@ def root_eigendata(c, m):
     return r
 
 
-def stratum_ranks(data, group, roots):
+def stratum_ranks(data, group, roots, vectors=None):
     """Eigenspace ranks r_0 ... r_{m-1} of the stratum tangent action and the
     stratum dimension d_c = r_0, in integers from the root data r_s of each
     class of c_delta:
 
-        2 m r_i = 2 dim G (g - 1)
-                  + sum_s [rank G mu2_s(i) + sum_j r_s[j] mu2_s(i - j)]
+        2 m r_i = 2 dim G (g - 1) + sum_s v_s[i],
+        v_s[i] = rank G mu2_s(i) + sum_j r_s[j] mu2_s(i - j)
 
-    with mu2_s = mu2_table(m, n_s), twice the mu values.
+    with mu2_s = mu2_table(m, n_s), twice the mu values; ``vectors``, a dict
+    (s, r_s) -> v_s, keeps the branch vectors across calls on one orbit.
 
     Only valid when every branch orbit is a single fixed point (l_s = m); the
     holomorphic fixed point count behind the formula has no extension to
@@ -264,20 +266,22 @@ def stratum_ranks(data, group, roots):
         )
     m = data.m
     g = total_genus(data)
-    base = 2 * group.dim_G * (g - 1)
-    terms = []
-    for (_, n), r_s in zip(data.branches, roots):
-        terms.append((mu2_table(m, n), [(j, r) for j, r in enumerate(r_s) if r]))
+    vectors = {} if vectors is None else vectors
+    acc = [2 * group.dim_G * (g - 1)] * m
+    for s, ((_, n), r_s) in enumerate(zip(data.branches, roots)):
+        key = (s, tuple(r_s))
+        if key not in vectors:
+            mu2 = mu2_table(m, n)
+            vectors[key] = [group.rank * mu2[i] + sum(r * mu2[i - j] for j, r in enumerate(r_s))
+                            for i in range(m)]
+        acc = [a + b for a, b in zip(acc, vectors[key])]
     ranks = []
-    for i in range(m):
-        acc = base
-        for mu2, support in terms:
-            acc += group.rank * mu2[i] + sum(r * mu2[i - j] for j, r in support)
+    for i, a in enumerate(acc):
         # On strata of reducible connections (central classes) the count is an
         # index and can go negative; only integrality is demanded here.
-        val, rest = divmod(acc, 2 * m)
+        val, rest = divmod(a, 2 * m)
         if rest:
-            raise NonIntegralRank(f"rank r_{i} = {_ratio(acc, 2 * m)} is not an integer")
+            raise NonIntegralRank(f"rank r_{i} = {_ratio(a, 2 * m)} is not an integer")
         ranks.append(val)
     if sum(ranks) != (g - 1) * group.dim_G:
         raise InvariantViolation(

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from torusfibre.orbit import OrbitData, total_genus, validate_orbit
+from torusfibre.strata import classes_with_power_central
 
 
 def random_orbit_suite(seed, count, m_max=12, g_max=30, fixed_points_only=False):
@@ -80,6 +81,26 @@ def random_asymmetric_orbits(
             continue
         out.append(data)
     return out
+
+
+def enumerable_asymmetric_orbits(seed, count, N):
+    """Asymmetric fixed-point data (every l = m <= 12) with 2 to 5 branches
+    whose SU(N) strata enumeration visits at most 3000 class tuples."""
+    def tuples(data):
+        total = 0
+        for z in range(gcd(data.m, N)):
+            n = 1
+            for l, _ in data.branches:
+                n *= len(classes_with_power_central(N, l, z))
+            total += n
+        return total
+
+    suite = random_asymmetric_orbits(seed, 40 * count, range(2, 13), fixed_points_only=True)
+    out = []
+    for d in suite:
+        if d not in out and len(d.branches) >= 2 and is_asymmetric(d) and tuples(d) <= 3000:
+            out.append(d)
+    return out[:count]
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,9 @@ root-of-unity sum for mu, complex conjugation and float evaluation of
 Cyclotomic values, their evaluation under an mpmath context over the
 Fraction view as the reference for Cyclotomic.to_mpc, and the sorted
 Fraction candidates and per-entry np.exp probe of fit_expansion's phase
-search, and the formal log of the Bernoulli series for the Todd class.
+search, the formal log of the Bernoulli series for the Todd class, the
+localization route with a separate Todd exponential and ring products
+before the pairing, and the per-tuple convolution behind the stratum ranks.
 Also here: Cyclotomic values from Fraction coefficients, the readers of
 the JSON forms of Cyclotomic and PhaseQ values, the JSON form of orbit data,
 phases as roots of unity and as complex floats, float evaluation of phase
@@ -20,8 +22,11 @@ from math import comb, factorial, gcd, lcm
 
 import numpy as np
 
-from torusfibre.errors import GcdViolation
+from torusfibre.errors import GcdViolation, InvariantViolation, NonIntegralRank
 from torusfibre.exact import Cyclotomic, PhaseQ, cyclotomic_polynomial
+from torusfibre.localization import _todd_class, lambda_inverse_expansion
+from torusfibre.orbit import total_genus
+from torusfibre.spectrum import mu2_table
 from torusfibre.strata import ConjClassSU
 
 # -- extended Euclid in Q[x] ---------------------------------------------------
@@ -244,6 +249,54 @@ def todd_log_series(top_n):
         for n in range(order):
             logc[n] += Fraction((-1) ** (i + 1), i) * power[n]
     return tuple(logc[1:top_n + 1])
+
+
+# -- localization with two exponentials, ranks by convolution -------------------
+
+
+def smooth_contribution_two_exponentials(data, stratum, group, oracle):
+    """The coefficients of P_c(k) by the ring route: lambda^{-1} with its
+    prefactor times Td(T_c) from its own exponential, omega^t times that,
+    both as ring products, then the pairing of the top-degree monomials of
+    the product, summed from the conductor-1 zero."""
+    ring = oracle.ring
+    lam = lambda_inverse_expansion(data, stratum, group, oracle)
+    base = ring.mul(lam, _todd_class(ring, oracle.tangent_power_sums))
+    coeffs = []
+    omega_pow = ring.one()
+    for t in range(stratum.d_c + 1):
+        if t:
+            omega_pow = ring.mul(omega_pow, oracle.omega)
+        paired = Cyclotomic.from_rational(0)
+        for expo, coeff in ring.mul(omega_pow, base).items():
+            val = oracle.pairing.get(expo)
+            if val is not None and ring.monomial_degree(expo) == 2 * stratum.d_c:
+                paired = paired + coeff * val
+        coeffs.append(paired * Fraction(data.m**t, factorial(t) * stratum.z_delta_order))
+    while len(coeffs) > 1 and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs
+
+
+def stratum_ranks_convolution(data, group, roots):
+    """(ranks, d_c) from the root data of each class of c_delta by the
+    circular convolution of each r_s with mu2_s, done afresh per tuple:
+    2 m r_i = 2 dim G (g - 1) + sum_s [rank G mu2_s(i) + sum_j r_s[j] mu2_s(i - j)]."""
+    m = data.m
+    g = total_genus(data)
+    ranks = []
+    for i in range(m):
+        acc = 2 * group.dim_G * (g - 1)
+        for (_, n), r_s in zip(data.branches, roots):
+            mu2 = mu2_table(m, n)
+            acc += group.rank * mu2[i] + sum(r * mu2[i - j] for j, r in enumerate(r_s))
+        val, rest = divmod(acc, 2 * m)
+        if rest:
+            raise NonIntegralRank(f"rank r_{i} = {acc}/{2 * m}")
+        ranks.append(val)
+    if sum(ranks) != (g - 1) * group.dim_G:
+        raise InvariantViolation(f"ranks sum to {sum(ranks)}")
+    return tuple(ranks), ranks[0]
 
 
 # -- Fraction and JSON forms, phases and classes --------------------------------

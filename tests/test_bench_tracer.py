@@ -50,6 +50,7 @@ def test_layer_tracer_counts_localization(monkeypatch, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text()
     for name in ("localization.smooth", "localization.lambda", "localization.point"):
         assert tracer.calls[name] > 0, name
+    assert tracer.calls["strata.ranks"] > 0
 
 
 def test_layer_tracer_counts_constructions(monkeypatch, capsys):

@@ -61,6 +61,28 @@ def test_validate_failure_exit_code(orbit_file, capsys):
     assert report["checks"]["divisibility"]["pass"] is False
 
 
+def test_orbit_order_above_the_ceiling_is_invalid(orbit_file, capsys):
+    """An order too large to handle is refused by validate (exit 1, the
+    order check failed with a message) and by spectrum before it loops over
+    the order; MAX_ORDER itself is valid."""
+    from torusfibre.orbit import MAX_ORDER
+
+    for m in (10**12, MAX_ORDER + 1):
+        orbit = orbit_file({"m": m, "quotient_genus": 2, "branches": []})
+        code, out, _ = run(capsys, "validate", "--orbit", orbit)
+        report = json.loads(out)
+        assert (code, report["valid"]) == (1, False)
+        assert f"order m = {m} must be at least 2 and at most {MAX_ORDER}" in (
+            report["checks"]["order"]["message"]
+        )
+        code, out, err = run(capsys, "spectrum", "--orbit", orbit)
+        assert (code, out) == (1, "")
+        assert f"order m = {m}" in err and "Traceback" not in err
+    edge = orbit_file({"m": MAX_ORDER, "quotient_genus": 2, "branches": []})
+    code, out, _ = run(capsys, "validate", "--orbit", edge)
+    assert code == 0 and json.loads(out)["valid"] is True
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "validate", "--orbit", "/nonexistent/orbit.json")
     assert code == 3
@@ -512,16 +534,26 @@ COMMAND_NAMES = [
     ],
     ids=lambda argv: " ".join(argv) or "no-arguments",
 )
-def test_front_end_matches_full_parser_tree(monkeypatch, capsys, argv):
-    """Every front-end outcome of main (help, usage errors, exit codes) is
-    the full tree's."""
+def test_front_end_matches_full_parser_tree(monkeypatch, tmp_path, capsys, argv):
+    """Every front-end outcome of main is the full tree's: for help and
+    usage errors, the exit code, stdout and stderr of
+    build_parser().parse_args(argv); a line the tree parses runs the
+    command it names, here on an input file that does not exist (exit 3,
+    naming the file the tree parsed)."""
     import torusfibre.cli as cli
 
     assert list(cli.COMMANDS) == COMMAND_NAMES
+    monkeypatch.chdir(tmp_path)
     got = run(capsys, *argv)
-    full_tree = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: full_tree())
-    assert run(capsys, *argv) == got
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        assert got == (0 if exc.code is None else exc.code, out, err)
+    else:
+        path = args.samples if args.command == "fit" else args.orbit
+        assert got[:2] == (3, "")
+        assert got[2].startswith("i/o error") and repr(path) in got[2]
 
 
 OWN_FLAGS = {
@@ -632,6 +664,18 @@ M5_INVARIANT = [
     "--cs-phases", str(GOLDEN_INPUTS / "m5_su2_cs.json"),
     "--oracles", str(GOLDEN_INPUTS / "m5_su2_oracles.json"), "--level", "5",
 ]
+
+
+def test_certificate_fires_when_the_oracle_route_is_wrong(monkeypatch, capsys):
+    """A wrong (1 - zeta^e)^{-1} on the oracle route makes the certificate
+    against the point route fail: exit 2, nothing on stdout."""
+    import torusfibre.localization as localization
+
+    right = localization.inverse_one_minus_zeta
+    monkeypatch.setattr(localization, "inverse_one_minus_zeta", lambda m, e: 2 * right(m, e))
+    code, out, err = run(capsys, *M5_INVARIANT)
+    assert (code, out) == (2, "")
+    assert "closed form and oracle route disagree" in err
 
 
 @pytest.mark.parametrize("bits", ["1", "-5", "0", "52"])

@@ -8,9 +8,13 @@ power sums sum_i (e^{y_i} - 1)^t come from the binomial expansion in Adams
 operations.  `smooth_contribution` and `lambda_inverse_expansion` must agree
 with it coefficient by coefficient, conductor included, on fixture strata
 and on random asymmetric fixed-point data, with random T_c, E[s][nu] and
-omega classes over one or two generators and d_c <= 3.
+omega classes over one or two generators and d_c <= 3.  At the end,
+`smooth_contribution` (one exponential, rational pairing, prefactor last)
+is compared with the ring-product route of `oracles.py` on asymmetric
+orbits in SU(2..4), pairings that read no integrand monomial included.
 """
 
+import copy
 import itertools
 import random
 from fractions import Fraction as F
@@ -18,8 +22,16 @@ from math import comb, factorial
 
 import pytest
 
-from conftest import HYPER, M5, Z3, Z4, is_asymmetric, random_asymmetric_orbits
-from oracles import euclid_inverse, todd_log_series
+from conftest import (
+    HYPER,
+    M5,
+    Z3,
+    Z4,
+    enumerable_asymmetric_orbits,
+    is_asymmetric,
+    random_asymmetric_orbits,
+)
+from oracles import euclid_inverse, smooth_contribution_two_exponentials, todd_log_series
 from torusfibre.errors import InvariantViolation
 from torusfibre.exact import Cyclotomic, PhaseQ
 from torusfibre.framing import GroupData
@@ -338,3 +350,96 @@ def test_wrong_override_rank_refused_by_both_routes():
         smooth_contribution(Z4, stratum, group, oracle, PhaseQ(0))
     with pytest.raises(InvariantViolation):
         ref_contribution(Z4, stratum, group, oracle)
+
+
+# ---------------------------------------------------------------------------
+# one exponential and a rational pairing against the ring route
+# ---------------------------------------------------------------------------
+
+
+def oracle_variants(rng, data, stratum, group):
+    """Oracle JSON for the stratum: random_oracle's, and for d_c > 0 the
+    same with its pairing on a generator w that nothing else names (so no
+    monomial of the integrand meets it), with every pairing value 0, and
+    with omega = 0; for d_c = 0 the same with an empty pairing."""
+    obj = random_oracle(rng, data, stratum, group)
+    variants = [obj, copy.deepcopy(obj)]
+    if stratum.d_c == 0:
+        variants[1]["pairing"] = {}
+        return variants
+    variants[1]["generators"].append({"name": "w", "degree": 2})
+    variants[1]["pairing"] = {"w" if stratum.d_c == 1 else f"w^{stratum.d_c}": "3/2"}
+    variants += [copy.deepcopy(obj), copy.deepcopy(obj)]
+    variants[2]["pairing"] = dict.fromkeys(obj["pairing"], "0")
+    variants[3]["chern"]["omega"] = {}
+    return variants
+
+
+def equivalence_strata(data, N):
+    return [s for s in enumerate_strata(data, GroupData(N)) if s.d_c is not None and 0 <= s.d_c <= 4]
+
+
+def equivalence_cases():
+    """Asymmetric fixed-point data, m <= 12 and 2 to 5 branches, in SU(2),
+    SU(3) and SU(4), with a stratum of dimension 1 to 4."""
+    cases = []
+    for N, count in [(2, 6), (3, 3), (4, 3)]:
+        suite = enumerable_asymmetric_orbits(70 + N, 4 * count, N)
+        suite = [d for d in suite if any(s.d_c > 0 for s in equivalence_strata(d, N))]
+        cases += [(d, N, 70 + N) for d in suite[:count]]
+    return cases
+
+
+@pytest.mark.parametrize("case", equivalence_cases(), ids=_case_id)
+def test_one_exponential_matches_the_ring_route(case):
+    """smooth_contribution against lambda^{-1} times a separate Td(T_c)
+    and omega^t as ring products, by to_json: the conductor of every zero
+    coefficient is compared too."""
+    data, N, seed = case
+    group = GroupData(N)
+    strata = equivalence_strata(data, N)
+    rng = random.Random("one-exp-" + _case_id(case))
+    smooth = [s for s in strata if s.d_c > 0]
+    points = [s for s in strata if s.d_c == 0]
+    picked = rng.sample(smooth, min(len(smooth), 4)) + rng.sample(points, min(len(points), 2))
+    memo = ScalarMemo()
+    for stratum in picked:
+        objs = oracle_variants(rng, data, stratum, group)
+        oracles = [CohomologyOracle.from_json(obj) for obj in objs]
+        if stratum.d_c == 0:
+            oracles.append(CohomologyOracle.trivial(0))
+        for oracle in oracles:
+            got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0), memo)
+            want = smooth_contribution_two_exponentials(data, stratum, group, oracle)
+            assert [c.to_json() for c in got.coefficients] == [c.to_json() for c in want]
+
+
+def test_oracle_variants_reach_non_homogeneous_classes():
+    """The oracles of the equivalence test include Chern classes with terms
+    of more than one degree."""
+    group = GroupData(2)
+    stratum = next(s for s in enumerate_strata(HYPER, group) if s.d_c == 3)
+    rng = random.Random(9)
+    degrees_seen = []
+    for _ in range(10):
+        obj = oracle_variants(rng, HYPER, stratum, group)[0]
+        degree = {g["name"]: g["degree"] for g in obj["generators"]}
+        bundles = [v for k, v in obj["chern"].items() if k != "omega"]
+        for c in (c for b in bundles for c in b["classes"]):
+            degrees_seen.append({
+                sum(degree[n] * int(e or 1) for n, _, e in (p.partition("^") for p in mono.split("*")))
+                for mono in c
+            })
+    assert any(len(d) > 1 for d in degrees_seen)
+
+
+def test_oracle_variants_reach_both_zero_forms():
+    """A pairing that meets no monomial of the integrand gives the
+    conductor-1 zero; a pairing that meets them with value 0 gives the
+    conductor-m zero."""
+    group = GroupData(2)
+    stratum = next(s for s in enumerate_strata(Z4, group) if s.d_c == 1)
+    _, missing, zero, _ = oracle_variants(random.Random(8), Z4, stratum, group)
+    for obj, conductor, coeffs in ((missing, 1, ["0"]), (zero, 4, ["0", "0"])):
+        got = smooth_contribution(Z4, stratum, group, CohomologyOracle.from_json(obj), PhaseQ(0))
+        assert [c.to_json() for c in got.coefficients] == [{"conductor": conductor, "coeffs": coeffs}]

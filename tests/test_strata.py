@@ -4,8 +4,8 @@ from math import gcd
 
 import pytest
 
-from conftest import FREE2, HYPER, M5, Z3
-from oracles import angles, conj_class_from_angles, is_central
+from conftest import FREE2, HYPER, M5, Z3, enumerable_asymmetric_orbits
+from oracles import angles, conj_class_from_angles, is_central, stratum_ranks_convolution
 from torusfibre.errors import IncompatibleClass, UnsupportedOrbitStructure
 from torusfibre.framing import GroupData
 from torusfibre.orbit import OrbitData, total_genus
@@ -158,3 +158,17 @@ def test_ranks_independent_of_representative():
         shifted = [c.translate(1) for c in s.c_delta]
         for c0, c1 in zip(s.c_delta, shifted):
             assert root_eigendata(c0, Z3.m) == root_eigendata(c1, Z3.m)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_ranks_match_the_per_tuple_convolution(N):
+    """The ranks enumerate_strata attaches, summed from branch vectors
+    built once per call, are the circular convolution done afresh for each
+    stratum's root data, on asymmetric fixed-point data."""
+    group = GroupData(N)
+    suite = enumerable_asymmetric_orbits(50 + N, 6, N)
+    assert len(suite) == 6
+    for data in suite:
+        for s in enumerate_strata(data, group):
+            roots = [root_eigendata(c, data.m) for c in s.c_delta]
+            assert (s.ranks, s.d_c) == stratum_ranks_convolution(data, group, roots)
