@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
 from .exact import PhaseQ, rational_from_json
@@ -182,16 +183,17 @@ def _is_trivial_stratum(stratum):
     return stratum.z == 0 and not any(any(c.residues) for c in stratum.classes)
 
 
-def _stratum_phases(strata, cs_map):
+def _stratum_phases(strata, cs_map, rationals):
     if cs_map is not None and not isinstance(cs_map, dict):
         raise ValidationError(
             "cs-phases must be a JSON object mapping stratum index to phase"
         )
-    phases = []
+    phases, made = [], {}  # (p, q) -> PhaseQ
     for i, s in enumerate(strata):
         key = str(i)
         if cs_map is not None and key in cs_map:
-            phases.append(PhaseQ(rational_from_json(cs_map[key], f"cs-phase {key!r}")))
+            q = rational_from_json(cs_map[key], f"cs-phase {key!r}", rationals)
+            phases.append(made.get(q) or made.setdefault(q, PhaseQ(Fraction(*q))))
         elif _is_trivial_stratum(s):
             phases.append(PhaseQ(0))
         else:
@@ -203,13 +205,13 @@ def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
     """One entry per stratum: a ContributionPolynomial where computable, a
     marker dict otherwise.  strict mode turns markers into errors.  The
     strata share one ScalarMemo and one trivial oracle, for this call only."""
-    phases = _stratum_phases(strata, cs_map)
+    memo = ScalarMemo()
+    phases = _stratum_phases(strata, cs_map, memo.rationals)
     if oracle_map is not None and not isinstance(oracle_map, dict):
         raise ValidationError(
             "oracles must be a JSON object mapping stratum index to oracle data"
         )
-    memo = ScalarMemo()
-    point = CohomologyOracle.trivial(0)
+    point = CohomologyOracle.trivial(0, memo)
     entries = []
     for i, s in enumerate(strata):
         if s.ranks is None:
@@ -239,7 +241,7 @@ def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
             entries.append({"index": i, "needs_oracle": True, "d_c": s.d_c})
             continue
         try:
-            oracle = CohomologyOracle.from_json(oracle_obj)
+            oracle = CohomologyOracle.from_json(oracle_obj, memo)
         except ValidationError as exc:
             raise ValidationError(f"stratum {i}: {exc}") from None
         entries.append(

@@ -37,15 +37,35 @@ def format_rational(r):
     return f"{r.numerator}/{r.denominator}" if r.denominator != 1 else str(r.numerator)
 
 
-def rational_from_json(value, what):
-    """value as a Fraction, from a string p/q or a JSON number; a
-    ValidationError naming what otherwise."""
+def rational_from_json(value, what, memo):
+    """value, a string p/q or a JSON number, as (numerator, denominator) in
+    lowest terms, kept in the dict memo; a ValidationError naming what
+    otherwise, or for a decimal exponent above 4300 (int_max_str_digits)."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ValidationError(f"{what} is {value!r}, not a string p/q or a number")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValidationError(f"{what} = {value!r}: {exc}") from None
+    if value not in memo:
+        try:
+            memo[value] = _rational(value)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ValidationError(f"{what} = {value!r}: {exc}") from None
+    return memo[value]
+
+
+def _rational(value):
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        parts = num[1:] if num[:1] in "+-" else num, den if slash else "1"
+        if all(p.isascii() and p.isdigit() for p in parts) and int(parts[1]):
+            g = gcd(int(num), int(parts[1]))
+            return int(num) // g, int(parts[1]) // g
+        exp = value.strip().lower().partition("e")[2]
+        exp = (exp[1:] if exp[:1] in "+-" else exp).replace("_", "").lstrip("0")
+        if exp.isascii() and exp.isdigit() and (len(exp) > 4 or int(exp) > 4300):
+            raise ValueError(f"decimal exponent {exp} is beyond 4300")
+    r = Fraction(value)
+    return r.numerator, r.denominator
 
 
 def _prime_factors(m):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -114,3 +115,15 @@ Z3 = OrbitData(3, 0, [(3, 1), (3, 1), (3, 2), (3, 2)])
 M5 = OrbitData(5, 0, [(5, 1), (5, 1), (5, 2)])
 FREE2 = OrbitData(2, 2, [])
 FREE3 = OrbitData(3, 2, [])
+
+
+def hook_fractions(monkeypatch, record):
+    """Call record(args) with the arguments of every Fraction built until
+    the test ends."""
+    new = Fraction.__new__
+
+    def recording(cls, *args, **kwargs):
+        record(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(recording))

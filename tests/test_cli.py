@@ -1,10 +1,12 @@
 import cmath
 import json
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 
+from conftest import hook_fractions
 from torusfibre.cli import main
 
 HYPER_JSON = {
@@ -330,6 +332,82 @@ def test_cs_phase_of_wrong_type_is_invalid_input(tmp_path, capsys, value):
     code, _, err = _invariant_z4(capsys, tmp_path, cs=cs)
     assert code == 1
     assert "not a string p/q or a number" in err
+
+
+def _invariant_m5_k5(monkeypatch, capsys, tmp_path, cs):
+    """The golden M5 SU(2) invariant at level 5 with its --cs-phases map
+    replaced by cs."""
+    path = tmp_path / "cs.json"
+    path.write_text(json.dumps(cs))
+    monkeypatch.chdir(GOLDEN_INPUTS.parent)
+    argv = json.loads((GOLDEN_INPUTS.parent / "manifest.json").read_text())["invariant_m5_su2_k5"]["argv"]
+    return run(capsys, *[str(path) if a.endswith("_cs.json") else a for a in argv])
+
+
+def test_cs_phase_with_a_huge_exponent_is_refused_unparsed(monkeypatch, tmp_path, capsys):
+    """A decimal exponent beyond 4300 digits' worth is refused before any
+    number is built from it (Fraction took 29 s on this one and exited 0)."""
+    literals = []
+    hook_fractions(monkeypatch, literals.extend)
+    cs = json.loads((GOLDEN_INPUTS / "m5_su2_cs.json").read_text())
+    cs["0"] = "1e20000000"
+    code, out, err = _invariant_m5_k5(monkeypatch, capsys, tmp_path, cs)
+    assert (code, out) == (1, "")
+    assert "cs-phase '0' = '1e20000000': decimal exponent 20000000 is beyond 4300" in err
+    assert "1e20000000" not in literals
+
+
+def test_oracle_pairing_with_a_huge_exponent_is_refused_unparsed(monkeypatch, tmp_path, capsys):
+    """The same for an oracle pairing value, which used to run the whole
+    computation and fail only when the output was written."""
+    literals = []
+    hook_fractions(monkeypatch, literals.extend)
+    oracles = json.loads((GOLDEN_INPUTS / "z4_su2_oracles.json").read_text())
+    (key,) = oracles["40"]["pairing"]
+    oracles["40"]["pairing"][key] = "1e3000000"
+    code, out, err = _invariant_z4(capsys, tmp_path, oracles=oracles)
+    assert (code, out) == (1, "")
+    assert f"stratum 40: oracle pairing {key!r} = '1e3000000': decimal exponent" in err
+    assert "1e3000000" not in literals
+
+
+@pytest.mark.parametrize("entry", [
+    {"d_c": -1},
+    {"d_c": 3000, "generators": [{"name": "u", "degree": 2}], "chern": {"omega": {"u": "1"}}},
+], ids=["negative", "large"])
+def test_oracle_of_another_dimension_builds_no_basis(monkeypatch, tmp_path, capsys, entry):
+    """An oracle whose d_c is not its stratum's is refused with the
+    dimension message before its basis, whose size grows with d_c, is
+    built."""
+    import torusfibre.localization as localization
+
+    tops = []
+    basis = localization._Basis
+    monkeypatch.setattr(localization, "_Basis", lambda degrees, top: tops.append(top) or basis(degrees, top))
+    oracles = json.loads((GOLDEN_INPUTS / "z4_su2_oracles.json").read_text())
+    oracles["40"] = entry
+    code, out, err = _invariant_z4(capsys, tmp_path, oracles=oracles)
+    assert (code, out) == (1, "")
+    assert f"oracle dimension {entry['d_c']} does not match stratum d_c = 1" in err
+    assert tops and 2 * entry["d_c"] not in tops
+
+
+@pytest.mark.parametrize("value", ["1e4300", "-2.5E-4300", "1_0e0_4300", "7/0", " 3/4 ", "+5/10"])
+def test_rational_literals_read_as_fraction_reads_them(value):
+    """Below the exponent bound, every string reads as Fraction reads it,
+    or fails with Fraction's message."""
+    from fractions import Fraction
+
+    from torusfibre.errors import ValidationError
+    from torusfibre.exact import rational_from_json
+
+    try:
+        want = Fraction(value)
+    except ZeroDivisionError as exc:
+        with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            rational_from_json(value, "x", {})
+    else:
+        assert rational_from_json(value, "x", {}) == (want.numerator, want.denominator)
 
 
 def test_oracles_top_level_list_is_invalid_input(tmp_path, capsys):

@@ -49,6 +49,39 @@ def test_calls_in_a_row_share_nothing(monkeypatch):
         assert out == (GOLDEN / f"{case}.out").read_text()
 
 
+def test_localization_builds_no_fraction(monkeypatch):
+    """CohomologyOracle.from_json and smooth_contribution run on integers:
+    the Z4 SU(3) level-1 invariant builds no Fraction inside either (12372
+    before the integer basis), and its stdout is still the golden one."""
+    from conftest import hook_fractions
+    from torusfibre import cli
+    from torusfibre.localization import CohomologyOracle
+
+    depth, inside, outside = [0], [], []
+
+    def tracked(f):
+        def run(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return f(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return run
+
+    monkeypatch.setattr(cli, "smooth_contribution", tracked(cli.smooth_contribution))
+    from_json = tracked(CohomologyOracle.from_json.__func__)
+    monkeypatch.setattr(CohomologyOracle, "from_json", classmethod(from_json))
+    hook_fractions(monkeypatch, lambda args: (inside if depth[0] else outside).append(args))
+    monkeypatch.chdir(GOLDEN)
+    case = "invariant_z4_su3_k1"
+    code, out = _run(MANIFEST[case]["argv"])
+    assert code == 0
+    assert out == (GOLDEN / f"{case}.out").read_text()
+    assert outside, "the hook saw no Fraction at all"
+    assert len(inside) == 0
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
     os.chdir(GOLDEN)

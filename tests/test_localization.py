@@ -151,26 +151,27 @@ def test_empty_stratum_refused():
 
 
 def test_todd_of_trivial_bundle_is_one():
-    from torusfibre.localization import _power_sums, _todd_class
+    from torusfibre.localization import _exp, _power_sums, _todd_log_coefficients
 
     oracle = _toy_oracle()
-    td = _todd_class(oracle.ring, _power_sums(oracle.ring, 4, [], 1))
-    assert list(td.keys()) == [(0,)]
-    assert td[(0,)] == 1
+    p = _power_sums(oracle.basis, [], 1)
+    log_td = [((a,), v, d * b) for (v, d), (a, b) in zip(p[1:], _todd_log_coefficients(1))]
+    # rows over the basis 1, u of Q(zeta_1) = Q, and their denominator
+    assert _exp(oracle.basis, log_td, 1) == ([[1, 0]], 1)
 
 
 @pytest.mark.parametrize("top_n", range(25))
 def test_todd_closed_form_matches_formal_log(top_n):
     from torusfibre.localization import _todd_log_coefficients
 
-    assert _todd_log_coefficients(top_n) == todd_log_series(top_n)
+    assert tuple(F(*f) for f in _todd_log_coefficients(top_n)) == todd_log_series(top_n)
 
 
 def test_todd_log_coefficients_first_values():
     from torusfibre.localization import _todd_log_coefficients
 
     assert _todd_log_coefficients(6) == (
-        F(1, 2), F(-1, 24), 0, F(1, 2880), 0, F(-1, 181440)
+        (1, 2), (-1, 24), (0, 1), (1, 2880), (0, 1), (-1, 181440)
     )
 
 

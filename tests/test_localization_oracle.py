@@ -1,17 +1,20 @@
-"""The rational localization route against the literal cyclotomic one, on
-seeded random oracles.
+"""The integer localization route against the literal cyclotomic one and
+the ring routes of `oracles.py`, on seeded random oracles.
 
 The reference below is the route `localization` took before its ring
 algebra moved to rational coefficients: every ring coefficient is a
 Cyclotomic, every eigenbundle (s, nu) gets a full Chern character, and the
 power sums sum_i (e^{y_i} - 1)^t come from the binomial expansion in Adams
-operations.  `smooth_contribution` and `lambda_inverse_expansion` must agree
-with it coefficient by coefficient, conductor included, on fixture strata
-and on random asymmetric fixed-point data, with random T_c, E[s][nu] and
-omega classes over one or two generators and d_c <= 3.  At the end,
-`smooth_contribution` (one exponential, rational pairing, prefactor last)
-is compared with the ring-product route of `oracles.py` on asymmetric
-orbits in SU(2..4), pairings that read no integrand monomial included.
+operations.  It reads the oracle as `oracles.ring_oracle` does, one dict
+per polynomial.  `smooth_contribution` and `lambda_inverse_expansion` must
+agree with it coefficient by coefficient, conductor included, on fixture
+strata and on random asymmetric fixed-point data, with random T_c,
+E[s][nu] and omega classes over one or two generators and d_c <= 3.  At
+the end, `smooth_contribution` (integer basis, one exponential, pairing
+vector, prefactor last) is compared with the dict route it replaced and
+with the ring-product route of `oracles.py` on asymmetric orbits in
+SU(2..4) with d_c up to 4, pairings that read no integrand monomial and
+generators that only the pairing names included.
 """
 
 import copy
@@ -31,7 +34,14 @@ from conftest import (
     is_asymmetric,
     random_asymmetric_orbits,
 )
-from oracles import euclid_inverse, smooth_contribution_two_exponentials, todd_log_series
+from oracles import (
+    euclid_inverse,
+    ring_lambda_inverse_expansion,
+    ring_oracle,
+    ring_smooth_contribution,
+    smooth_contribution_two_exponentials,
+    todd_log_series,
+)
 from torusfibre.errors import InvariantViolation
 from torusfibre.exact import Cyclotomic, PhaseQ
 from torusfibre.framing import GroupData
@@ -296,12 +306,13 @@ def test_smooth_contribution_matches_cyclotomic_reference(case):
     picked = rng.sample(smooth, min(len(smooth), 4)) + rng.sample(points, min(len(points), 2))
     for stratum in picked:
         for _ in range(2):
-            oracle = CohomologyOracle.from_json(random_oracle(rng, data, stratum, group))
+            obj = random_oracle(rng, data, stratum, group)
+            oracle = CohomologyOracle.from_json(obj)
             got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0))
-            ref = ref_contribution(data, stratum, group, oracle)
+            ref = ref_contribution(data, stratum, group, ring_oracle(obj))
             assert [c.to_json() for c in got.coefficients] == [c.to_json() for c in ref]
             lam = lambda_inverse_expansion(data, stratum, group, oracle)
-            ref_lam = ref_lambda(data, stratum, group, oracle)
+            ref_lam = ref_lambda(data, stratum, group, ring_oracle(obj))
             assert lam.keys() == ref_lam.keys()
             assert all(lam[k].to_json() == ref_lam[k].to_json() for k in lam)
 
@@ -315,9 +326,10 @@ def test_shared_memo_matches_cyclotomic_reference(case):
     rng = random.Random("memo-" + _case_id(case))
     memo = ScalarMemo()
     for stratum in rng.sample(strata, min(len(strata), 6)):
-        oracle = CohomologyOracle.from_json(random_oracle(rng, data, stratum, group))
+        obj = random_oracle(rng, data, stratum, group)
+        oracle = CohomologyOracle.from_json(obj)
         got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0), memo=memo)
-        ref = ref_contribution(data, stratum, group, oracle)
+        ref = ref_contribution(data, stratum, group, ring_oracle(obj))
         assert [c.to_json() for c in got.coefficients] == [c.to_json() for c in ref]
     assert memo.prefactors
 
@@ -349,7 +361,7 @@ def test_wrong_override_rank_refused_by_both_routes():
     with pytest.raises(InvariantViolation):
         smooth_contribution(Z4, stratum, group, oracle, PhaseQ(0))
     with pytest.raises(InvariantViolation):
-        ref_contribution(Z4, stratum, group, oracle)
+        ref_contribution(Z4, stratum, group, ring_oracle(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +417,39 @@ def test_one_exponential_matches_the_ring_route(case):
     memo = ScalarMemo()
     for stratum in picked:
         objs = oracle_variants(rng, data, stratum, group)
-        oracles = [CohomologyOracle.from_json(obj) for obj in objs]
         if stratum.d_c == 0:
-            oracles.append(CohomologyOracle.trivial(0))
-        for oracle in oracles:
+            objs.append({"d_c": 0, "pairing": {"1": 1}})  # CohomologyOracle.trivial(0)
+        for obj in objs:
+            oracle = CohomologyOracle.from_json(obj, memo)
             got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0), memo)
-            want = smooth_contribution_two_exponentials(data, stratum, group, oracle)
+            want = smooth_contribution_two_exponentials(data, stratum, group, ring_oracle(obj))
             assert [c.to_json() for c in got.coefficients] == [c.to_json() for c in want]
+
+
+@pytest.mark.parametrize("case", equivalence_cases(), ids=_case_id)
+def test_integer_route_matches_the_dict_route(case):
+    """smooth_contribution and lambda_inverse_expansion on the integer basis
+    against the route on dicts of Fractions and Cyclotomics that they
+    replaced (oracles.ring_smooth_contribution), by to_json: conductors
+    included, so a pairing that meets no integrand monomial must give the
+    conductor-1 zero there too."""
+    data, N, seed = case
+    group = GroupData(N)
+    strata = equivalence_strata(data, N)
+    rng = random.Random("integer-" + _case_id(case))
+    smooth = [s for s in strata if s.d_c > 0]
+    points = [s for s in strata if s.d_c == 0]
+    picked = rng.sample(smooth, min(len(smooth), 4)) + rng.sample(points, min(len(points), 2))
+    memo = ScalarMemo()
+    for stratum in picked:
+        for obj in oracle_variants(rng, data, stratum, group):
+            oracle = CohomologyOracle.from_json(obj, memo)
+            got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0), memo)
+            want = ring_smooth_contribution(data, stratum, group, ring_oracle(obj))
+            assert [c.to_json() for c in got.coefficients] == [c.to_json() for c in want]
+            lam = lambda_inverse_expansion(data, stratum, group, oracle, memo)
+            ref_lam = ring_lambda_inverse_expansion(data, stratum, group, ring_oracle(obj))
+            assert {k: v.to_json() for k, v in lam.items()} == {k: v.to_json() for k, v in ref_lam.items()}
 
 
 def test_oracle_variants_reach_non_homogeneous_classes():
