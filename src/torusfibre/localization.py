@@ -306,14 +306,13 @@ def _power_sums(basis, classes, top_n):
 def _todd_log_coefficients(top_n):
     """(numerator, denominator) of f_1..f_top_n, log(x/(1-e^{-x})) =
     sum f_n x^n, so that Td(V) = exp(sum f_n p_n(V)): the log has derivative
-    -sum_{n>=1} B_n x^{n-1}/n!, so f_n = -B_n/(n n!) with B_1 = -1/2."""
-    bern, out = [(1, 1)], []
+    -sum_{n>=1} B_n x^{n-1}/n!, so f_n = -B_n/(n n!) with B_1 = -1/2.  The
+    B_n are b_n / (top_n + 1)!, a common denominator of all of them."""
+    b, out = [factorial(top_n + 1)], []
     for n in range(1, top_n + 1):
-        den = lcm(*(b for _, b in bern))
-        num = sum(comb(n + 1, j) * a * (den // b) for j, (a, b) in enumerate(bern))
-        bern.append((-num, den * (n + 1)))
-        g = gcd(num, den * (n + 1) * n * factorial(n))
-        out.append((num // g, den * (n + 1) * n * factorial(n) // g))
+        b.append(-sum(comb(n + 1, j) * x for j, x in enumerate(b)) // (n + 1))
+        d = b[0] * n * factorial(n)
+        out.append((-b[n] // gcd(b[n], d), d // gcd(b[n], d)))
     return tuple(out)
 
 
