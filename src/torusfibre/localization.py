@@ -41,14 +41,16 @@ __all__ = ["CohomologyOracle", "ContributionPolynomial", "ScalarMemo", "point_co
 
 
 class _Basis:
-    """Monomials of degree <= top in generators of the given degrees, in
-    degree order; start[d] is the first of degree >= d, table[i][j] the
-    index of monomial i times j, for deg i + deg j <= top."""
+    """Monomials of degree <= top in generators of the given degrees (one of
+    degree 0 keeps exponent 0), in degree order; start[d] is the first of
+    degree >= d, table[i][j] the index of monomial i times j, for deg i +
+    deg j <= top."""
 
     def __init__(self, degrees, top):
         terms = [(0, ())]
         for d in degrees:
-            terms = [(s + e * d, x + (e,)) for s, x in terms for e in range((top - s) // d + 1)]
+            terms = [(s + e * d, x + (e,)) for s, x in terms
+                     for e in range((top - s) // d + 1 if d else 1)]
         terms.sort()
         self.top, self.degree, monos = top, [s for s, _ in terms], [x for _, x in terms]
         index = self.index = {x: i for i, x in enumerate(monos)}
@@ -173,7 +175,6 @@ class CohomologyOracle:
     (p, q)}, laid out on the integer basis when a stratum uses them."""
 
     d_c: int
-    names: list
     degrees: list
     pairing: dict          # top degree only
     tangent_chern: list    # c_1, c_2, ... of T_c
@@ -238,31 +239,27 @@ class CohomologyOracle:
                 raise ValidationError(f"oracle chern key {key!r} repeats E[{s}][{nu}]")
             eigen[(s, nu)] = _parse_bundle(poly, val, key)
         omega = poly(chern.get("omega"), "omega")
-        return cls(d_c, names, degrees, pairing, tangent, d_c if rank is None else rank, eigen,
-                   omega, memo.bases)
-
-    @cached_property
-    def active(self):
-        """The generators that a nonzero Chern or omega term names; no
-        product reaches the others."""
-        used = [e for p in (self.omega, *self.tangent_chern, *(c for _, cs in
-                self.eigen_chern.values() for c in cs)) for e, (n, _) in p.items() if n]
-        return tuple(i for i in range(len(self.names)) if any(e[i] for e in used))
+        return cls(d_c, degrees, pairing, tangent, d_c if rank is None else rank, eigen, omega,
+                   memo.bases)
 
     @cached_property
     def basis(self):
-        key = tuple(self.degrees[i] for i in self.active), 2 * self.d_c
+        """The basis in which a generator that no nonzero Chern or omega term
+        names counts as degree 0: no product reaches it."""
+        used = [e for p in (self.omega, *self.tangent_chern, *(c for _, cs in
+                self.eigen_chern.values() for c in cs)) for e, (n, _) in p.items() if n]
+        degrees = tuple(d if any(e[i] for e in used) else 0 for i, d in enumerate(self.degrees))
+        key = degrees, 2 * self.d_c
         return self.bases.get(key) or self.bases.setdefault(key, _Basis(*key))
 
     def dense(self, poly, keys=None):
-        """poly as (numerators, denominator) on the basis, without terms in
-        other generators; the indices kept go to keys."""
+        """poly as (numerators, denominator) on the basis, without the terms
+        off it; the indices kept go to keys."""
         den = lcm(*(d for _, d in poly.values()))
         nums = [0] * len(self.basis.degree)
         for expo, (n, d) in poly.items():
-            short = tuple(map(expo.__getitem__, self.active))
-            if sum(short) == sum(expo):
-                k = self.basis.index[short]
+            k = self.basis.index.get(expo)
+            if k is not None:
                 nums[k] += n * (den // d)
                 if keys is not None:
                     keys.append(k)
@@ -505,13 +502,10 @@ def lambda_inverse_expansion(data, stratum, group, oracle, memo=None):
     pref = memo.prefactor(tuple(stratum.ranks))
     terms = _lambda_exponent(data, stratum, group, oracle, memo)
     if not terms:
-        return {(0,) * len(oracle.names): pref}
+        return {(0,) * len(oracle.degrees): pref}
     rows, den = _exp(oracle.basis, terms, data.m)
-    return {
-        tuple(dict(zip(oracle.active, short)).get(g, 0) for g in range(len(oracle.names))):
-            pref * Cyclotomic(data.m, list(nums), den)
-        for short, nums in zip(oracle.basis.monomials, zip(*rows)) if any(nums)
-    }
+    return {expo: pref * Cyclotomic(data.m, list(nums), den)
+            for expo, nums in zip(oracle.basis.monomials, zip(*rows)) if any(nums)}
 
 
 def smooth_contribution(data, stratum, group, oracle, cs_phase=None, memo=None):
