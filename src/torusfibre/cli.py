@@ -188,7 +188,7 @@ def _stratum_phases(strata, cs_map, rationals):
         raise ValidationError(
             "cs-phases must be a JSON object mapping stratum index to phase"
         )
-    phases, made = [], {}  # (p, q) -> PhaseQ
+    phases, made = [], {}  # (p, q) -> PhaseQ: few values, many strata
     for i, s in enumerate(strata):
         key = str(i)
         if cs_map is not None and key in cs_map:

@@ -159,6 +159,17 @@ def _reduce(nums, m):
     return nums
 
 
+def reduce_rows(rows, m):
+    """sum_c rows[c] z^c for integer lists rows of one length, reduced mod
+    Phi_m column by column, as at most phi(m) lists, the last one nonzero
+    unless it is the only one."""
+    if len(rows) > euler_phi(m):
+        rows = [list(r) for r in zip(*(_reduce(list(col), m) for col in zip(*rows)))]
+    while len(rows) > 1 and not any(rows[-1]):
+        rows.pop()
+    return rows
+
+
 def _fill(obj, conductor, nums, den):
     """Store the reduced integer coefficients nums over den > 0 in obj,
     divided by their common factor."""
@@ -303,12 +314,7 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return _make(
-                self.conductor,
-                [c * p for c in self.numerators],
-                self.denominator * other.denominator,
-            )
+            return self.scaled(other.numerator, other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = self, other
@@ -323,6 +329,10 @@ class Cyclotomic:
         return Cyclotomic(a.conductor, out, a.denominator * b.denominator)
 
     __rmul__ = __mul__
+
+    def scaled(self, n, d):
+        """self * n / d for ints n and d > 0, with no Fraction built."""
+        return _make(self.conductor, [c * n for c in self.numerators], self.denominator * d)
 
     def inverse(self):
         """Multiplicative inverse by the Galois norm: with P the product of

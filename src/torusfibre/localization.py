@@ -1,22 +1,36 @@
 """Exact stratum contributions to the invariant.
 
-Zero-dimensional strata evaluate in closed form, the others against a
-user-supplied oracle: generators, a top-degree pairing table and Chern
-data of T_c, of eigenbundles E[s][nu] and of omega.  The lambda_{-1}-
-inverse of the normal bundle is, per eigenvalue zeta^j of rank r_j with
-Chern roots y_i,
+Zero-dimensional strata evaluate in closed form.  Positive-dimensional
+strata are integrated against a user-supplied intersection oracle: a graded
+ring presentation with a top-degree pairing table and Chern data for the
+stratum tangent bundle, the fixed-point eigenbundles and the symplectic
+class.  Nothing about the actual moduli cohomology is computed here; the
+oracle is the single source of ring facts.
 
-    (1 - zeta^j)^{-r_j} * exp( sum_t (beta_j^t / t) * sum_i (e^{y_i}-1)^t )
+The equivariant lambda_{-1}-inverse of the normal bundle is evaluated per
+eigenvalue: a rank r_j eigen-summand with eigenvalue zeta^j and Chern roots
+y_i contributes
 
-with beta_j = zeta^j/(1 - zeta^j) and sum_i (e^{y_i}-1)^t = sum_{n>=t}
-t! S(n, t) p_n/n! in the power sums p_n, from degree 2t on.
+    prod_i (1 - zeta^j e^{y_i})^{-1}
+      = (1 - zeta^j)^{-r_j} * exp( sum_t (beta_j^t / t) * sum_i (e^{y_i}-1)^t )
 
-The ring algebra runs on integers: per oracle, the monomials of degree
-<= 2 d_c in the generators its Chern data name, in degree order, with a
-product table.  A rational element is integer numerators over one
-denominator, a Q(zeta_m) element phi(m) such rows (row c for z^c).
-X = exp(E + log Td(T_c)) is a nilpotent series on the table; <omega^t X>
-dots the pairing vector with the top degree of omega^t X.
+with beta_j = zeta^j/(1 - zeta^j).  Bundles are kept as power sums p_n of
+their Chern roots.  The inner sums sum_i (e^{y_i}-1)^t are sum_{n>=t}
+t! S(n, t) p_n(N_j)/n!; they start in cohomological degree 2t, so
+truncation at the stratum dimension is exact.  Each N_j is T_c^dual plus
+rational multiples of the eigenbundles the oracle overrides, so the
+exponent E is summed per bundle, with the sum over j in its Q(zeta_m)
+scalar.  The ring algebra runs on integers: per oracle, the monomials of
+degree <= 2 d_c are numbered once in degree order, with a table of their
+products.  A rational element is a list of integer numerators over one
+denominator, a Q(zeta_m) element phi(m) such lists (list c for z^c) over
+one denominator.  The integrand is one exponential X = exp(E + log
+Td(T_c)), a nilpotent series on the table, paired as the dot product of
+the pairing vector with the top degree of omega^t X; the prefactor and
+m^t/(t! |Z_delta|) multiply the paired scalars last.  The prefactor is
+exactly the point-stratum product, which makes the zero-dimensional
+collapse automatic: there the value is the prefactor times the pairing of
+the point, with no ring algebra.
 """
 
 from __future__ import annotations
@@ -26,18 +40,34 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from operator import add
 
-from .errors import (InvariantViolation, MissingChernData, NotZeroDimensional,
-                     OracleDegreeOverflow, ValidationError)
-from .exact import (Cyclotomic, PhaseQ, _phi_tail, _reduce, inverse_one_minus_zeta,
-                    rational_from_json)
+from .errors import (
+    InvariantViolation,
+    MissingChernData,
+    NotZeroDimensional,
+    OracleDegreeOverflow,
+    ValidationError,
+)
+from .exact import Cyclotomic, PhaseQ, inverse_one_minus_zeta, rational_from_json, reduce_rows
 from .spectrum import mu2_table
 from .strata import root_eigendata
 
-__all__ = ["CohomologyOracle", "ContributionPolynomial", "ScalarMemo", "point_contribution",
-           "lambda_inverse_expansion", "smooth_contribution"]
+__all__ = [
+    "CohomologyOracle",
+    "ContributionPolynomial",
+    "ScalarMemo",
+    "point_contribution",
+    "lambda_inverse_expansion",
+    "smooth_contribution",
+]
+
+
+# ---------------------------------------------------------------------------
+# integer vectors on a monomial basis
+# ---------------------------------------------------------------------------
 
 
 class _Basis:
@@ -72,11 +102,11 @@ def _mul(basis, a, b, out, top_only=False):
     return out
 
 
-def _combination(terms, rows, size):
+def _combination(terms, size):
     """sum cs[r] v / d into row r over the terms (cs, v, d), as (rows,
     denominator)."""
     den = lcm(*(d for _, _, d in terms))
-    out = [[0] * size for _ in range(rows)]
+    out = [[0] * size for _ in range(max(len(cs) for cs, _, _ in terms))]
     for cs, v, d in terms:
         for r, c in enumerate(cs):
             if c:
@@ -86,32 +116,38 @@ def _combination(terms, rows, size):
 
 
 def _times(basis, a, b, m):
-    """The product of the Q(zeta_m) row lists a and b, reduced mod Phi_m."""
+    """The product of the Q(zeta_m) row lists a and b, in the form that
+    reduce_rows gives."""
     out = [[0] * len(basis.degree) for _ in range(len(a) + len(b) - 1)]
     for r, x in enumerate(a):
         for s, y in enumerate(b):
-            if any(x) and any(y):
-                _mul(basis, x, y, out[r + s])
-    if len(out) > _phi_tail(m)[0]:
-        out = [list(row) for row in zip(*(_reduce(list(col), m) for col in zip(*out)))]
-    return out
+            _mul(basis, x, y, out[r + s])
+    return reduce_rows(out, m)
 
 
 def _exp(basis, terms, m):
     """exp(rows / den), the _combination of terms, of positive degree, as
-    (rows, denominator): sum_n T_n / (den^n n!), T_n = T_{n-1} rows."""
+    (rows, denominator): sum_n T_n / (den^n n!), T_n = T_{n-1} rows.  Rows
+    are kept as reduce_rows leaves them, so a rational exponent (a T_c-only
+    oracle) stays one row."""
     size = len(basis.degree)
-    rows, den = _combination(terms, _phi_tail(m)[0], size)
-    rows = rows if any(map(any, rows[1:])) else rows[:1]  # rational: one row
-    total = term = [[1] + [0] * (size - 1)] + [[0] * size for _ in rows[1:]]
+    rows, den = _combination(terms, size)
+    rows = reduce_rows(rows, m)
+    total = term = [[1] + [0] * (size - 1)]
     tden = n = 1
     while True:
         term = _times(basis, term, rows, m)
         if not any(map(any, term)):
             return total, tden
-        total = [[den * n * x + y for x, y in zip(a, b)] for a, b in zip(total, term)]
+        total = [[den * n * x + y for x, y in zip(a, b)]
+                 for a, b in zip_longest(total, term, fillvalue=[0] * size)]
         tden *= den * n
         n += 1
+
+
+# ---------------------------------------------------------------------------
+# oracle
+# ---------------------------------------------------------------------------
 
 
 _JSON_KINDS = {dict: "a JSON object", list: "a JSON list", int: "an integer"}
@@ -126,11 +162,14 @@ def _expect(value, kind, what):
 
 
 def _parse_poly(names, degrees, top, rationals, obj, what, chern=False):
-    """{monomial string: "p/q"} as {exponent tuple: (p, q)}; a monomial is
-    generator names joined by '*' with optional '^e' (e >= 0), or "1".  A
-    Chern class (``chern``) has no term of degree 0."""
+    """Polynomial given as {monomial string: "p/q"}, as {exponent tuple:
+    (p, q)}; monomials are generator names joined by '*' with optional '^e'
+    (e >= 0), or "1" for the constant.  A Chern class (``chern``) has no
+    term of degree 0.  rationals is the per-call memo of rational_from_json."""
+    if obj is None:
+        return {}
     out = {}
-    for mono, coeff in _expect({} if obj is None else obj, dict, what).items():
+    for mono, coeff in _expect(obj, dict, what).items():
         expo = [0] * len(names)
         if mono.strip() not in ("1", ""):
             for part in mono.split("*"):
@@ -138,7 +177,8 @@ def _parse_poly(names, degrees, top, rationals, obj, what, chern=False):
                 e = e.strip() if hat else "1"
                 if not e.isdecimal():
                     raise ValidationError(
-                        f"{what}: monomial {mono!r} needs non-negative integer exponents")
+                        f"{what}: monomial {mono!r} needs non-negative integer exponents"
+                    )
                 name = name.strip()
                 if name not in names:
                     raise MissingChernData(f"{what}: unknown generator {name!r}")
@@ -146,10 +186,14 @@ def _parse_poly(names, degrees, top, rationals, obj, what, chern=False):
         expo = tuple(expo)
         degree = sum(map(int.__mul__, expo, degrees))
         if degree > top:
-            raise OracleDegreeOverflow(f"{what}: monomial {mono!r} exceeds the declared top degree")
+            raise OracleDegreeOverflow(
+                f"{what}: monomial {mono!r} exceeds the declared top degree"
+            )
         if chern and degree == 0:
-            raise ValidationError(f"{what}: Chern class term {mono!r} has degree 0; "
-                                  f"a Chern class starts in positive degree")
+            raise ValidationError(
+                f"{what}: Chern class term {mono!r} has degree 0; "
+                f"a Chern class starts in positive degree"
+            )
         n, d = rational_from_json(coeff, f"oracle {what}", rationals)
         a, b = out.get(expo, (0, 1))
         out[expo] = a * d + n * b, b * d
@@ -163,7 +207,8 @@ def _parse_bundle(poly, entry, what):
     for key in entry:
         if key not in ("rank", "classes"):
             raise ValidationError(
-                f"oracle {what} has unknown key {key!r}; an entry holds rank and classes")
+                f"oracle {what} has unknown key {key!r}; an entry holds rank and classes"
+            )
     rank = _expect(entry["rank"], int, f"{what} rank") if "rank" in entry else None
     classes = _expect(entry.get("classes", []), list, f"{what} classes")
     return rank, [poly(c, what, True) for c in classes]
@@ -171,17 +216,18 @@ def _parse_bundle(poly, entry, what):
 
 @dataclass
 class CohomologyOracle:
-    """Intersection data for one stratum, polynomials as {exponent tuple:
-    (p, q)}, laid out on the integer basis when a stratum uses them."""
+    """Intersection data for one stratum, as supplied by the user.  The
+    polynomials are {exponent tuple: (p, q)}; they go onto the integer
+    basis when a stratum of the oracle's dimension uses them."""
 
     d_c: int
-    degrees: list
-    pairing: dict          # top degree only
-    tangent_chern: list    # c_1, c_2, ... of T_c
+    degrees: list          # generator degrees
+    pairing: dict          # exponent tuple -> (p, q), top degree only
+    tangent_chern: list    # Chern classes c_1.. of T_c as polynomials
     tangent_rank: int
-    eigen_chern: dict      # (s, nu) -> (rank or None, chern classes)
-    omega: dict
-    bases: dict            # of the computation, by (degrees, top)
+    eigen_chern: dict      # (s, nu) -> (rank override or None, chern class list)
+    omega: dict            # polynomial
+    bases: dict            # (degrees, top degree) -> _Basis, shared per computation
 
     @classmethod
     def trivial(cls, d_c=0, memo=None):
@@ -216,7 +262,9 @@ class CohomologyOracle:
         for mono, val in _expect(obj.get("pairing", {}), dict, "pairing").items():
             ((expo, _),) = poly({mono: 1}, "pairing").items()
             if sum(map(int.__mul__, expo, degrees)) != 2 * d_c:
-                raise ValidationError(f"pairing entry {mono!r} is not of top degree {2 * d_c}")
+                raise ValidationError(
+                    f"pairing entry {mono!r} is not of top degree {2 * d_c}"
+                )
             if expo in named:
                 raise ValidationError(
                     f"oracle pairing keys {named[expo]!r} and {mono!r} name the same monomial"
@@ -225,22 +273,32 @@ class CohomologyOracle:
             pairing[expo] = rational_from_json(val, f"oracle pairing {mono!r}", memo.rationals)
         chern = _expect(obj.get("chern", {}), dict, "chern")
         tc = chern.get("T_c")
-        rank, tangent = _parse_bundle(poly, {} if tc is None else tc, "T_c")
+        rank, tangent_chern = _parse_bundle(poly, {} if tc is None else tc, "T_c")
         eigen = {}
         for key, val in chern.items():
             if key in ("T_c", "omega"):
                 continue
             match = re.fullmatch(r"E\[(\d+)\]\[(\d+)\]", key)
             if match is None:
-                raise ValidationError(f"oracle chern key {key!r} is not T_c, omega or E[s][nu] "
-                                      f"with integers s, nu >= 0")
+                raise ValidationError(
+                    f"oracle chern key {key!r} is not T_c, omega or E[s][nu] "
+                    f"with integers s, nu >= 0"
+                )
             s, nu = int(match[1]), int(match[2])
             if (s, nu) in eigen:
                 raise ValidationError(f"oracle chern key {key!r} repeats E[{s}][{nu}]")
             eigen[(s, nu)] = _parse_bundle(poly, val, key)
         omega = poly(chern.get("omega"), "omega")
-        return cls(d_c, degrees, pairing, tangent, d_c if rank is None else rank, eigen, omega,
-                   memo.bases)
+        return cls(
+            d_c=d_c,
+            degrees=degrees,
+            pairing=pairing,
+            tangent_chern=tangent_chern,
+            tangent_rank=d_c if rank is None else rank,
+            eigen_chern=eigen,
+            omega=omega,
+            bases=memo.bases,
+        )
 
     @cached_property
     def basis(self):
@@ -272,6 +330,8 @@ class CohomologyOracle:
 
     @cached_property
     def tangent_power_sums(self):
+        """The power sums p_1..p_{d_c} of T_c's Chern roots, built once and
+        shared by the normal bundle and the Todd class."""
         return _power_sums(self.basis, list(map(self.dense, self.tangent_chern)), self.d_c)
 
     def pair(self, x, form):
@@ -284,10 +344,20 @@ class CohomologyOracle:
         return [sum(map(int.__mul__, p, v)) for v in tops], den * fd * pd
 
 
+# ---------------------------------------------------------------------------
+# characteristic classes on power sums of Chern roots
+# ---------------------------------------------------------------------------
+
+
 def _power_sums(basis, classes, top_n):
-    """[None, p_1, ..., p_top_n], the power sums of the Chern roots of a
-    bundle with classes c_i = C_i / D, as p_n = P_n / D^n with P_n =
-    (-1)^(n+1) (n D^(n-1) C_n + sum_{0<i<n} (-1)^i D^(i-1) C_i P_(n-i))."""
+    """[None, p_1, ..., p_top_n] for a bundle with Chern classes c_i =
+    C_i / D, each p_n as (P_n, D^n) from the recursion P_n = (-1)^(n+1)
+    (n D^(n-1) C_n + sum_{0<i<n} (-1)^i D^(i-1) C_i P_(n-i)).  This is not
+    Newton's identity for odd n >= 3, whose cross terms carry (-1)^(i-1)
+    where this one has (-1)^(n+1+i).  The recursion is kept as the former
+    dict route (tests/oracles.py) has it, so that values stay as they were;
+    do not copy it as the reference identity (see the FOUND on _power_sums
+    in CHANGES.md)."""
     size, den = len(basis.degree), lcm(*(d for _, d in classes))
     cs = [[(-1) ** i * den ** i // d * x for x in v] for i, (v, d) in enumerate(classes, 1)]
     p = [None]
@@ -301,16 +371,22 @@ def _power_sums(basis, classes, top_n):
 
 @lru_cache(maxsize=None)
 def _todd_log_coefficients(top_n):
-    """(numerator, denominator) of f_1..f_top_n, log(x/(1-e^{-x})) =
-    sum f_n x^n, so that Td(V) = exp(sum f_n p_n(V)): the log has derivative
-    -sum_{n>=1} B_n x^{n-1}/n!, so f_n = -B_n/(n n!) with B_1 = -1/2.  The
-    B_n are b_n / (top_n + 1)!, a common denominator of all of them."""
+    """f_1, ..., f_top_n with log(x/(1-e^{-x})) = sum_{n>=1} f_n x^n, so that
+    Td(V) = exp(sum f_n p_n(V)), each as (numerator, denominator).  The log
+    has derivative 1/x - 1/(e^x - 1) = -sum_{n>=1} B_n x^{n-1}/n!, so
+    f_n = -B_n/(n n!) with B_1 = -1/2; the B_n are b_n / (top_n + 1)!, over
+    a common denominator of all of them."""
     b, out = [factorial(top_n + 1)], []
     for n in range(1, top_n + 1):
         b.append(-sum(comb(n + 1, j) * x for j, x in enumerate(b)) // (n + 1))
         d = b[0] * n * factorial(n)
         out.append((-b[n] // gcd(b[n], d), d // gcd(b[n], d)))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# contributions
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -330,36 +406,39 @@ class ContributionPolynomial:
         }
 
 
-def _scaled(c, n, d):
-    """The Cyclotomic c times n / d, for d > 0."""
-    return Cyclotomic(c.conductor, [x * n for x in c.numerators], c.denominator * d)
-
-
 class ScalarMemo:
-    """The values that the strata of one computation share, each built
-    once: for the point route (1 - zeta^i)^{-r} from Cyclotomic.inverse and
-    their products, for the oracle route the closed-form inverses, their
-    products, beta_j^t / t and, keyed by the OrbitData, the w2 table, the
-    eigenbundle ranks and the exponent scalars; the routes read only their
-    own entries.  Also the oracles' rationals and bases."""
+    """The values that the strata of one computation share, each built once.
+
+    The point route keeps (1 - zeta^i)^{-r} from Cyclotomic.inverse per
+    (i, r) and their product per rank vector.  The oracle route keeps the
+    closed-form inverses (1 - zeta^i)^{-1} per m, their powers per (i, r),
+    the lambda prefactor per rank vector, the weights beta_j^t / t per
+    (j, t), and the tables that depend only on the orbit data: the w2
+    table, the canonical eigenbundle ranks per class and the exponent
+    scalars per bundle.  Entries that depend on the orbit are keyed by its
+    OrbitData, so one memo never mixes two orbits.  Neither route reads the
+    other's entries, so the CLI's comparison of the two stays a comparison
+    of independent computations.  The oracles of the computation share the
+    parsed rationals and the integer bases.  A memo only grows: make one per
+    computation."""
 
     def __init__(self):
         self.point_factors = {}    # (m, i, r) -> (1 - zeta_m^i)^{-r}
         self.point_products = {}   # ranks -> prod_i (1 - zeta_m^i)^{-r_i}
         self.inverses = {}         # m -> [None, (1 - zeta_m^i)^{-1} for i = 1..m-1]
-        self.oracle_factors = {}   # as point_factors
-        self.prefactors = {}       # as point_products
+        self.oracle_factors = {}   # (m, i, r) -> (1 - zeta_m^i)^{-r}
+        self.prefactors = {}       # ranks -> prod_i (1 - zeta_m^i)^{-r_i}
         self.weights = {}          # (m, j, t) -> beta_j^t / t
         self.w2 = {}               # data -> w2[s][nu][j]
-        self.ranks = {}            # (data, group, s, c) -> ranks of E^nu, w2 sums
+        self.ranks = {}            # (data, group, s, c) -> canonical ranks of E^nu, w2 sums
         self.scalars = {}          # (data, bundle, t) -> sum_j w_j beta_j^t / t
         self.rationals = {}        # JSON value -> (numerator, denominator)
         self.bases = {}            # (degrees, top degree) -> _Basis
 
     @staticmethod
     def _product(products, factors, ranks, factor):
-        """prod_{i>=1} factor(m, i, r_i), m = len(ranks), kept in products
-        per rank vector and factors per (m, i, r)."""
+        """prod_{i>=1} factor(m, i, r_i) over m = len(ranks) and r_i != 0,
+        kept in products per rank vector and factors per (m, i, r)."""
         out = products.get(ranks)
         if out is None:
             m = len(ranks)
@@ -377,26 +456,34 @@ class ScalarMemo:
     def point_product(self, ranks):
         """prod_{i>=1} (1 - zeta_m^i)^{-r_i}, m = len(ranks), with the
         negative powers through Cyclotomic.inverse."""
-        return self._product(self.point_products, self.point_factors, ranks,
-                             lambda m, i, r: (1 - Cyclotomic.zeta(m, i)) ** -r)
+        return self._product(
+            self.point_products, self.point_factors, ranks,
+            lambda m, i, r: (1 - Cyclotomic.zeta(m, i)) ** -r,
+        )
 
     def oracle_inverses(self, m):
-        """[None] + [(1 - zeta_m^i)^{-1} for i = 1..m-1], in closed form."""
+        """[None] + [(1 - zeta_m^i)^{-1} for i = 1..m-1], from the closed
+        form of inverse_one_minus_zeta."""
         if m not in self.inverses:
             self.inverses[m] = [None] + [inverse_one_minus_zeta(m, i) for i in range(1, m)]
         return self.inverses[m]
 
     def prefactor(self, ranks):
-        """point_product from oracle_inverses; a negative rank needs none."""
+        """The same product as point_product, from oracle_inverses; a
+        negative rank is a positive power of 1 - zeta^i and needs no
+        inverse."""
         inverses = self.oracle_inverses(len(ranks))
-        return self._product(self.prefactors, self.oracle_factors, ranks, lambda m, i, r: (
-            inverses[i] ** r if r > 0 else (1 - Cyclotomic.zeta(m, i)) ** -r))
+        return self._product(
+            self.prefactors, self.oracle_factors, ranks,
+            lambda m, i, r: inverses[i] ** r if r > 0 else (1 - Cyclotomic.zeta(m, i)) ** -r,
+        )
 
     def weight(self, m, j, t):
         """beta_j^t / t with beta_j = zeta^j / (1 - zeta^j) = (1 - zeta^j)^{-1} - 1."""
         key = (m, j, t)
         if key not in self.weights:
-            self.weights[key] = _scaled((self.oracle_inverses(m)[j] - 1) ** t, 1, t)
+            beta = self.oracle_inverses(m)[j] - 1
+            self.weights[key] = (beta**t).scaled(1, t)
         return self.weights[key]
 
     def w2_table(self, data):
@@ -411,21 +498,23 @@ class ScalarMemo:
         return self.w2[data]
 
     def eigen_ranks(self, data, group, s, c):
-        """The ranks of E^nu at fixed point s with class c (root counts, plus
-        rank G at nu = 0) and sum_nu w2[s][nu][j] rank(E^nu) per j."""
+        """The canonical ranks of E^nu, nu = 0..m-1, at the s-th fixed point
+        with class c (the root count r^nu, plus the rank of G at nu = 0),
+        and their sums sum_nu w2[s][nu][j] rank(E^nu) per j."""
         key = (data, group, s, c)
-        out = self.ranks.get(key)
+        out = self.ranks.get(key)  # one lookup: the key's hash is not cheap
         if out is None:
-            m, w2 = data.m, self.w2_table(data)[s]
-            ranks = root_eigendata(c, m)
-            ranks[0] += group.rank
+            m = data.m
+            ranks = [r + (group.rank if nu == 0 else 0) for nu, r in enumerate(root_eigendata(c, m))]
+            w2 = self.w2_table(data)[s]
             sums = [sum(w2[nu][j] * ranks[nu] for nu in range(m)) for j in range(m)]
             out = self.ranks[key] = ranks, sums
         return out
 
     def exponent_scalar(self, data, bundle, t):
-        """sum_{j>0} w_j beta_j^t / t, w_j = 1 for T_c^dual (bundle None) and
-        -w2[s][nu][j]/(2m) for E[s][nu] (bundle (s, nu))."""
+        """sum_{j=1}^{m-1} w_j beta_j^t / t for the weights w_j with which a
+        bundle enters N_j: 1 for T_c^dual (bundle None) and -w2[s][nu][j]/(2m)
+        for E[s][nu] (bundle (s, nu)), summed as -2m w_j over 2m."""
         key = (data, bundle, t)
         out = self.scalars.get(key)
         if out is None:
@@ -433,31 +522,42 @@ class ScalarMemo:
             w = [-2 * m] * m if bundle is None else self.w2_table(data)[bundle[0]][bundle[1]]
             acc = sum((self.weight(m, j, t) * -w[j] for j in range(1, m) if w[j]),
                       Cyclotomic.from_rational(0, m))
-            out = self.scalars[key] = _scaled(acc, 1, 2 * m)
+            out = self.scalars[key] = acc.scaled(1, 2 * m)
         return out
 
 
 def point_contribution(ranks, z_delta_order, memo=None):
     """(1/|Z_delta|) prod_{i=1}^{m-1} (1 - zeta_m^i)^{-r_i} for a
-    zero-dimensional stratum, the negative powers from Cyclotomic.inverse.
-    The oracle route takes them from inverse_one_minus_zeta, so the CLI's
-    certificate that the two agree compares independent computations.
-    memo is a ScalarMemo."""
+    zero-dimensional stratum.
+
+    The negative powers go through Cyclotomic.inverse, a product of Galois
+    conjugates over the norm.  The oracle route (smooth_contribution with a
+    trivial oracle) takes (1 - zeta^j)^{-1} from the closed form of
+    inverse_one_minus_zeta instead, so the CLI's certificate that the two
+    agree compares independent computations.  The product is taken from
+    memo (a ScalarMemo) when one is given."""
     if ranks[0] != 0:
-        raise NotZeroDimensional(f"stratum has r_0 = {ranks[0]}; the closed form needs r_0 = 0")
+        raise NotZeroDimensional(
+            f"stratum has r_0 = {ranks[0]}; the closed form needs r_0 = 0"
+        )
     memo = ScalarMemo() if memo is None else memo
     return memo.point_product(tuple(ranks)) * Fraction(1, z_delta_order)
 
 
 def _lambda_exponent(data, stratum, group, oracle, memo):
-    """The exponent E of the lambda_{-1}-inverse as _combination terms:
-    N_j = T_c^dual - sum w2/(2m) E^nu, E^nu trivial unless overridden, so
-    T_c^dual (bundle None) and each overridden E[s][nu] enter once per t
-    with ScalarMemo.exponent_scalar.  The ranks are certified as 2m r_j."""
+    """The exponent of the lambda_{-1}-inverse of the normal bundle, without
+    its prefactor, as _combination terms (rows of a Q(zeta_m) scalar, a
+    rational vector, a denominator).  It is linear in N_j = T_c^dual - sum
+    w2/(2m) E^nu, E^nu trivial of its canonical rank unless overridden, so
+    T_c^dual (bundle None) and each overridden E[s][nu] (bundle (s, nu))
+    enter once per t with ScalarMemo.exponent_scalar.  The ranks are
+    certified as 2m r_j."""
     m, d_c, basis = data.m, oracle.d_c, oracle.basis
     if oracle.tangent_rank != stratum.d_c:
-        raise InvariantViolation(f"oracle tangent rank {oracle.tangent_rank} differs from "
-                                 f"stratum dimension {stratum.d_c}")
+        raise InvariantViolation(
+            f"oracle tangent rank {oracle.tangent_rank} differs from stratum "
+            f"dimension {stratum.d_c}"
+        )
     eigen = [memo.eigen_ranks(data, group, s, c) for s, c in enumerate(stratum.c_delta)]
     ranks = [r for r, _ in eigen]
     sums = [sum(col) for col in zip(*(s for _, s in eigen))] or [0] * m
@@ -466,38 +566,47 @@ def _lambda_exponent(data, stratum, group, oracle, memo):
         if rank2m != 2 * m * stratum.ranks[j]:
             raise InvariantViolation(
                 f"normal bundle eigen-rank {Fraction(rank2m, 2 * m)} for j = {j} "
-                f"differs from stratum rank r_{j} = {stratum.ranks[j]}")
+                f"differs from stratum rank r_{j} = {stratum.ranks[j]}"
+            )
     # p_n(T_c^dual) = (-1)^n p_n(T_c)
     bundles = [(oracle.tangent_power_sums, -1, None)]
     for (s, nu), (rank, classes) in oracle.eigen_chern.items():
         if s >= len(ranks) or nu >= m:
-            raise ValidationError(f"oracle key E[{s}][{nu}] names no eigenbundle: s < {len(ranks)} "
-                                  f"(branch points) and nu < m = {m} are needed")
+            raise ValidationError(
+                f"oracle key E[{s}][{nu}] names no eigenbundle: s < {len(ranks)} "
+                f"(branch points) and nu < m = {m} are needed"
+            )
         if rank not in (None, ranks[s][nu]):
-            raise InvariantViolation(f"oracle rank {rank} for E[{s}][{nu}] disagrees with the "
-                                     f"stratum root count {ranks[s][nu]}")
+            raise InvariantViolation(
+                f"oracle rank {rank} for E[{s}][{nu}] disagrees with the stratum "
+                f"root count {ranks[s][nu]}"
+            )
         if any(memo.w2_table(data)[s][nu][1:]):
             bundles.append((_power_sums(basis, list(map(oracle.dense, classes)), d_c), 1, (s, nu)))
     terms = []
     for p, sign, bundle in bundles:
         den = lcm(*(d for _, d in p[1:])) * factorial(d_c)
         for t in range(1, d_c + 1):
+            # sum_i (e^{y_i} - 1)^t = sum_{n >= t} t! S(n, t) p_n / n!
             q = [0] * len(basis.degree)
-            for n in range(t, d_c + 1):  # t! S(n, t) p_n / n!
+            for n in range(t, d_c + 1):
                 c = sign**n * sum((-1) ** (t - u) * comb(t, u) * u**n for u in range(1, t + 1))
                 c *= den // (p[n][1] * factorial(n))
                 q = [a + c * x for a, x in zip(q, p[n][0])]
-            # drop what a non-homogeneous class puts below degree 2t
+            # this starts in degree 2t; drop what a non-homogeneous user
+            # class puts below
             q[: basis.start[2 * t]] = [0] * basis.start[2 * t]
             if any(q):
-                scalar = memo.exponent_scalar(data, bundle, t)
+                scalar = memo.exponent_scalar(data, bundle, t).embed(m)
                 terms.append((scalar.numerators, q, den * scalar.denominator))
     return terms
 
 
 def lambda_inverse_expansion(data, stratum, group, oracle, memo=None):
-    """The lambda_{-1}-inverse of the normal bundle, prefactor included, as
-    {exponent tuple: Cyclotomic}; memo is a ScalarMemo."""
+    """The equivariant lambda_{-1}-inverse of the normal bundle as
+    {exponent tuple: Cyclotomic} on the oracle's basis, prefactor included
+    (for the trivial oracle the scalar prod (1 - zeta^i)^{-r_i}); memo (a
+    ScalarMemo) supplies shared scalars."""
     memo = ScalarMemo() if memo is None else memo
     pref = memo.prefactor(tuple(stratum.ranks))
     terms = _lambda_exponent(data, stratum, group, oracle, memo)
@@ -509,17 +618,25 @@ def lambda_inverse_expansion(data, stratum, group, oracle, memo=None):
 
 
 def smooth_contribution(data, stratum, group, oracle, cs_phase=None, memo=None):
-    """P_c(k) of one stratum: the coefficient of k^t is (1/|Z_delta|)
-    (m^t/t!) <omega^t lambda^{-1} Td(T_c)>, from exp(k m omega), with the
-    lambda-inverse prefactor and m^t/(t! |Z_delta|) applied last to the
-    pairings of exp(E + log Td(T_c)); d_c = 0 pairs the prefactor alone."""
+    """P_c(k): the full polynomial contribution of one stratum over its
+    oracle.  coefficient of k^t is
+
+        (1/|Z_delta|) * (m^t/t!) * < omega^t  lambda^{-1}  Td(T_c) >
+
+    with the lambda-inverse prefactor included, from exp(k m omega).  The
+    prefactor and m^t/(t! |Z_delta|) multiply the pairings of one exponential
+    exp(E + log Td(T_c)), E the exponent of lambda^{-1}; d_c = 0 pairs the
+    prefactor alone.  memo (a ScalarMemo) shares scalars between strata."""
     if stratum.ranks is None:
         raise MissingChernData("stratum carries no rank data; run stratum_ranks first")
     if stratum.d_c < 0:
-        raise NotZeroDimensional(f"stratum index d_c = {stratum.d_c} is negative (empty stratum)")
+        raise NotZeroDimensional(
+            f"stratum index d_c = {stratum.d_c} is negative (empty stratum)"
+        )
     if oracle.d_c != stratum.d_c:
         raise MissingChernData(
-            f"oracle dimension {oracle.d_c} does not match stratum d_c = {stratum.d_c}")
+            f"oracle dimension {oracle.d_c} does not match stratum d_c = {stratum.d_c}"
+        )
     m, d_c, basis = data.m, stratum.d_c, oracle.basis
     memo = ScalarMemo() if memo is None else memo
     if d_c == 0:
@@ -540,7 +657,8 @@ def smooth_contribution(data, stratum, group, oracle, cs_phase=None, memo=None):
             coeffs.append(Cyclotomic.from_rational(0))
             continue
         nums, den = [a * m**t for a in paired[0]], paired[1] * factorial(t) * stratum.z_delta_order
-        coeffs.append(_scaled(pref, nums[0], den) if not any(nums[1:])
+        # a rational pairing (every T_c-only oracle) scales the prefactor
+        coeffs.append(pref.scaled(nums[0], den) if not any(nums[1:])
                       else pref * Cyclotomic(m, nums, den))
     while len(coeffs) > 1 and coeffs[-1].is_zero():
         coeffs.pop()

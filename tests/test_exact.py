@@ -25,6 +25,7 @@ from torusfibre.exact import (
     euler_phi,
     format_rational,
     inverse_one_minus_zeta,
+    reduce_rows,
 )
 
 
@@ -303,6 +304,26 @@ def test_arithmetic_matches_fraction_reference(m):
         _assert_canonical(inv)
         assert _ref_reduce(_ref_mul(c.coeffs, inv.coeffs), m) == (F(1),) + (F(0),) * (phi - 1)
         assert inv == euclid_inverse(c)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 12, 30, 42])
+def test_scaled_and_reduce_rows_match_fraction_reference(m):
+    rng = random.Random(2000 + m)
+    for _ in range(4):
+        a = cyclotomic(m, _random_coeffs(rng, euler_phi(m)))
+        n, d = rng.randint(-9, 9), rng.randint(1, 12)
+        assert a.scaled(n, d) == a * F(n, d)
+        _assert_canonical(a.scaled(n, d))
+        # rows of integer columns: row c holds the coefficients of z^c
+        width = rng.randint(1, 4)
+        rows = [[rng.choice((0, rng.randint(-20, 20))) for _ in range(width)]
+                for _ in range(rng.randint(1, 2 * m + 2))]
+        out = reduce_rows([list(r) for r in rows], m)
+        assert 1 <= len(out) <= euler_phi(m)
+        assert len(out) == 1 or any(out[-1])
+        for k in range(width):
+            want = _ref_reduce([F(r[k]) for r in rows], m)
+            assert tuple(F(r[k]) for r in out) + (F(0),) * (euler_phi(m) - len(out)) == want
 
 
 @pytest.mark.parametrize("m", [m for m in range(1, 91) if euler_phi(m) <= 24])
