@@ -79,12 +79,17 @@ def _write_json(obj, out):
     """Write exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` to
     ``out`` in writes of at least _CHUNK characters (but the last), without
     building the whole text.  A ``to_json`` value is rendered once per
-    (value, depth) in this call, so it must be hashable.  Lists and tuples
-    are never memoised: 1, True and 1.0 are equal but render differently."""
+    (value, depth) in this call, so it must be hashable; it is looked up by
+    its id first, and then by equality.  A tuple of ints only, such as the
+    ranks that strata share, is rendered once per (id, depth).  Nothing
+    else is memoised by equality: 1, True and 1.0 are equal but render
+    differently."""
     quote = json.encoder.encode_basestring_ascii
     # leaves of exactly these types; subclasses take the isinstance route
     leaves = {str: quote, int: int.__repr__, float: _scalar, bool: _scalar, type(None): _scalar}
     memo = {}
+    by_id = {}  # (id, depth) -> text of to_json values and int tuples
+    kept = []  # the values by_id names, so that no other value takes their id
     top = []
 
     def flush(last=False):
@@ -95,12 +100,23 @@ def _write_json(obj, out):
         else:
             top.append(text)
 
+    def render(o, depth):
+        sub = []
+        put(o, depth, sub)
+        return "".join(sub)
+
     def fragment(o, depth):
-        text = memo.get((o, depth))
+        """The text of a to_json value or of a tuple of ints."""
+        text = by_id.get((id(o), depth))
         if text is None:
-            sub = []
-            put(o.to_json(), depth, sub)
-            text = memo[o, depth] = "".join(sub)
+            if type(o) is tuple:
+                text = render(o, depth)
+            else:
+                text = memo.get((o, depth))
+                if text is None:
+                    text = memo[o, depth] = render(o.to_json(), depth)
+            by_id[id(o), depth] = text
+            kept.append(o)
         return text
 
     def put(o, depth, parts):
@@ -129,7 +145,7 @@ def _write_json(obj, out):
             leaf = leaves.get(type(v))
             if leaf is not None:
                 parts.append(label + leaf(v))
-            elif hasattr(v, "to_json"):
+            elif hasattr(v, "to_json") or type(v) is tuple and {*map(type, v)} == {int}:
                 parts.append(label + fragment(v, depth + 1))
             else:
                 parts.append(label)

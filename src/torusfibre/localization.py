@@ -416,11 +416,12 @@ class ScalarMemo:
     (j, t), and the tables that depend only on the orbit data: the w2
     table, the canonical eigenbundle ranks per class and the exponent
     scalars per bundle.  Entries that depend on the orbit are keyed by its
-    OrbitData, so one memo never mixes two orbits.  Neither route reads the
-    other's entries, so the CLI's comparison of the two stays a comparison
-    of independent computations.  The oracles of the computation share the
-    parsed rationals and the integer bases.  A memo only grows: make one per
-    computation."""
+    OrbitData, the eigenbundle ranks by all that they depend on (m, n_s, N
+    and the class), so one memo never mixes two orbits.  Neither route
+    reads the other's entries, so the CLI's comparison of the two stays a
+    comparison of independent computations.  The oracles of the computation
+    share the parsed rationals and the integer bases.  A memo only grows:
+    make one per computation."""
 
     def __init__(self):
         self.point_factors = {}    # (m, i, r) -> (1 - zeta_m^i)^{-r}
@@ -430,7 +431,7 @@ class ScalarMemo:
         self.prefactors = {}       # ranks -> prod_i (1 - zeta_m^i)^{-r_i}
         self.weights = {}          # (m, j, t) -> beta_j^t / t
         self.w2 = {}               # data -> w2[s][nu][j]
-        self.ranks = {}            # (data, group, s, c) -> canonical ranks of E^nu, w2 sums
+        self.ranks = {}            # (m, n_s, N, c) -> canonical ranks of E^nu, w2 sums
         self.scalars = {}          # (data, bundle, t) -> sum_j w_j beta_j^t / t
         self.rationals = {}        # JSON value -> (numerator, denominator)
         self.bases = {}            # (degrees, top degree) -> _Basis
@@ -501,8 +502,8 @@ class ScalarMemo:
         """The canonical ranks of E^nu, nu = 0..m-1, at the s-th fixed point
         with class c (the root count r^nu, plus the rank of G at nu = 0),
         and their sums sum_nu w2[s][nu][j] rank(E^nu) per j."""
-        key = (data, group, s, c)
-        out = self.ranks.get(key)  # one lookup: the key's hash is not cheap
+        key = (data.m, data.branches[s][1], group.N, c)  # all the entry depends on
+        out = self.ranks.get(key)
         if out is None:
             m = data.m
             ranks = [r + (group.rank if nu == 0 else 0) for nu, r in enumerate(root_eigendata(c, m))]

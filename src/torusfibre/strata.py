@@ -11,18 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from math import gcd, lcm
+from math import comb, gcd, prod
 
 from .errors import (
     IncompatibleClass,
     InvariantViolation,
     NonIntegralRank,
     UnsupportedOrbitStructure,
+    ValidationError,
 )
 from .orbit import total_genus, validate_orbit
 from .spectrum import mu2_table
 
 __all__ = [
+    "MAX_TUPLES",
     "ConjClassSU",
     "StratumDescriptor",
     "classes_with_power_central",
@@ -31,6 +33,11 @@ __all__ = [
     "root_eigendata",
     "stratum_ranks",
 ]
+
+
+# The most class tuples an enumeration visits, and the most angle multisets a
+# class list searches; M5 SU(5), 80076 tuples, is the largest fixture.
+MAX_TUPLES = 2**17
 
 
 def _ratio(p, q):
@@ -65,22 +72,15 @@ class ConjClassSU:
             denominator //= g
         return cls(N, tuple(res), denominator)
 
-    def residues_over(self, den):
-        """The angles as integers over den, a multiple of the denominator."""
+    def moved(self, den, shift=0):
+        """The angles as integers over den, a multiple of the denominator,
+        each moved by shift, sorted mod den."""
         scale = den // self.denominator
-        return tuple(r * scale for r in self.residues)
+        return tuple(sorted((r * scale + shift) % den for r in self.residues))
 
     def power(self, p):
         return ConjClassSU.from_residues(
             self.N, [r * p for r in self.residues], self.denominator
-        )
-
-    def translate(self, t):
-        """Multiply by the center element zeta_N^t."""
-        den = lcm(self.denominator, self.N)
-        shift = t * (den // self.N)
-        return ConjClassSU.from_residues(
-            self.N, [r + shift for r in self.residues_over(den)], den
         )
 
     def to_json(self):
@@ -110,7 +110,8 @@ class StratumDescriptor:
 
 
 def classes_with_power_central(N, l, z):
-    """All SU(N) classes c with c^l = zeta_N^z as a central element.
+    """All SU(N) classes c with c^l = zeta_N^z as a central element, in angle
+    order (lexicographic in the sorted angles).
 
     The eigenvalue angles of such a class lie in {(z + N j)/(N l) : 0 <= j < l};
     the SU(N) constraint keeps only multisets summing to an integer.
@@ -125,6 +126,20 @@ def classes_with_power_central(N, l, z):
     ]
 
 
+def _class_table(N, l, z, tables):
+    """classes_with_power_central(N, l, z), built once per (l, z) in
+    ``tables``; the angle multisets it would search are counted first and
+    refused above MAX_TUPLES."""
+    if (l, z) not in tables:
+        if comb(l + N - 1, N) > MAX_TUPLES:
+            raise ValidationError(
+                f"SU({N}) classes c with c^{l} central: more than "
+                f"MAX_TUPLES = {MAX_TUPLES} angle multisets to search"
+            )
+        tables[l, z] = classes_with_power_central(N, l, z)
+    return tables[l, z]
+
+
 def enumerate_strata(data, group):
     """All strata for the given branch data, one descriptor per center orbit.
 
@@ -136,47 +151,46 @@ def enumerate_strata(data, group):
     visited and the stabilizer order is g over the H-orbit size.  Classes
     are numbered in angle order per branch, so a tuple of numbers orders as
     its classes do: the first tuple met in an H-orbit is its least member,
-    and representatives come out sorted.  Ranks are attached when the rank
-    formula applies (every branch orbit a fixed point), else left None;
-    strata whose classes c_delta share their root data share ranks.
+    and representatives come out sorted.  The class list of each (l, z) is
+    built once, and the tuples to visit are counted from the lists and
+    refused above MAX_TUPLES before any is visited.
+
+    Ranks are attached when the rank formula applies (every branch orbit a
+    fixed point), else left None.  Each class of each branch gets its branch
+    vector of stratum_ranks once; a stratum sums one vector per branch, and
+    stratum_ranks turns each distinct sum into ranks, with its integrality
+    and sum checks, so strata with equal sums share one ranks tuple.
     """
     validate_orbit(data)
     N = group.N
     m = data.m
     g = gcd(m, N)
-    orbit_sizes = data.orbit_sizes()
-    k_invs = [pow(n, -1, l) for l, n in data.branches]
+    tables = {}
+    per_z = [[_class_table(N, l, z, tables) for l, _ in data.branches] for z in range(g)]
+    tuples = sum(prod(map(len, per_branch)) for per_branch in per_z)
+    if tuples > MAX_TUPLES:
+        raise ValidationError(
+            f"SU({N}) strata of this orbit: {tuples} class tuples to visit, "
+            f"above MAX_TUPLES = {MAX_TUPLES}"
+        )
     rankable = data.branches and all(l == m for l, _ in data.branches)
-    # every angle of every class met here lies in (1/(N m))Z
-    den = N * m
     # H acts on branch i by the shifts zeta_N^{h m_i}, h a multiple of N / g
-    shifts = [[h * mi % N for h in range(0, N, N // g)] for mi in orbit_sizes]
-    deltas = {}  # (class, k) -> (c^{-k}, its root data when rankable), per call
-    memo = {}  # root data of c_delta -> (ranks, d_c), per call
-    vectors = {}  # (s, r_s) -> branch vector of stratum_ranks, per call
-
-    def delta(c, k):
-        pair = deltas.get((c, k))
-        if pair is None:
-            c_delta = c.power(-k)
-            pair = deltas[c, k] = (c_delta, tuple(root_eigendata(c_delta, m)) if rankable else None)
-        return pair
+    shifts = [[h * mi % N for h in range(0, N, N // g)] for mi in data.orbit_sizes()]
+    branch = {}  # (l, n, z) -> per class: c^{-k}, its root data and branch vector if rankable
+    vectors = {}  # (n, r) -> branch vector of stratum_ranks, per call
+    memo = {}  # sum of branch vectors -> (ranks, d_c), per call
 
     out = []
-    for z in range(g):
-        per_branch = [
-            sorted(classes_with_power_central(N, l, z), key=lambda c: c.residues_over(den))
-            for l, _ in data.branches
-        ]
+    for z, per_branch in enumerate(per_z):
         if not all(per_branch):
             continue
         reps = product(*(range(len(cs)) for cs in per_branch))
         if g > 1:
             # perms[i][j][a]: the number of class a of branch i moved by the j-th shift
             perms = []
-            for cs, ts in zip(per_branch, shifts):
-                number = {c: a for a, c in enumerate(cs)}
-                perms.append([[number[c.translate(t)] for c in cs] for t in ts])
+            for cs, (l, _), ts in zip(per_branch, data.branches, shifts):
+                number = {c.moved(N * l): a for a, c in enumerate(cs)}
+                perms.append([[number[c.moved(N * l, t * l)] for c in cs] for t in ts])
             seen = set()
             found = []
             for combo in reps:
@@ -187,35 +201,47 @@ def enumerate_strata(data, group):
                 found.append((combo, g // len(orbit)))
         else:
             found = ((combo, 1) for combo in reps)
-        per_delta = [[delta(c, k) for c in cs] for cs, k in zip(per_branch, k_invs)]
+        for cs, (l, n) in zip(per_branch, data.branches):
+            if (l, n, z) not in branch:
+                cds = [c.power(-pow(n, -1, l)) for c in cs]
+                roots = [tuple(root_eigendata(c, m)) for c in cds] if rankable else []
+                branch[l, n, z] = cds, roots, [_branch_vector(m, group.rank, n, r, vectors) for r in roots]
+        per = [branch[l, n, z] for l, n in data.branches]
         for combo, z_delta_order in found:
             classes = tuple(cs[a] for cs, a in zip(per_branch, combo))
-            pairs = [dl[a] for dl, a in zip(per_delta, combo)]
-            c_delta = tuple(cd for cd, _ in pairs)
+            c_delta = tuple(p[0][a] for p, a in zip(per, combo))
             ranks = d_c = None
             if rankable:
-                roots = tuple(r for _, r in pairs)
-                if roots not in memo:
-                    memo[roots] = stratum_ranks(data, group, roots, vectors)
-                ranks, d_c = memo[roots]
+                key = tuple(map(sum, zip(*(p[2][a] for p, a in zip(per, combo)))))
+                if key not in memo:
+                    roots = [p[1][a] for p, a in zip(per, combo)]
+                    memo[key] = stratum_ranks(data, group, roots, vectors)
+                ranks, d_c = memo[key]
             out.append(StratumDescriptor(z, classes, z_delta_order, c_delta, ranks, d_c))
     return out
 
 
 def count_strata_burnside(data, group):
     """Independent stratum count: average over the center of the number of
-    fixed tuples (orbit counting lemma)."""
+    fixed tuples (orbit counting lemma).  zeta_N^t fixes a class when its
+    angles over N l, moved by t l and sorted, come back; that count is kept
+    per (l, t) for each z."""
     N = group.N
     m = data.m
     orbit_sizes = data.orbit_sizes()
     H = [zp for zp in range(N) if (m * zp) % N == 0]  # the z' that fix z
+    tables = {}
     total = 0
     for z in range(N):
-        per_branch = [classes_with_power_central(N, l, z) for l, _ in data.branches]
+        counts = {}  # (l, t) -> classes with c^l = zeta_N^z fixed by zeta_N^t
         for zp in H:
             fixed = 1
-            for classes, mi in zip(per_branch, orbit_sizes):
-                fixed *= sum(1 for c in classes if c.translate(zp * mi) == c)
+            for (l, _), mi in zip(data.branches, orbit_sizes):
+                t = zp * mi % N
+                if (l, t) not in counts:
+                    counts[l, t] = sum(1 for c in _class_table(N, l, z, tables)
+                                       if c.moved(N * l, t * l) == c.moved(N * l))
+                fixed *= counts[l, t]
                 if fixed == 0:
                     break
             total += fixed
@@ -244,6 +270,19 @@ def root_eigendata(c, m):
     return r
 
 
+def _branch_vector(m, rank, n, r_s, vectors):
+    """v_s[i] = rank G mu2_s(i) + sum_j r_s[j] mu2_s(i - j) for the branch
+    point with rotation number n and root data r_s, once per (n, r_s) in
+    ``vectors``."""
+    v = vectors.get((n, r_s))
+    if v is None:
+        mu2 = mu2_table(m, n)
+        v = vectors[n, r_s] = tuple(
+            rank * mu2[i] + sum(r * mu2[i - j] for j, r in enumerate(r_s)) for i in range(m)
+        )
+    return v
+
+
 def stratum_ranks(data, group, roots, vectors=None):
     """Eigenspace ranks r_0 ... r_{m-1} of the stratum tangent action and the
     stratum dimension d_c = r_0, in integers from the root data r_s of each
@@ -253,7 +292,7 @@ def stratum_ranks(data, group, roots, vectors=None):
         v_s[i] = rank G mu2_s(i) + sum_j r_s[j] mu2_s(i - j)
 
     with mu2_s = mu2_table(m, n_s), twice the mu values; ``vectors``, a dict
-    (s, r_s) -> v_s, keeps the branch vectors across calls on one orbit.
+    (n_s, r_s) -> v_s, keeps the branch vectors across calls on one orbit.
 
     Only valid when every branch orbit is a single fixed point (l_s = m); the
     holomorphic fixed point count behind the formula has no extension to
@@ -268,13 +307,8 @@ def stratum_ranks(data, group, roots, vectors=None):
     g = total_genus(data)
     vectors = {} if vectors is None else vectors
     acc = [2 * group.dim_G * (g - 1)] * m
-    for s, ((_, n), r_s) in enumerate(zip(data.branches, roots)):
-        key = (s, tuple(r_s))
-        if key not in vectors:
-            mu2 = mu2_table(m, n)
-            vectors[key] = [group.rank * mu2[i] + sum(r * mu2[i - j] for j, r in enumerate(r_s))
-                            for i in range(m)]
-        acc = [a + b for a, b in zip(acc, vectors[key])]
+    for (_, n), r_s in zip(data.branches, roots):
+        acc = [a + b for a, b in zip(acc, _branch_vector(m, group.rank, n, tuple(r_s), vectors))]
     ranks = []
     for i, a in enumerate(acc):
         # On strata of reducible connections (central classes) the count is an

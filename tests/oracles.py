@@ -10,11 +10,13 @@ search, the formal log of the Bernoulli series for the Todd class, the
 localization route on sparse dicts of Fraction and Cyclotomic coefficients
 that the integer basis replaced (Ring, ring_oracle, ring_smooth_contribution),
 the same with a separate Todd exponential and ring products before the
-pairing, and the per-tuple convolution behind the stratum ranks.
+pairing, the per-tuple convolution behind the stratum ranks, and the
+Burnside count through one translated class per (class, z').
 Also here: Cyclotomic values from Fraction coefficients, the readers of
 the JSON forms of Cyclotomic and PhaseQ values, the JSON form of orbit data,
 phases as roots of unity and as complex floats, float evaluation of phase
-series, and conjugacy classes built from or read as rational angles.
+series, conjugacy classes built from or read as rational angles, and a
+class times a center element.
 """
 
 import cmath
@@ -31,7 +33,7 @@ from torusfibre.exact import Cyclotomic, PhaseQ, cyclotomic_polynomial
 from torusfibre.localization import ScalarMemo
 from torusfibre.orbit import total_genus
 from torusfibre.spectrum import mu2_table
-from torusfibre.strata import ConjClassSU
+from torusfibre.strata import ConjClassSU, classes_with_power_central
 
 # -- extended Euclid in Q[x] ---------------------------------------------------
 
@@ -599,6 +601,32 @@ def conj_class_from_angles(N, angles):
     """The SU(N) class with the given rational angles (ints or Fractions)."""
     den = lcm(*(a.denominator for a in angles))
     return ConjClassSU.from_residues(N, [a.numerator * (den // a.denominator) for a in angles], den)
+
+
+def translate(c, t):
+    """The class c multiplied by the center element zeta_N^t, through
+    ConjClassSU.from_residues."""
+    den = lcm(c.denominator, c.N)
+    shift = t * (den // c.N)
+    return ConjClassSU.from_residues(c.N, [r + shift for r in c.moved(den)], den)
+
+
+def count_strata_burnside_translate(data, group):
+    """The Burnside stratum count with one translated ConjClassSU per
+    (class, z'): the average over the center of the number of fixed tuples."""
+    N = group.N
+    m = data.m
+    H = [zp for zp in range(N) if (m * zp) % N == 0]
+    total = 0
+    for z in range(N):
+        per_branch = [classes_with_power_central(N, l, z) for l, _ in data.branches]
+        for zp in H:
+            fixed = 1
+            for classes, mi in zip(per_branch, data.orbit_sizes()):
+                fixed *= sum(1 for c in classes if translate(c, zp * mi) == c)
+            total += fixed
+    assert total % N == 0, (total, N)
+    return total // N
 
 
 def angles(c):

@@ -1,15 +1,36 @@
+import hashlib
 from fractions import Fraction as F
 from itertools import product
-from math import gcd
+from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
-from conftest import FREE2, HYPER, M5, Z3, enumerable_asymmetric_orbits
-from oracles import angles, conj_class_from_angles, is_central, stratum_ranks_convolution
+from conftest import (
+    FREE2,
+    FREE3,
+    HYPER,
+    M5,
+    Z3,
+    Z4,
+    enumerable_asymmetric_orbits,
+    is_asymmetric,
+    random_asymmetric_orbits,
+)
+from oracles import (
+    angles,
+    conj_class_from_angles,
+    count_strata_burnside_translate,
+    is_central,
+    stratum_ranks_convolution,
+    translate,
+)
 from torusfibre.errors import IncompatibleClass, UnsupportedOrbitStructure
 from torusfibre.framing import GroupData
 from torusfibre.orbit import OrbitData, total_genus
+from torusfibre import cli, strata
 from torusfibre.strata import (
+    MAX_TUPLES,
     classes_with_power_central,
     count_strata_burnside,
     enumerate_strata,
@@ -19,6 +40,7 @@ from torusfibre.strata import (
 
 SU2 = GroupData(2)
 SU3 = GroupData(3)
+INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def test_classes_with_power_central_su2():
@@ -37,7 +59,7 @@ def test_class_operations():
     c = conj_class_from_angles(2, [F(1, 4), F(3, 4)])
     assert angles(c.power(2)) == (F(1, 2), F(1, 2))
     assert c.power(-1) == c
-    assert c.translate(1) == c
+    assert translate(c, 1) == c
     assert not is_central(c)
 
 
@@ -84,7 +106,7 @@ def test_enumeration_completeness_small():
             orbit = set()
             for zp in range(N):
                 z2 = (s.z + m * zp) % N
-                cl2 = tuple(c.translate(zp * mi) for c, mi in zip(s.classes, sizes))
+                cl2 = tuple(translate(c, zp * mi) for c, mi in zip(s.classes, sizes))
                 orbit.add((z2, cl2))
             assert len(orbit) * s.z_delta_order == N
             regenerated.extend(orbit)
@@ -155,7 +177,7 @@ def test_ranks_independent_of_representative():
     # recompute from a second orbit representative: translation acts on all
     # angles at once, leaving every difference (hence all ranks) unchanged
     for s in enumerate_strata(Z3, SU2):
-        shifted = [c.translate(1) for c in s.c_delta]
+        shifted = [translate(c, 1) for c in s.c_delta]
         for c0, c1 in zip(s.c_delta, shifted):
             assert root_eigendata(c0, Z3.m) == root_eigendata(c1, Z3.m)
 
@@ -172,3 +194,80 @@ def test_ranks_match_the_per_tuple_convolution(N):
         for s in enumerate_strata(data, group):
             roots = [root_eigendata(c, data.m) for c in s.c_delta]
             assert (s.ranks, s.d_c) == stratum_ranks_convolution(data, group, roots)
+
+
+def test_burnside_on_residues_matches_the_translate_count():
+    """count_strata_burnside, which moves residues, against the count through
+    one translated ConjClassSU per (class, z') on seeded asymmetric orbits
+    with orbits of m/l > 1 points, on free actions and for SU(2..5), with
+    g = gcd(m, N) > 1 among them."""
+    suite = random_asymmetric_orbits(71, 30, range(2, 13)) + [FREE2, FREE3]
+    assert any(is_asymmetric(d) for d in suite)
+    assert any(l < d.m for d in suite for l, _ in d.branches)
+    gs = set()
+    for data in suite:
+        for N in (2, 3, 4, 5):
+            group = GroupData(N)
+            assert count_strata_burnside(data, group) == count_strata_burnside_translate(data, group)
+            gs.add(gcd(data.m, N))
+    assert gs > {1}
+
+
+def test_class_lists_come_in_angle_order():
+    # enumerate_strata numbers the classes of a list in this order
+    for N, l, z in [(2, 4, 0), (3, 4, 1), (4, 6, 2), (5, 3, 0)]:
+        keys = [angles(c) for c in classes_with_power_central(N, l, z)]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_strata_builds_one_class_list_per_power_and_center(monkeypatch, capsys):
+    """strata Z4 SU(3): enumerate_strata visits z < gcd(4, 3) = 1 and
+    count_strata_burnside z < 3, all four branches with l = 4, so each builds
+    one class list per (l, z): 4 calls, not one per branch; stratum_ranks
+    still gives the ranks.  The 471 KB listing is pinned by its sha256."""
+    calls, ranks = [], []
+    classes, stratum_ranks = strata.classes_with_power_central, strata.stratum_ranks
+    monkeypatch.setattr(strata, "classes_with_power_central", lambda *a: calls.append(a) or classes(*a))
+    monkeypatch.setattr(strata, "stratum_ranks", lambda *a: ranks.append(a) or stratum_ranks(*a))
+    assert cli.main(["strata", "--orbit", str(INPUTS / "z4.json"), "--group", "SU(3)"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "276b7795fb6aa0cfc1ef3ca6434acd8f021f0664534007417ea8ef6e20b3b662"
+    )
+    assert calls == [(3, 4, 0), (3, 4, 0), (3, 4, 1), (3, 4, 2)]
+    assert ranks
+
+
+def _refuse(*args):
+    raise AssertionError("enumeration started")
+
+
+@pytest.mark.parametrize("command", ["strata", "contributions", "invariant"])
+def test_oversized_enumeration_is_refused_before_its_loop(command, monkeypatch, capsys):
+    # Z4 SU(8) would visit 11650497 class tuples; the loop over them never starts
+    monkeypatch.setattr(strata, "product", _refuse)
+    assert cli.main([command, "--orbit", str(INPUTS / "z4.json"), "--group", "SU(8)"]) == 1
+    err = capsys.readouterr().err
+    assert "11650497 class tuples" in err and f"MAX_TUPLES = {MAX_TUPLES}" in err
+
+
+def test_oversized_class_search_is_refused_before_it_starts(monkeypatch, capsys):
+    # asym_m12 has branches with l = 4, 3 and 12; SU(30) classes with c^12
+    # central would take a search of C(41, 30) angle multisets
+    calls = []
+    classes = strata.classes_with_power_central
+    monkeypatch.setattr(strata, "classes_with_power_central", lambda *a: calls.append(a) or classes(*a))
+    assert cli.main(["strata", "--orbit", str(INPUTS / "asym_m12.json"), "--group", "SU(30)"]) == 1
+    assert "c^12 central" in capsys.readouterr().err
+    assert calls and all(l < 12 for _, l, _ in calls)
+
+
+def test_ceiling_admits_the_largest_fixtures():
+    def tuples(data, N):
+        return sum(
+            prod(len(classes_with_power_central(N, l, z)) for l, _ in data.branches)
+            for z in range(gcd(data.m, N))
+        )
+
+    assert tuples(Z4, 5) == 38416 and tuples(M5, 5) == 80076 <= MAX_TUPLES
+    assert tuples(Z4, 6) > MAX_TUPLES
