@@ -416,12 +416,11 @@ class ScalarMemo:
     (j, t), and the tables that depend only on the orbit data: the w2
     table, the canonical eigenbundle ranks per class and the exponent
     scalars per bundle.  Entries that depend on the orbit are keyed by its
-    OrbitData, the eigenbundle ranks by all that they depend on (m, n_s, N
-    and the class), so one memo never mixes two orbits.  Neither route
-    reads the other's entries, so the CLI's comparison of the two stays a
-    comparison of independent computations.  The oracles of the computation
-    share the parsed rationals and the integer bases.  A memo only grows:
-    make one per computation."""
+    OrbitData or by all they depend on, so one memo never mixes two orbits.
+    Neither route reads the other's entries, so the CLI's comparison of the
+    two stays a comparison of independent computations.  The oracles of the
+    computation share the parsed rationals and the integer bases.  A memo
+    only grows: make one per computation."""
 
     def __init__(self):
         self.point_factors = {}    # (m, i, r) -> (1 - zeta_m^i)^{-r}
@@ -502,7 +501,7 @@ class ScalarMemo:
         """The canonical ranks of E^nu, nu = 0..m-1, at the s-th fixed point
         with class c (the root count r^nu, plus the rank of G at nu = 0),
         and their sums sum_nu w2[s][nu][j] rank(E^nu) per j."""
-        key = (data.m, data.branches[s][1], group.N, c)  # all the entry depends on
+        key = (data.m, data.branches[s][1], group.N, c)
         out = self.ranks.get(key)
         if out is None:
             m = data.m
