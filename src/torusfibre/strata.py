@@ -205,7 +205,8 @@ def enumerate_strata(data, group):
             if (l, n, z) not in branch:
                 cds = [c.power(-pow(n, -1, l)) for c in cs]
                 roots = [tuple(root_eigendata(c, m)) for c in cds] if rankable else []
-                branch[l, n, z] = cds, roots, [_branch_vector(m, group.rank, n, r, vectors) for r in roots]
+                vs = [_branch_vector(m, group.rank, n, r, vectors) for r in roots]
+                branch[l, n, z] = cds, roots, vs
         per = [branch[l, n, z] for l, n in data.branches]
         for combo, z_delta_order in found:
             classes = tuple(cs[a] for cs, a in zip(per_branch, combo))

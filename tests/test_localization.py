@@ -284,7 +284,8 @@ def test_rank_certificate_runs_with_filled_tables():
     for data, good, oracle in cases:
         smooth_contribution(data, good, SU2, oracle, PhaseQ(0), memo)
         filled = dict(memo.ranks)
-        assert all((data.m, data.branches[s][1], SU2.N, c) in filled for s, c in enumerate(good.c_delta))
+        keys = [(data.m, data.branches[s][1], SU2.N, c) for s, c in enumerate(good.c_delta)]
+        assert all(key in filled for key in keys)
         for j in range(1, data.m):
             ranks = list(good.ranks)
             ranks[j] += 1

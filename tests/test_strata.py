@@ -208,7 +208,8 @@ def test_burnside_on_residues_matches_the_translate_count():
     for data in suite:
         for N in (2, 3, 4, 5):
             group = GroupData(N)
-            assert count_strata_burnside(data, group) == count_strata_burnside_translate(data, group)
+            expected = count_strata_burnside_translate(data, group)
+            assert count_strata_burnside(data, group) == expected
             gs.add(gcd(data.m, N))
     assert gs > {1}
 
@@ -220,15 +221,20 @@ def test_class_lists_come_in_angle_order():
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
+def _record(monkeypatch, name):
+    """The argument tuples of every call of strata.<name> until the test ends."""
+    calls, fn = [], getattr(strata, name)
+    monkeypatch.setattr(strata, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
 def test_strata_builds_one_class_list_per_power_and_center(monkeypatch, capsys):
     """strata Z4 SU(3): enumerate_strata visits z < gcd(4, 3) = 1 and
     count_strata_burnside z < 3, all four branches with l = 4, so each builds
     one class list per (l, z): 4 calls, not one per branch; stratum_ranks
     still gives the ranks.  The 471 KB listing is pinned by its sha256."""
-    calls, ranks = [], []
-    classes, stratum_ranks = strata.classes_with_power_central, strata.stratum_ranks
-    monkeypatch.setattr(strata, "classes_with_power_central", lambda *a: calls.append(a) or classes(*a))
-    monkeypatch.setattr(strata, "stratum_ranks", lambda *a: ranks.append(a) or stratum_ranks(*a))
+    calls = _record(monkeypatch, "classes_with_power_central")
+    ranks = _record(monkeypatch, "stratum_ranks")
     assert cli.main(["strata", "--orbit", str(INPUTS / "z4.json"), "--group", "SU(3)"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -254,9 +260,7 @@ def test_oversized_enumeration_is_refused_before_its_loop(command, monkeypatch, 
 def test_oversized_class_search_is_refused_before_it_starts(monkeypatch, capsys):
     # asym_m12 has branches with l = 4, 3 and 12; SU(30) classes with c^12
     # central would take a search of C(41, 30) angle multisets
-    calls = []
-    classes = strata.classes_with_power_central
-    monkeypatch.setattr(strata, "classes_with_power_central", lambda *a: calls.append(a) or classes(*a))
+    calls = _record(monkeypatch, "classes_with_power_central")
     assert cli.main(["strata", "--orbit", str(INPUTS / "asym_m12.json"), "--group", "SU(30)"]) == 1
     assert "c^12 central" in capsys.readouterr().err
     assert calls and all(l < 12 for _, l, _ in calls)
