@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb, gcd, prod
+from operator import getitem
 
 from .errors import (
     IncompatibleClass,
@@ -208,14 +209,15 @@ def enumerate_strata(data, group):
                 vs = [_branch_vector(m, group.rank, n, r, vectors) for r in roots]
                 branch[l, n, z] = cds, roots, vs
         per = [branch[l, n, z] for l, n in data.branches]
+        per_delta, per_roots, per_vector = zip(*per) if per else ((), (), ())
         for combo, z_delta_order in found:
-            classes = tuple(cs[a] for cs, a in zip(per_branch, combo))
-            c_delta = tuple(p[0][a] for p, a in zip(per, combo))
+            classes = tuple(map(getitem, per_branch, combo))
+            c_delta = tuple(map(getitem, per_delta, combo))
             ranks = d_c = None
             if rankable:
-                key = tuple(map(sum, zip(*(p[2][a] for p, a in zip(per, combo)))))
+                key = tuple(map(sum, zip(*map(getitem, per_vector, combo))))
                 if key not in memo:
-                    roots = [p[1][a] for p, a in zip(per, combo)]
+                    roots = list(map(getitem, per_roots, combo))
                     memo[key] = stratum_ranks(data, group, roots, vectors)
                 ranks, d_c = memo[key]
             out.append(StratumDescriptor(z, classes, z_delta_order, c_delta, ranks, d_c))
@@ -240,8 +242,11 @@ def count_strata_burnside(data, group):
             for (l, _), mi in zip(data.branches, orbit_sizes):
                 t = zp * mi % N
                 if (l, t) not in counts:
-                    counts[l, t] = sum(1 for c in _class_table(N, l, z, tables)
-                                       if c.moved(N * l, t * l) == c.moved(N * l))
+                    cs = _class_table(N, l, z, tables)
+                    # the identity fixes every class
+                    counts[l, t] = len(cs) if t == 0 else sum(
+                        1 for c in cs if c.moved(N * l, t * l) == c.moved(N * l)
+                    )
                 fixed *= counts[l, t]
                 if fixed == 0:
                     break
