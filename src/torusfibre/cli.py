@@ -30,7 +30,6 @@ from .framing import (
 )
 from .localization import (
     CohomologyOracle,
-    ScalarMemo,
     point_contribution,
     smooth_contribution,
 )
@@ -199,7 +198,7 @@ def _is_trivial_stratum(stratum):
     return stratum.z == 0 and not any(any(c.residues) for c in stratum.classes)
 
 
-def _stratum_phases(strata, cs_map, rationals):
+def _stratum_phases(strata, cs_map):
     if cs_map is not None and not isinstance(cs_map, dict):
         raise ValidationError(
             "cs-phases must be a JSON object mapping stratum index to phase"
@@ -208,7 +207,7 @@ def _stratum_phases(strata, cs_map, rationals):
     for i, s in enumerate(strata):
         key = str(i)
         if cs_map is not None and key in cs_map:
-            q = rational_from_json(cs_map[key], f"cs-phase {key!r}", rationals)
+            q = rational_from_json(cs_map[key], f"cs-phase {key!r}")
             phases.append(made.get(q) or made.setdefault(q, PhaseQ(Fraction(*q))))
         elif _is_trivial_stratum(s):
             phases.append(PhaseQ(0))
@@ -220,14 +219,13 @@ def _stratum_phases(strata, cs_map, rationals):
 def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
     """One entry per stratum: a ContributionPolynomial where computable, a
     marker dict otherwise.  strict mode turns markers into errors.  The
-    strata share one ScalarMemo and one trivial oracle, for this call only."""
-    memo = ScalarMemo()
-    phases = _stratum_phases(strata, cs_map, memo.rationals)
+    point strata share one trivial oracle."""
+    phases = _stratum_phases(strata, cs_map)
     if oracle_map is not None and not isinstance(oracle_map, dict):
         raise ValidationError(
             "oracles must be a JSON object mapping stratum index to oracle data"
         )
-    point = CohomologyOracle.trivial(0, memo)
+    point = CohomologyOracle.trivial()
     entries = []
     for i, s in enumerate(strata):
         if s.ranks is None:
@@ -239,8 +237,8 @@ def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
             entries.append({"index": i, "empty": True})
             continue
         if s.d_c == 0:
-            value = point_contribution(s.ranks, s.z_delta_order, memo)
-            contrib = smooth_contribution(data, s, group, point, cs_phase=phases[i], memo=memo)
+            value = point_contribution(s.ranks, s.z_delta_order)
+            contrib = smooth_contribution(data, s, group, point, cs_phase=phases[i])
             if not (len(contrib.coefficients) == 1 and contrib.coefficients[0] == value):
                 raise ConsistencyError(
                     f"stratum {i}: closed form and oracle route disagree"
@@ -257,17 +255,11 @@ def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
             entries.append({"index": i, "needs_oracle": True, "d_c": s.d_c})
             continue
         try:
-            oracle = CohomologyOracle.from_json(oracle_obj, memo)
+            oracle = CohomologyOracle.from_json(oracle_obj)
         except ValidationError as exc:
             raise ValidationError(f"stratum {i}: {exc}") from None
-        entries.append(
-            {
-                "index": i,
-                "contribution": smooth_contribution(
-                    data, s, group, oracle, cs_phase=phases[i], memo=memo
-                ),
-            }
-        )
+        contrib = smooth_contribution(data, s, group, oracle, cs_phase=phases[i])
+        entries.append({"index": i, "contribution": contrib})
     return entries
 
 

@@ -37,20 +37,19 @@ def format_rational(r):
     return f"{r.numerator}/{r.denominator}" if r.denominator != 1 else str(r.numerator)
 
 
-def rational_from_json(value, what, memo):
+def rational_from_json(value, what):
     """value, a string p/q or a JSON number, as (numerator, denominator) in
-    lowest terms, kept in the dict memo; a ValidationError naming what
-    otherwise, or for a decimal exponent above 4300 (int_max_str_digits)."""
+    lowest terms; a ValidationError naming what otherwise, or for a decimal
+    exponent above 4300 (int_max_str_digits)."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ValidationError(f"{what} is {value!r}, not a string p/q or a number")
-    if value not in memo:
-        try:
-            memo[value] = _rational(value)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ValidationError(f"{what} = {value!r}: {exc}") from None
-    return memo[value]
+    try:
+        return _rational(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"{what} = {value!r}: {exc}") from None
 
 
+@lru_cache(maxsize=None)
 def _rational(value):
     if isinstance(value, int):
         return value, 1

@@ -58,7 +58,6 @@ from .strata import root_eigendata
 __all__ = [
     "CohomologyOracle",
     "ContributionPolynomial",
-    "ScalarMemo",
     "point_contribution",
     "lambda_inverse_expansion",
     "smooth_contribution",
@@ -87,6 +86,13 @@ class _Basis:
         self.monomials, self.start = monos, [bisect_left(self.degree, d) for d in range(top + 2)]
         self.table = [[index[tuple(map(add, x, y))] for y in monos[:self.start[top - s + 1]]]
                       for s, x in terms]
+
+
+@lru_cache(maxsize=None)
+def _basis(degrees, top):
+    """The _Basis of (degrees, top), built once and shared by every oracle
+    that uses it; nothing writes to it."""
+    return _Basis(degrees, top)
 
 
 def _mul(basis, a, b, out, top_only=False):
@@ -161,11 +167,11 @@ def _expect(value, kind, what):
     return value
 
 
-def _parse_poly(names, degrees, top, rationals, obj, what, chern=False):
+def _parse_poly(names, degrees, top, obj, what, chern=False):
     """Polynomial given as {monomial string: "p/q"}, as {exponent tuple:
     (p, q)}; monomials are generator names joined by '*' with optional '^e'
     (e >= 0), or "1" for the constant.  A Chern class (``chern``) has no
-    term of degree 0.  rationals is the per-call memo of rational_from_json."""
+    term of degree 0."""
     if obj is None:
         return {}
     out = {}
@@ -194,7 +200,7 @@ def _parse_poly(names, degrees, top, rationals, obj, what, chern=False):
                 f"{what}: Chern class term {mono!r} has degree 0; "
                 f"a Chern class starts in positive degree"
             )
-        n, d = rational_from_json(coeff, f"oracle {what}", rationals)
+        n, d = rational_from_json(coeff, f"oracle {what}")
         a, b = out.get(expo, (0, 1))
         out[expo] = a * d + n * b, b * d
     return out
@@ -227,17 +233,15 @@ class CohomologyOracle:
     tangent_rank: int
     eigen_chern: dict      # (s, nu) -> (rank override or None, chern class list)
     omega: dict            # polynomial
-    bases: dict            # (degrees, top degree) -> _Basis, shared per computation
 
     @classmethod
-    def trivial(cls, d_c=0, memo=None):
-        """The oracle with no generators; at d_c = 0 the point pairs to 1."""
-        return cls.from_json({"d_c": d_c, "pairing": {} if d_c else {"1": 1}}, memo)
+    def trivial(cls):
+        """The point oracle: no generators, and the point pairs to 1."""
+        return cls.from_json({"d_c": 0, "pairing": {"1": 1}})
 
     @classmethod
-    def from_json(cls, obj, memo=None):
-        """The oracle of a JSON object; memo is a ScalarMemo."""
-        memo = ScalarMemo() if memo is None else memo
+    def from_json(cls, obj):
+        """The oracle of a JSON object."""
         if not isinstance(obj, dict):
             raise ValidationError(f"oracle entry must be a JSON object, not {obj!r}")
         if "d_c" not in obj:
@@ -256,7 +260,7 @@ class CohomologyOracle:
             raise ValidationError("generator degrees must be positive")
 
         def poly(value, what, chern=False):
-            return _parse_poly(names, degrees, 2 * d_c, memo.rationals, value, what, chern)
+            return _parse_poly(names, degrees, 2 * d_c, value, what, chern)
 
         pairing, named = {}, {}
         for mono, val in _expect(obj.get("pairing", {}), dict, "pairing").items():
@@ -270,7 +274,7 @@ class CohomologyOracle:
                     f"oracle pairing keys {named[expo]!r} and {mono!r} name the same monomial"
                 )
             named[expo] = mono
-            pairing[expo] = rational_from_json(val, f"oracle pairing {mono!r}", memo.rationals)
+            pairing[expo] = rational_from_json(val, f"oracle pairing {mono!r}")
         chern = _expect(obj.get("chern", {}), dict, "chern")
         tc = chern.get("T_c")
         rank, tangent_chern = _parse_bundle(poly, {} if tc is None else tc, "T_c")
@@ -297,7 +301,6 @@ class CohomologyOracle:
             tangent_rank=d_c if rank is None else rank,
             eigen_chern=eigen,
             omega=omega,
-            bases=memo.bases,
         )
 
     @cached_property
@@ -307,8 +310,7 @@ class CohomologyOracle:
         used = [e for p in (self.omega, *self.tangent_chern, *(c for _, cs in
                 self.eigen_chern.values() for c in cs)) for e, (n, _) in p.items() if n]
         degrees = tuple(d if any(e[i] for e in used) else 0 for i, d in enumerate(self.degrees))
-        key = degrees, 2 * self.d_c
-        return self.bases.get(key) or self.bases.setdefault(key, _Basis(*key))
+        return _basis(degrees, 2 * self.d_c)
 
     def dense(self, poly, keys=None):
         """poly as (numerators, denominator) on the basis, without the terms
@@ -406,127 +408,91 @@ class ContributionPolynomial:
         }
 
 
-class ScalarMemo:
-    """The values that the strata of one computation share, each built once.
-
-    The point route keeps (1 - zeta^i)^{-r} from Cyclotomic.inverse per
-    (i, r) and their product per rank vector.  The oracle route keeps the
-    closed-form inverses (1 - zeta^i)^{-1} per m, their powers per (i, r),
-    the lambda prefactor per rank vector, the weights beta_j^t / t per
-    (j, t), and the tables that depend only on the orbit data: the w2
-    table, the canonical eigenbundle ranks per class and the exponent
-    scalars per bundle.  Entries that depend on the orbit are keyed by its
-    OrbitData or by all they depend on, so one memo never mixes two orbits.
-    Neither route reads the other's entries, so the CLI's comparison of the
-    two stays a comparison of independent computations.  The oracles of the
-    computation share the parsed rationals and the integer bases.  A memo
-    only grows: make one per computation."""
-
-    def __init__(self):
-        self.point_factors = {}    # (m, i, r) -> (1 - zeta_m^i)^{-r}
-        self.point_products = {}   # ranks -> prod_i (1 - zeta_m^i)^{-r_i}
-        self.inverses = {}         # m -> [None, (1 - zeta_m^i)^{-1} for i = 1..m-1]
-        self.oracle_factors = {}   # (m, i, r) -> (1 - zeta_m^i)^{-r}
-        self.prefactors = {}       # ranks -> prod_i (1 - zeta_m^i)^{-r_i}
-        self.weights = {}          # (m, j, t) -> beta_j^t / t
-        self.w2 = {}               # data -> w2[s][nu][j]
-        self.ranks = {}            # (m, n_s, N, c) -> canonical ranks of E^nu, w2 sums
-        self.scalars = {}          # (data, bundle, t) -> sum_j w_j beta_j^t / t
-        self.rationals = {}        # JSON value -> (numerator, denominator)
-        self.bases = {}            # (degrees, top degree) -> _Basis
-
-    @staticmethod
-    def _product(products, factors, ranks, factor):
-        """prod_{i>=1} factor(m, i, r_i) over m = len(ranks) and r_i != 0,
-        kept in products per rank vector and factors per (m, i, r)."""
-        out = products.get(ranks)
-        if out is None:
-            m = len(ranks)
-            for i in range(1, m):
-                if ranks[i]:
-                    key = (m, i, ranks[i])
-                    if key not in factors:
-                        factors[key] = factor(m, i, ranks[i])
-                    out = factors[key] if out is None else out * factors[key]
-            if out is None:
-                out = Cyclotomic.from_rational(1, m)
-            products[ranks] = out
-        return out
-
-    def point_product(self, ranks):
-        """prod_{i>=1} (1 - zeta_m^i)^{-r_i}, m = len(ranks), with the
-        negative powers through Cyclotomic.inverse."""
-        return self._product(
-            self.point_products, self.point_factors, ranks,
-            lambda m, i, r: (1 - Cyclotomic.zeta(m, i)) ** -r,
-        )
-
-    def oracle_inverses(self, m):
-        """[None] + [(1 - zeta_m^i)^{-1} for i = 1..m-1], from the closed
-        form of inverse_one_minus_zeta."""
-        if m not in self.inverses:
-            self.inverses[m] = [None] + [inverse_one_minus_zeta(m, i) for i in range(1, m)]
-        return self.inverses[m]
-
-    def prefactor(self, ranks):
-        """The same product as point_product, from oracle_inverses; a
-        negative rank is a positive power of 1 - zeta^i and needs no
-        inverse."""
-        inverses = self.oracle_inverses(len(ranks))
-        return self._product(
-            self.prefactors, self.oracle_factors, ranks,
-            lambda m, i, r: inverses[i] ** r if r > 0 else (1 - Cyclotomic.zeta(m, i)) ** -r,
-        )
-
-    def weight(self, m, j, t):
-        """beta_j^t / t with beta_j = zeta^j / (1 - zeta^j) = (1 - zeta^j)^{-1} - 1."""
-        key = (m, j, t)
-        if key not in self.weights:
-            beta = self.oracle_inverses(m)[j] - 1
-            self.weights[key] = (beta**t).scaled(1, t)
-        return self.weights[key]
-
-    def w2_table(self, data):
-        """w2[s][nu][j] = twice mu_m(n_s)(-nu) - mu_m(n_s)(j - nu), per
-        branch point s."""
-        if data not in self.w2:
-            m = data.m
-            self.w2[data] = [
-                [[mu2[-nu] - mu2[j - nu] for j in range(m)] for nu in range(m)]
-                for mu2 in (mu2_table(m, n) for _, n in data.branches)
-            ]
-        return self.w2[data]
-
-    def eigen_ranks(self, data, group, s, c):
-        """The canonical ranks of E^nu, nu = 0..m-1, at the s-th fixed point
-        with class c (the root count r^nu, plus the rank of G at nu = 0),
-        and their sums sum_nu w2[s][nu][j] rank(E^nu) per j."""
-        key = (data.m, data.branches[s][1], group.N, c)
-        out = self.ranks.get(key)
-        if out is None:
-            m = data.m
-            ranks = [r + (group.rank if nu == 0 else 0) for nu, r in enumerate(root_eigendata(c, m))]
-            w2 = self.w2_table(data)[s]
-            sums = [sum(w2[nu][j] * ranks[nu] for nu in range(m)) for j in range(m)]
-            out = self.ranks[key] = ranks, sums
-        return out
-
-    def exponent_scalar(self, data, bundle, t):
-        """sum_{j=1}^{m-1} w_j beta_j^t / t for the weights w_j with which a
-        bundle enters N_j: 1 for T_c^dual (bundle None) and -w2[s][nu][j]/(2m)
-        for E[s][nu] (bundle (s, nu)), summed as -2m w_j over 2m."""
-        key = (data, bundle, t)
-        out = self.scalars.get(key)
-        if out is None:
-            m = data.m
-            w = [-2 * m] * m if bundle is None else self.w2_table(data)[bundle[0]][bundle[1]]
-            acc = sum((self.weight(m, j, t) * -w[j] for j in range(1, m) if w[j]),
-                      Cyclotomic.from_rational(0, m))
-            out = self.scalars[key] = acc.scaled(1, 2 * m)
-        return out
+# The values that strata share are module-level caches keyed by the plain
+# values they depend on.  The point route (Cyclotomic.inverse) and the oracle
+# route (inverse_one_minus_zeta) keep separate caches, so the CLI's comparison
+# of the two stays a comparison of independent computations.
 
 
-def point_contribution(ranks, z_delta_order, memo=None):
+def _product(ranks, factor):
+    """prod_{i>=1} factor(m, i, r_i) over m = len(ranks) and r_i != 0."""
+    m, out = len(ranks), None
+    for i in range(1, m):
+        if ranks[i]:
+            f = factor(m, i, ranks[i])
+            out = f if out is None else out * f
+    return Cyclotomic.from_rational(1, m) if out is None else out
+
+
+@lru_cache(maxsize=None)
+def _point_factor(m, i, r):
+    """(1 - zeta_m^i)^{-r}, a negative power through Cyclotomic.inverse."""
+    return (1 - Cyclotomic.zeta(m, i)) ** -r
+
+
+@lru_cache(maxsize=None)
+def _point_product(ranks):
+    """prod_{i>=1} (1 - zeta_m^i)^{-r_i}, m = len(ranks), on the point route."""
+    return _product(ranks, _point_factor)
+
+
+@lru_cache(maxsize=None)
+def _oracle_inverses(m):
+    """(None,) + ((1 - zeta_m^i)^{-1} for i = 1..m-1), from the closed form
+    of inverse_one_minus_zeta."""
+    return (None,) + tuple(inverse_one_minus_zeta(m, i) for i in range(1, m))
+
+
+@lru_cache(maxsize=None)
+def _oracle_factor(m, i, r):
+    """(1 - zeta_m^i)^{-r} from _oracle_inverses; a negative r is a positive
+    power of 1 - zeta^i and needs no inverse."""
+    return _oracle_inverses(m)[i] ** r if r > 0 else (1 - Cyclotomic.zeta(m, i)) ** -r
+
+
+@lru_cache(maxsize=None)
+def _prefactor(ranks):
+    """The product of _point_product on the oracle route."""
+    return _product(ranks, _oracle_factor)
+
+
+@lru_cache(maxsize=None)
+def _weight(m, j, t):
+    """beta_j^t / t with beta_j = zeta^j / (1 - zeta^j) = (1 - zeta^j)^{-1} - 1."""
+    return ((_oracle_inverses(m)[j] - 1) ** t).scaled(1, t)
+
+
+@lru_cache(maxsize=None)
+def _w2(m, n):
+    """w2[nu][j] = twice mu_m(n)(-nu) - mu_m(n)(j - nu) at a fixed point with
+    rotation number n."""
+    mu2 = mu2_table(m, n)
+    return tuple(tuple(mu2[-nu] - mu2[j - nu] for j in range(m)) for nu in range(m))
+
+
+@lru_cache(maxsize=None)
+def _eigen_ranks(m, n, rank, c):
+    """The canonical ranks of E^nu, nu = 0..m-1, at a fixed point with
+    rotation number n and class c (the root count r^nu, plus rank G at
+    nu = 0), and their sums sum_nu w2[nu][j] rank(E^nu) per j."""
+    ranks = tuple(r + (rank if nu == 0 else 0) for nu, r in enumerate(root_eigendata(c, m)))
+    w2 = _w2(m, n)
+    return ranks, tuple(sum(w2[nu][j] * ranks[nu] for nu in range(m)) for j in range(m))
+
+
+@lru_cache(maxsize=None)
+def _exponent_scalar(m, n, nu, t):
+    """sum_{j=1}^{m-1} w_j beta_j^t / t for the weights w_j with which a
+    bundle enters N_j: 1 for T_c^dual (n None) and -w2[nu][j]/(2m) for
+    E^nu at a fixed point with rotation number n, summed as -2m w_j over
+    2m."""
+    w = [-2 * m] * m if n is None else _w2(m, n)[nu]
+    acc = sum((_weight(m, j, t) * -w[j] for j in range(1, m) if w[j]),
+              Cyclotomic.from_rational(0, m))
+    return acc.scaled(1, 2 * m)
+
+
+def point_contribution(ranks, z_delta_order):
     """(1/|Z_delta|) prod_{i=1}^{m-1} (1 - zeta_m^i)^{-r_i} for a
     zero-dimensional stratum.
 
@@ -534,31 +500,29 @@ def point_contribution(ranks, z_delta_order, memo=None):
     conjugates over the norm.  The oracle route (smooth_contribution with a
     trivial oracle) takes (1 - zeta^j)^{-1} from the closed form of
     inverse_one_minus_zeta instead, so the CLI's certificate that the two
-    agree compares independent computations.  The product is taken from
-    memo (a ScalarMemo) when one is given."""
+    agree compares independent computations."""
     if ranks[0] != 0:
         raise NotZeroDimensional(
             f"stratum has r_0 = {ranks[0]}; the closed form needs r_0 = 0"
         )
-    memo = ScalarMemo() if memo is None else memo
-    return memo.point_product(tuple(ranks)) * Fraction(1, z_delta_order)
+    return _point_product(tuple(ranks)) * Fraction(1, z_delta_order)
 
 
-def _lambda_exponent(data, stratum, group, oracle, memo):
+def _lambda_exponent(data, stratum, group, oracle):
     """The exponent of the lambda_{-1}-inverse of the normal bundle, without
     its prefactor, as _combination terms (rows of a Q(zeta_m) scalar, a
     rational vector, a denominator).  It is linear in N_j = T_c^dual - sum
     w2/(2m) E^nu, E^nu trivial of its canonical rank unless overridden, so
-    T_c^dual (bundle None) and each overridden E[s][nu] (bundle (s, nu))
-    enter once per t with ScalarMemo.exponent_scalar.  The ranks are
-    certified as 2m r_j."""
+    T_c^dual and each overridden E[s][nu] enter once per t with
+    _exponent_scalar.  The ranks are certified as 2m r_j."""
     m, d_c, basis = data.m, oracle.d_c, oracle.basis
     if oracle.tangent_rank != stratum.d_c:
         raise InvariantViolation(
             f"oracle tangent rank {oracle.tangent_rank} differs from stratum "
             f"dimension {stratum.d_c}"
         )
-    eigen = [memo.eigen_ranks(data, group, s, c) for s, c in enumerate(stratum.c_delta)]
+    rotations = [n for _, n in data.branches]
+    eigen = [_eigen_ranks(m, n, group.rank, c) for n, c in zip(rotations, stratum.c_delta)]
     ranks = [r for r, _ in eigen]
     sums = [sum(col) for col in zip(*(s for _, s in eigen))] or [0] * m
     for j in range(1, m):
@@ -568,8 +532,8 @@ def _lambda_exponent(data, stratum, group, oracle, memo):
                 f"normal bundle eigen-rank {Fraction(rank2m, 2 * m)} for j = {j} "
                 f"differs from stratum rank r_{j} = {stratum.ranks[j]}"
             )
-    # p_n(T_c^dual) = (-1)^n p_n(T_c)
-    bundles = [(oracle.tangent_power_sums, -1, None)]
+    # p_n(T_c^dual) = (-1)^n p_n(T_c); a bundle is (power sums, sign, n, nu)
+    bundles = [(oracle.tangent_power_sums, -1, None, None)]
     for (s, nu), (rank, classes) in oracle.eigen_chern.items():
         if s >= len(ranks) or nu >= m:
             raise ValidationError(
@@ -581,35 +545,34 @@ def _lambda_exponent(data, stratum, group, oracle, memo):
                 f"oracle rank {rank} for E[{s}][{nu}] disagrees with the stratum "
                 f"root count {ranks[s][nu]}"
             )
-        if any(memo.w2_table(data)[s][nu][1:]):
-            bundles.append((_power_sums(basis, list(map(oracle.dense, classes)), d_c), 1, (s, nu)))
+        if any(_w2(m, rotations[s])[nu][1:]):
+            p = _power_sums(basis, list(map(oracle.dense, classes)), d_c)
+            bundles.append((p, 1, rotations[s], nu))
     terms = []
-    for p, sign, bundle in bundles:
+    for p, sign, n, nu in bundles:
         den = lcm(*(d for _, d in p[1:])) * factorial(d_c)
         for t in range(1, d_c + 1):
             # sum_i (e^{y_i} - 1)^t = sum_{n >= t} t! S(n, t) p_n / n!
             q = [0] * len(basis.degree)
-            for n in range(t, d_c + 1):
-                c = sign**n * sum((-1) ** (t - u) * comb(t, u) * u**n for u in range(1, t + 1))
-                c *= den // (p[n][1] * factorial(n))
-                q = [a + c * x for a, x in zip(q, p[n][0])]
+            for k in range(t, d_c + 1):
+                c = sign**k * sum((-1) ** (t - u) * comb(t, u) * u**k for u in range(1, t + 1))
+                c *= den // (p[k][1] * factorial(k))
+                q = [a + c * x for a, x in zip(q, p[k][0])]
             # this starts in degree 2t; drop what a non-homogeneous user
             # class puts below
             q[: basis.start[2 * t]] = [0] * basis.start[2 * t]
             if any(q):
-                scalar = memo.exponent_scalar(data, bundle, t).embed(m)
+                scalar = _exponent_scalar(m, n, nu, t).embed(m)
                 terms.append((scalar.numerators, q, den * scalar.denominator))
     return terms
 
 
-def lambda_inverse_expansion(data, stratum, group, oracle, memo=None):
+def lambda_inverse_expansion(data, stratum, group, oracle):
     """The equivariant lambda_{-1}-inverse of the normal bundle as
     {exponent tuple: Cyclotomic} on the oracle's basis, prefactor included
-    (for the trivial oracle the scalar prod (1 - zeta^i)^{-r_i}); memo (a
-    ScalarMemo) supplies shared scalars."""
-    memo = ScalarMemo() if memo is None else memo
-    pref = memo.prefactor(tuple(stratum.ranks))
-    terms = _lambda_exponent(data, stratum, group, oracle, memo)
+    (for the trivial oracle the scalar prod (1 - zeta^i)^{-r_i})."""
+    pref = _prefactor(tuple(stratum.ranks))
+    terms = _lambda_exponent(data, stratum, group, oracle)
     if not terms:
         return {(0,) * len(oracle.degrees): pref}
     rows, den = _exp(oracle.basis, terms, data.m)
@@ -617,7 +580,7 @@ def lambda_inverse_expansion(data, stratum, group, oracle, memo=None):
             for expo, nums in zip(oracle.basis.monomials, zip(*rows)) if any(nums)}
 
 
-def smooth_contribution(data, stratum, group, oracle, cs_phase=None, memo=None):
+def smooth_contribution(data, stratum, group, oracle, cs_phase=None):
     """P_c(k): the full polynomial contribution of one stratum over its
     oracle.  coefficient of k^t is
 
@@ -626,7 +589,7 @@ def smooth_contribution(data, stratum, group, oracle, cs_phase=None, memo=None):
     with the lambda-inverse prefactor included, from exp(k m omega).  The
     prefactor and m^t/(t! |Z_delta|) multiply the pairings of one exponential
     exp(E + log Td(T_c)), E the exponent of lambda^{-1}; d_c = 0 pairs the
-    prefactor alone.  memo (a ScalarMemo) shares scalars between strata."""
+    prefactor alone."""
     if stratum.ranks is None:
         raise MissingChernData("stratum carries no rank data; run stratum_ranks first")
     if stratum.d_c < 0:
@@ -638,13 +601,12 @@ def smooth_contribution(data, stratum, group, oracle, cs_phase=None, memo=None):
             f"oracle dimension {oracle.d_c} does not match stratum d_c = {stratum.d_c}"
         )
     m, d_c, basis = data.m, stratum.d_c, oracle.basis
-    memo = ScalarMemo() if memo is None else memo
     if d_c == 0:
-        ((_, pref),) = lambda_inverse_expansion(data, stratum, group, oracle, memo).items()
+        ((_, pref),) = lambda_inverse_expansion(data, stratum, group, oracle).items()
         x = [[1]], 1
     else:
-        pref = memo.prefactor(tuple(stratum.ranks))
-        terms = _lambda_exponent(data, stratum, group, oracle, memo)
+        pref = _prefactor(tuple(stratum.ranks))
+        terms = _lambda_exponent(data, stratum, group, oracle)
         todd = zip(oracle.tangent_power_sums[1:], _todd_log_coefficients(d_c))
         x = _exp(basis, terms + [((a,), v, d * b) for (v, d), (a, b) in todd], m)
     coeffs, (omega, wd) = [], oracle.dense(oracle.omega)

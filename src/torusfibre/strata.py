@@ -10,6 +10,7 @@ which makes every operation here integer combinatorics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, gcd, prod
 from operator import getitem
@@ -127,18 +128,17 @@ def classes_with_power_central(N, l, z):
     ]
 
 
-def _class_table(N, l, z, tables):
-    """classes_with_power_central(N, l, z), built once per (l, z) in
-    ``tables``; the angle multisets it would search are counted first and
-    refused above MAX_TUPLES."""
-    if (l, z) not in tables:
-        if comb(l + N - 1, N) > MAX_TUPLES:
-            raise ValidationError(
-                f"SU({N}) classes c with c^{l} central: more than "
-                f"MAX_TUPLES = {MAX_TUPLES} angle multisets to search"
-            )
-        tables[l, z] = classes_with_power_central(N, l, z)
-    return tables[l, z]
+@lru_cache(maxsize=None)
+def _class_table(N, l, z):
+    """classes_with_power_central(N, l, z) as a tuple, built once; the angle
+    multisets it would search are counted first and refused above
+    MAX_TUPLES."""
+    if comb(l + N - 1, N) > MAX_TUPLES:
+        raise ValidationError(
+            f"SU({N}) classes c with c^{l} central: more than "
+            f"MAX_TUPLES = {MAX_TUPLES} angle multisets to search"
+        )
+    return tuple(classes_with_power_central(N, l, z))
 
 
 def enumerate_strata(data, group):
@@ -166,8 +166,7 @@ def enumerate_strata(data, group):
     N = group.N
     m = data.m
     g = gcd(m, N)
-    tables = {}
-    per_z = [[_class_table(N, l, z, tables) for l, _ in data.branches] for z in range(g)]
+    per_z = [[_class_table(N, l, z) for l, _ in data.branches] for z in range(g)]
     tuples = sum(prod(map(len, per_branch)) for per_branch in per_z)
     if tuples > MAX_TUPLES:
         raise ValidationError(
@@ -178,7 +177,6 @@ def enumerate_strata(data, group):
     # H acts on branch i by the shifts zeta_N^{h m_i}, h a multiple of N / g
     shifts = [[h * mi % N for h in range(0, N, N // g)] for mi in data.orbit_sizes()]
     branch = {}  # (l, n, z) -> per class: c^{-k}, its root data and branch vector if rankable
-    vectors = {}  # (n, r) -> branch vector of stratum_ranks, per call
     memo = {}  # sum of branch vectors -> (ranks, d_c), per call
 
     out = []
@@ -206,7 +204,7 @@ def enumerate_strata(data, group):
             if (l, n, z) not in branch:
                 cds = [c.power(-pow(n, -1, l)) for c in cs]
                 roots = [tuple(root_eigendata(c, m)) for c in cds] if rankable else []
-                vs = [_branch_vector(m, group.rank, n, r, vectors) for r in roots]
+                vs = [_branch_vector(m, group.rank, n, r) for r in roots]
                 branch[l, n, z] = cds, roots, vs
         per = [branch[l, n, z] for l, n in data.branches]
         per_delta, per_roots, per_vector = zip(*per) if per else ((), (), ())
@@ -218,7 +216,7 @@ def enumerate_strata(data, group):
                 key = tuple(map(sum, zip(*map(getitem, per_vector, combo))))
                 if key not in memo:
                     roots = list(map(getitem, per_roots, combo))
-                    memo[key] = stratum_ranks(data, group, roots, vectors)
+                    memo[key] = stratum_ranks(data, group, roots)
                 ranks, d_c = memo[key]
             out.append(StratumDescriptor(z, classes, z_delta_order, c_delta, ranks, d_c))
     return out
@@ -233,7 +231,6 @@ def count_strata_burnside(data, group):
     m = data.m
     orbit_sizes = data.orbit_sizes()
     H = [zp for zp in range(N) if (m * zp) % N == 0]  # the z' that fix z
-    tables = {}
     total = 0
     for z in range(N):
         counts = {}  # (l, t) -> classes with c^l = zeta_N^z fixed by zeta_N^t
@@ -242,7 +239,7 @@ def count_strata_burnside(data, group):
             for (l, _), mi in zip(data.branches, orbit_sizes):
                 t = zp * mi % N
                 if (l, t) not in counts:
-                    cs = _class_table(N, l, z, tables)
+                    cs = _class_table(N, l, z)
                     # the identity fixes every class
                     counts[l, t] = len(cs) if t == 0 else sum(
                         1 for c in cs if c.moved(N * l, t * l) == c.moved(N * l)
@@ -276,20 +273,15 @@ def root_eigendata(c, m):
     return r
 
 
-def _branch_vector(m, rank, n, r_s, vectors):
+@lru_cache(maxsize=None)
+def _branch_vector(m, rank, n, r_s):
     """v_s[i] = rank G mu2_s(i) + sum_j r_s[j] mu2_s(i - j) for the branch
-    point with rotation number n and root data r_s, once per (n, r_s) in
-    ``vectors``."""
-    v = vectors.get((n, r_s))
-    if v is None:
-        mu2 = mu2_table(m, n)
-        v = vectors[n, r_s] = tuple(
-            rank * mu2[i] + sum(r * mu2[i - j] for j, r in enumerate(r_s)) for i in range(m)
-        )
-    return v
+    point with rotation number n and root data r_s."""
+    mu2 = mu2_table(m, n)
+    return tuple(rank * mu2[i] + sum(r * mu2[i - j] for j, r in enumerate(r_s)) for i in range(m))
 
 
-def stratum_ranks(data, group, roots, vectors=None):
+def stratum_ranks(data, group, roots):
     """Eigenspace ranks r_0 ... r_{m-1} of the stratum tangent action and the
     stratum dimension d_c = r_0, in integers from the root data r_s of each
     class of c_delta:
@@ -297,8 +289,7 @@ def stratum_ranks(data, group, roots, vectors=None):
         2 m r_i = 2 dim G (g - 1) + sum_s v_s[i],
         v_s[i] = rank G mu2_s(i) + sum_j r_s[j] mu2_s(i - j)
 
-    with mu2_s = mu2_table(m, n_s), twice the mu values; ``vectors``, a dict
-    (n_s, r_s) -> v_s, keeps the branch vectors across calls on one orbit.
+    with mu2_s = mu2_table(m, n_s), twice the mu values.
 
     Only valid when every branch orbit is a single fixed point (l_s = m); the
     holomorphic fixed point count behind the formula has no extension to
@@ -311,10 +302,9 @@ def stratum_ranks(data, group, roots, vectors=None):
         )
     m = data.m
     g = total_genus(data)
-    vectors = {} if vectors is None else vectors
     acc = [2 * group.dim_G * (g - 1)] * m
     for (_, n), r_s in zip(data.branches, roots):
-        acc = [a + b for a, b in zip(acc, _branch_vector(m, group.rank, n, tuple(r_s), vectors))]
+        acc = [a + b for a, b in zip(acc, _branch_vector(m, group.rank, n, tuple(r_s)))]
     ranks = []
     for i, a in enumerate(acc):
         # On strata of reducible connections (central classes) the count is an

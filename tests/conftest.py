@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -102,6 +103,21 @@ def enumerable_asymmetric_orbits(seed, count, N):
         if d not in out and len(d.branches) >= 2 and is_asymmetric(d) and tuples(d) <= 3000:
             out.append(d)
     return out[:count]
+
+
+def clear_caches():
+    """Empty the package's lru caches, as a fresh process starts."""
+    for name, module in list(sys.modules.items()):
+        if name == "torusfibre" or name.startswith("torusfibre."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Every test starts with empty torusfibre caches, whatever ran before."""
+    clear_caches()
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,7 @@ import numpy as np
 
 from torusfibre.errors import GcdViolation, InvariantViolation, NonIntegralRank
 from torusfibre.exact import Cyclotomic, PhaseQ, cyclotomic_polynomial
-from torusfibre.localization import ScalarMemo
+from torusfibre.localization import _eigen_ranks, _exponent_scalar, _prefactor, _w2
 from torusfibre.orbit import total_genus
 from torusfibre.spectrum import mu2_table
 from torusfibre.strata import ConjClassSU, classes_with_power_central
@@ -427,22 +427,23 @@ def ring_pair(oracle, x, form):
     return acc
 
 
-def ring_lambda_exponent(data, stratum, group, oracle, memo):
+def ring_lambda_exponent(data, stratum, group, oracle):
     """The exponent of the lambda_{-1}-inverse as a ring element, summed
     per bundle; the rank certificates of the production route are left to
     it."""
     m = data.m
-    eigen = [memo.eigen_ranks(data, group, s, c) for s, c in enumerate(stratum.c_delta)]
-    ranks = [r for r, _ in eigen]
+    rotations = [n for _, n in data.branches]
+    ranks = [_eigen_ranks(m, n, group.rank, c)[0] for n, c in zip(rotations, stratum.c_delta)]
     ring = oracle.ring
-    bundles = [([ring.scale(p, (-1) ** n) for n, p in enumerate(oracle.tangent_power_sums)], None)]
+    bundles = [([ring.scale(p, (-1) ** n) for n, p in enumerate(oracle.tangent_power_sums)], None, None)]
     for (s, nu), (rank, classes) in oracle.eigen_chern.items():
         if rank not in (None, ranks[s][nu]):
             raise InvariantViolation(f"oracle rank {rank} for E[{s}][{nu}]")
-        if any(memo.w2_table(data)[s][nu][1:]):
-            bundles.append((ring_power_sums(ring, ranks[s][nu], classes, oracle.d_c), (s, nu)))
+        if any(_w2(m, rotations[s])[nu][1:]):
+            p = ring_power_sums(ring, ranks[s][nu], classes, oracle.d_c)
+            bundles.append((p, rotations[s], nu))
     exponent = {}
-    for p, bundle in bundles:
+    for p, rotation, nu in bundles:
         for t in range(1, oracle.d_c + 1):
             p_t = {}
             for n in range(t, oracle.d_c + 1):
@@ -450,7 +451,7 @@ def ring_lambda_exponent(data, stratum, group, oracle, memo):
                 p_t = ring.add(p_t, ring.scale(p[n], Fraction(surj, factorial(n))))
             p_t = {k: v for k, v in p_t.items() if ring.monomial_degree(k) >= 2 * t}
             if p_t:
-                scalar = memo.exponent_scalar(data, bundle, t)
+                scalar = _exponent_scalar(m, rotation, nu, t)
                 exponent = ring.add(exponent, ring.scale(p_t, scalar))
     return exponent
 
@@ -458,9 +459,8 @@ def ring_lambda_exponent(data, stratum, group, oracle, memo):
 def ring_lambda_inverse_expansion(data, stratum, group, oracle):
     """The lambda_{-1}-inverse with its prefactor as a ring element."""
     ring = oracle.ring
-    memo = ScalarMemo()
-    pref = memo.prefactor(tuple(stratum.ranks))
-    return ring.scale(ring.exp(ring_lambda_exponent(data, stratum, group, oracle, memo)), pref)
+    pref = _prefactor(tuple(stratum.ranks))
+    return ring.scale(ring.exp(ring_lambda_exponent(data, stratum, group, oracle)), pref)
 
 
 def ring_smooth_contribution(data, stratum, group, oracle):
@@ -468,14 +468,13 @@ def ring_smooth_contribution(data, stratum, group, oracle):
     exp(E + log Td(T_c)) as a ring element, paired rationally with
     omega^t, the prefactor and m^t/(t! |Z_delta|) last."""
     ring = oracle.ring
-    memo = ScalarMemo()
     if stratum.d_c == 0:
         ((unit, scalar),) = ring_lambda_inverse_expansion(data, stratum, group, oracle).items()
         val = oracle.pairing.get(unit)
         coeffs = [Cyclotomic.from_rational(0) if val is None else scalar * val]
     else:
-        pref = memo.prefactor(tuple(stratum.ranks))
-        exponent = ring_lambda_exponent(data, stratum, group, oracle, memo)
+        pref = _prefactor(tuple(stratum.ranks))
+        exponent = ring_lambda_exponent(data, stratum, group, oracle)
         integrand = ring_todd_class(ring, oracle.tangent_power_sums, exponent)
         coeffs = []
         omega_pow = ring.one()

@@ -169,7 +169,7 @@ def test_criterion_08_localization_collapse(capsys):
                 checked += 1
                 value = point_contribution(s.ranks, s.z_delta_order)
                 contrib = smooth_contribution(
-                    data, s, SU2, CohomologyOracle.trivial(0), PhaseQ(0)
+                    data, s, SU2, CohomologyOracle.trivial(), PhaseQ(0)
                 )
                 if len(contrib.coefficients) != 1 or contrib.coefficients[0] != value:
                     return False

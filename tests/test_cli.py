@@ -405,9 +405,9 @@ def test_rational_literals_read_as_fraction_reads_them(value):
         want = Fraction(value)
     except ZeroDivisionError as exc:
         with pytest.raises(ValidationError, match=re.escape(str(exc))):
-            rational_from_json(value, "x", {})
+            rational_from_json(value, "x")
     else:
-        assert rational_from_json(value, "x", {}) == (want.numerator, want.denominator)
+        assert rational_from_json(value, "x") == (want.numerator, want.denominator)
 
 
 def test_oracles_top_level_list_is_invalid_input(tmp_path, capsys):
@@ -948,38 +948,33 @@ def test_unreadable_group_label_is_invalid_input(orbit_file, capsys, group):
     assert f"unrecognized group label {group!r}; expected SU(N)" in err
 
 
-# -- no state between calls -----------------------------------------------------
+# -- warm caches between calls ------------------------------------------------
 
 
-def test_invariant_calls_share_no_memo_state(monkeypatch, capsys):
-    """Each invariant call makes its own ScalarMemo and fills it only with
-    its own orbit's scalars; the outputs are the golden ones in any order."""
-    import torusfibre.cli as cli
+def test_invariant_calls_on_warm_caches_give_golden_bytes(monkeypatch, capsys):
+    """Invariant calls in a row, with the caches the calls before them
+    filled, give their golden bytes: M5, then Z4, then M5 again."""
+    from torusfibre.localization import _point_product, _prefactor
 
     golden = GOLDEN_INPUTS.parent
     manifest = json.loads((golden / "manifest.json").read_text())
-    memos = []
-
-    class Recording(cli.ScalarMemo):
-        def __init__(self):
-            super().__init__()
-            assert not any(vars(self).values())
-            memos.append(self)
-
-    monkeypatch.setattr(cli, "ScalarMemo", Recording)
     monkeypatch.chdir(golden)
-    cases = ["invariant_m5_su2_k47", "invariant_z4_su2_k197", "invariant_m5_su2_k47"]
-    for case in cases:
+    misses = []
+    for case in ["invariant_m5_su2_k47", "invariant_z4_su2_k197", "invariant_m5_su2_k47"]:
         code, out, _ = run(capsys, *manifest[case]["argv"])
         assert code == manifest[case]["exit"] == 0
         assert out == (golden / f"{case}.out").read_text()
-    assert len(memos) == 3 and len({id(memo) for memo in memos}) == 3
-    for memo, m in zip(memos, (5, 4, 5)):
-        assert memo.point_products and memo.prefactors
-        assert {len(ranks) for ranks in memo.point_products} == {m}
-        assert {key[0] for key in memo.point_factors} == {m}
-        assert set(memo.inverses) == {m}
-    stores = [store for memo in memos for store in vars(memo).values()]
-    assert len({id(store) for store in stores}) == len(stores)
-    assert vars(memos[0]).keys() == vars(memos[2]).keys()
-    assert memos[0].point_products.keys() == memos[2].point_products.keys()
+        misses.append(_point_product.cache_info().misses + _prefactor.cache_info().misses)
+    # the second M5 call finds every product in the first one's caches
+    assert misses[0] < misses[1] == misses[2]
+
+
+def test_bad_cs_phase_is_refused_on_every_call(tmp_path, capsys):
+    """A refused value is not cached: "1/0" fails the second call as it
+    failed the first."""
+    cs = json.loads((GOLDEN_INPUTS / "z4_su2_cs.json").read_text())
+    cs["3"] = "1/0"
+    for _ in range(2):
+        code, out, err = _invariant_z4(capsys, tmp_path, cs=cs)
+        assert (code, out) == (1, "")
+        assert "cs-phase '3' = '1/0'" in err

@@ -39,7 +39,7 @@ def test_golden_output(case, monkeypatch):
 
 
 def test_calls_in_a_row_share_nothing(monkeypatch):
-    """Each call builds its localization tables afresh: Z4 SU(3)
+    """Calls in a row share only their caches of pure values: Z4 SU(3)
     contributions, then an M5 invariant, then Z4 SU(3) again, all in one
     process, each give their golden bytes."""
     monkeypatch.chdir(GOLDEN)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import M5, Z3, Z4, is_asymmetric, random_asymmetric_orbits
+from conftest import M5, Z3, Z4, clear_caches, is_asymmetric, random_asymmetric_orbits
 from oracles import euclid_inverse, todd_log_series
 from torusfibre.errors import (
     InvariantViolation,
@@ -13,9 +13,9 @@ from torusfibre.errors import (
 )
 from torusfibre.exact import Cyclotomic, PhaseQ
 from torusfibre.framing import GroupData
+from torusfibre import localization
 from torusfibre.localization import (
     CohomologyOracle,
-    ScalarMemo,
     lambda_inverse_expansion,
     point_contribution,
     smooth_contribution,
@@ -62,14 +62,14 @@ def test_zero_dimensional_collapse():
         if s.d_c != 0:
             continue
         value = point_contribution(s.ranks, s.z_delta_order)
-        contrib = smooth_contribution(M5, s, SU2, CohomologyOracle.trivial(0), PhaseQ(0))
+        contrib = smooth_contribution(M5, s, SU2, CohomologyOracle.trivial(), PhaseQ(0))
         assert len(contrib.coefficients) == 1
         assert contrib.coefficients[0] == value
 
 
 def test_lambda_inverse_trivial_oracle_is_scalar():
     s = next(s for s in enumerate_strata(M5, SU2) if s.d_c == 0)
-    lam = lambda_inverse_expansion(M5, s, SU2, CohomologyOracle.trivial(0))
+    lam = lambda_inverse_expansion(M5, s, SU2, CohomologyOracle.trivial())
     assert list(lam.keys()) == [()]
     assert lam[()] == _prefactor(s.ranks)
 
@@ -129,7 +129,7 @@ def test_eigen_rank_certificate():
 def test_oracle_dimension_mismatch():
     s = _z3_stratum()
     with pytest.raises(MissingChernData):
-        smooth_contribution(Z3, s, SU2, CohomologyOracle.trivial(0), PhaseQ(0))
+        smooth_contribution(Z3, s, SU2, CohomologyOracle.trivial(), PhaseQ(0))
 
 
 def test_degree_overflow():
@@ -147,7 +147,7 @@ def test_degree_overflow():
 def test_empty_stratum_refused():
     s = next(s for s in enumerate_strata(M5, SU2) if s.d_c < 0)
     with pytest.raises(NotZeroDimensional):
-        smooth_contribution(M5, s, SU2, CohomologyOracle.trivial(0), PhaseQ(0))
+        smooth_contribution(M5, s, SU2, CohomologyOracle.trivial(), PhaseQ(0))
 
 
 def test_todd_of_trivial_bundle_is_one():
@@ -188,7 +188,7 @@ def test_trace_and_lambda_inverse_need_no_euclid(monkeypatch):
     lambda_inverse_expansion(Z3, s, SU2, _toy_oracle({"T_c": {"rank": 1, "classes": [{"u": "2"}]}}))
     for s in enumerate_strata(M5, SU2):
         if s.d_c == 0:
-            lambda_inverse_expansion(M5, s, SU2, CohomologyOracle.trivial(0))
+            lambda_inverse_expansion(M5, s, SU2, CohomologyOracle.trivial())
 
 
 def test_point_route_needs_no_closed_form_inverse(monkeypatch):
@@ -212,7 +212,7 @@ def test_point_route_needs_no_closed_form_inverse(monkeypatch):
     for (data, s), value in zip(points, expected):
         assert point_contribution(s.ranks, s.z_delta_order) == value
         with pytest.raises(AssertionError, match="inverse_one_minus_zeta"):
-            smooth_contribution(data, s, SU2, CohomologyOracle.trivial(0), PhaseQ(0))
+            smooth_contribution(data, s, SU2, CohomologyOracle.trivial(), PhaseQ(0))
 
 
 def _euclid_product(ranks, inverses):
@@ -226,120 +226,132 @@ def _euclid_product(ranks, inverses):
 
 
 def test_memo_scalars_match_direct_products():
-    """One ScalarMemo serves every stratum of an orbit; its point and oracle
-    products and its weights beta_j^t / t equal the products built directly
-    for each stratum, on seeded asymmetric fixed-point data."""
+    """The cached point and oracle products and weights beta_j^t / t, shared
+    by every stratum of an orbit, equal the products built directly for
+    each stratum, on seeded asymmetric fixed-point data."""
     suite = random_asymmetric_orbits(
         43, 120, range(2, 9), max_branches=4, fixed_points_only=True
     )
     suite = [d for d in suite if is_asymmetric(d)][:10]
     assert len(suite) == 10 and len({d.m for d in suite}) > 3
-    strata_seen = shared = 0
+    strata_seen = 0
     for data in suite:
         m = data.m
-        memo = ScalarMemo()
         inverses = [None] + [euclid_inverse(1 - Cyclotomic.zeta(m, i)) for i in range(1, m)]
         strata = [s for s in enumerate_strata(data, SU2) if s.d_c is not None and s.d_c >= 0]
         for s in strata:
             direct = _euclid_product(s.ranks, inverses)
-            assert memo.point_product(s.ranks) == direct
-            assert memo.prefactor(s.ranks) == direct
+            assert localization._point_product(s.ranks) == direct
+            assert localization._prefactor(s.ranks) == direct
             if s.d_c == 0:
                 value = direct * F(1, s.z_delta_order)
-                assert point_contribution(s.ranks, s.z_delta_order, memo) == value
+                assert point_contribution(s.ranks, s.z_delta_order) == value
                 contrib = smooth_contribution(
-                    data, s, SU2, CohomologyOracle.trivial(0), PhaseQ(0), memo
+                    data, s, SU2, CohomologyOracle.trivial(), PhaseQ(0)
                 )
                 assert contrib.coefficients == [value]
         for j in range(1, m):
             beta = Cyclotomic.zeta(m, j) * inverses[j]
             for t in range(1, 4):
-                assert memo.weight(m, j, t) == beta**t * F(1, t)
-        # the routes keep their own entries, keyed by rank vector
-        assert memo.point_products.keys() == memo.prefactors.keys()
-        assert all(memo.point_products[r] is not memo.prefactors[r] for r in memo.prefactors)
+                assert localization._weight(m, j, t) == beta**t * F(1, t)
+        # the routes keep their own values, keyed by rank vector
+        assert all(
+            localization._point_product(s.ranks) is not localization._prefactor(s.ranks)
+            for s in strata
+        )
         strata_seen += len(strata)
-        shared += len(strata) - len(memo.prefactors)
-    assert shared > 0 and strata_seen > 2 * len(suite)
+    kept = localization._prefactor.cache_info().currsize
+    assert localization._point_product.cache_info().currsize == kept
+    assert kept < strata_seen and strata_seen > 2 * len(suite)
 
 
 def test_rank_certificate_runs_with_a_warm_memo():
     s = _z3_stratum()
-    memo = ScalarMemo()
-    smooth_contribution(Z3, s, SU2, _toy_oracle(), PhaseQ(0), memo)
-    assert memo.prefactors
+    smooth_contribution(Z3, s, SU2, _toy_oracle(), PhaseQ(0))
+    assert localization._prefactor.cache_info().currsize
     bad = _toy_oracle({"E[0][1]": {"rank": 5, "classes": []}})
     with pytest.raises(InvariantViolation):
-        smooth_contribution(Z3, s, SU2, bad, PhaseQ(0), memo)
+        smooth_contribution(Z3, s, SU2, bad, PhaseQ(0))
 
 
 def test_rank_certificate_runs_with_filled_tables():
-    """The canonical ranks and the w2 table are built once per call; a
-    stratum with a wrong rank entry, after one with the same c_delta
-    classes has filled them, still fails the 2m r_j certificate."""
-    memo = ScalarMemo()
+    """The canonical ranks and the w2 table are cached; a stratum with a
+    wrong rank entry, after one with the same c_delta classes has filled
+    them, still fails the 2m r_j certificate."""
+    eigen_ranks = localization._eigen_ranks
     cases = [(M5, next(s for s in enumerate_strata(M5, SU2) if s.d_c == 0),
-              CohomologyOracle.trivial(0)),
+              CohomologyOracle.trivial()),
              (Z3, _z3_stratum(), _toy_oracle())]
     for data, good, oracle in cases:
-        smooth_contribution(data, good, SU2, oracle, PhaseQ(0), memo)
-        filled = dict(memo.ranks)
-        keys = [(data.m, data.branches[s][1], SU2.N, c) for s, c in enumerate(good.c_delta)]
-        assert all(key in filled for key in keys)
+        smooth_contribution(data, good, SU2, oracle, PhaseQ(0))
+        filled = eigen_ranks.cache_info()
+        for (_, n), c in zip(data.branches, good.c_delta):
+            eigen_ranks(data.m, n, SU2.rank, c)
+        assert eigen_ranks.cache_info().misses == filled.misses
         for j in range(1, data.m):
             ranks = list(good.ranks)
             ranks[j] += 1
             bad = dataclasses.replace(good, ranks=tuple(ranks))
             with pytest.raises(InvariantViolation, match=f"r_{j} = {ranks[j]}"):
-                smooth_contribution(data, bad, SU2, oracle, PhaseQ(0), memo)
-        assert memo.ranks == filled
+                smooth_contribution(data, bad, SU2, oracle, PhaseQ(0))
+        assert eigen_ranks.cache_info().currsize == filled.currsize
 
 
-def test_one_memo_keeps_orbits_apart():
-    """The orbit tables of a memo are keyed by the OrbitData: orbits of one
-    order, among them Z3 with its branches reordered (so the eigenbundle
-    E[1][1] sits at another branch type), get through one shared memo what
-    a fresh memo gives each, and the override makes the reordering show."""
+def test_warm_caches_keep_orbits_apart():
+    """Orbits of one order, among them Z3 with its branches reordered (so
+    the eigenbundle E[1][1] sits at another branch type), get on caches
+    that the orbits before them warmed what cold caches give each, and the
+    override makes the reordering show."""
     orbits = [Z3, OrbitData(3, 0, [(3, 1), (3, 2), (3, 1), (3, 2)]), OrbitData(3, 1, [(3, 2)] * 3)]
     oracle = _toy_oracle({"E[1][1]": {"classes": [{"u": "3"}]}, "T_c": {"rank": 1, "classes": [{"u": "2"}]}})
-    shared = ScalarMemo()
-    values = []
+
+    def values(data):
+        return [
+            smooth_contribution(
+                data, s, SU2, oracle if s.d_c else CohomologyOracle.trivial(), PhaseQ(0)
+            ).coefficients
+            for s in enumerate_strata(data, SU2)
+            if s.d_c in (0, 1)
+        ]
+
+    warm = [values(data) for data in orbits]
+    assert localization._exponent_scalar.cache_info().hits
+    cold = []
     for data in orbits:
-        for s in enumerate_strata(data, SU2):
-            if s.d_c in (0, 1):
-                used = oracle if s.d_c else CohomologyOracle.trivial(0)
-                got = smooth_contribution(data, s, SU2, used, PhaseQ(0), shared)
-                fresh = smooth_contribution(data, s, SU2, used, PhaseQ(0), ScalarMemo())
-                assert got.coefficients == fresh.coefficients
-                if s.d_c and data.quotient_genus == 0:
-                    values.append(got.coefficients)
-    assert len(values) == 2 and values[0] != values[1]
-    assert {key[0] for key in shared.scalars} == set(orbits)
+        clear_caches()
+        cold.append(values(data))
+    assert warm == cold
+    smooth = [
+        got
+        for data, gots in zip(orbits[:2], warm)
+        for s, got in zip((s for s in enumerate_strata(data, SU2) if s.d_c in (0, 1)), gots)
+        if s.d_c
+    ]
+    assert len(smooth) == 2 and smooth[0] != smooth[1]
 
 
 def test_memo_routes_read_their_own_inverses(monkeypatch):
-    # a memo filled by the oracle route must not feed the point route, nor
+    # caches filled by the oracle route must not feed the point route, nor
     # the other way round
     points = [s for s in enumerate_strata(M5, SU2) if s.d_c == 0]
-    memo = ScalarMemo()
     for s in points:
-        smooth_contribution(M5, s, SU2, CohomologyOracle.trivial(0), PhaseQ(0), memo)
+        smooth_contribution(M5, s, SU2, CohomologyOracle.trivial(), PhaseQ(0))
 
     def refuse(self):
         raise AssertionError("Cyclotomic.inverse called")
 
     monkeypatch.setattr(Cyclotomic, "inverse", refuse)
     with pytest.raises(AssertionError, match="Cyclotomic.inverse"):
-        point_contribution(points[0].ranks, points[0].z_delta_order, memo)
+        point_contribution(points[0].ranks, points[0].z_delta_order)
     monkeypatch.undo()
 
-    memo = ScalarMemo()
+    clear_caches()
     for s in points:
-        point_contribution(s.ranks, s.z_delta_order, memo)
+        point_contribution(s.ranks, s.z_delta_order)
 
     def refuse_closed_form(m, e):
         raise AssertionError("inverse_one_minus_zeta called")
 
     monkeypatch.setattr("torusfibre.localization.inverse_one_minus_zeta", refuse_closed_form)
     with pytest.raises(AssertionError, match="inverse_one_minus_zeta"):
-        smooth_contribution(M5, points[0], SU2, CohomologyOracle.trivial(0), PhaseQ(0), memo)
+        smooth_contribution(M5, points[0], SU2, CohomologyOracle.trivial(), PhaseQ(0))

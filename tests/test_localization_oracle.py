@@ -47,7 +47,7 @@ from torusfibre.exact import Cyclotomic, PhaseQ
 from torusfibre.framing import GroupData
 from torusfibre.localization import (
     CohomologyOracle,
-    ScalarMemo,
+    _prefactor,
     lambda_inverse_expansion,
     smooth_contribution,
 )
@@ -319,19 +319,19 @@ def test_smooth_contribution_matches_cyclotomic_reference(case):
 
 @pytest.mark.parametrize("case", oracle_cases(), ids=_case_id)
 def test_shared_memo_matches_cyclotomic_reference(case):
-    """One ScalarMemo across the strata of a case, as the CLI uses it."""
+    """The strata of a case on caches that the strata before them warmed,
+    as the CLI runs them."""
     data, N, seed = case
     group = GroupData(N)
     strata = eligible_strata(data, N)
     rng = random.Random("memo-" + _case_id(case))
-    memo = ScalarMemo()
     for stratum in rng.sample(strata, min(len(strata), 6)):
         obj = random_oracle(rng, data, stratum, group)
         oracle = CohomologyOracle.from_json(obj)
-        got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0), memo=memo)
+        got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0))
         ref = ref_contribution(data, stratum, group, ring_oracle(obj))
         assert [c.to_json() for c in got.coefficients] == [c.to_json() for c in ref]
-    assert memo.prefactors
+    assert _prefactor.cache_info().currsize
 
 
 def test_random_oracles_reach_every_feature():
@@ -414,14 +414,13 @@ def test_one_exponential_matches_the_ring_route(case):
     smooth = [s for s in strata if s.d_c > 0]
     points = [s for s in strata if s.d_c == 0]
     picked = rng.sample(smooth, min(len(smooth), 4)) + rng.sample(points, min(len(points), 2))
-    memo = ScalarMemo()
     for stratum in picked:
         objs = oracle_variants(rng, data, stratum, group)
         if stratum.d_c == 0:
-            objs.append({"d_c": 0, "pairing": {"1": 1}})  # CohomologyOracle.trivial(0)
+            objs.append({"d_c": 0, "pairing": {"1": 1}})  # CohomologyOracle.trivial()
         for obj in objs:
-            oracle = CohomologyOracle.from_json(obj, memo)
-            got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0), memo)
+            oracle = CohomologyOracle.from_json(obj)
+            got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0))
             want = smooth_contribution_two_exponentials(data, stratum, group, ring_oracle(obj))
             assert [c.to_json() for c in got.coefficients] == [c.to_json() for c in want]
 
@@ -440,14 +439,13 @@ def test_integer_route_matches_the_dict_route(case):
     smooth = [s for s in strata if s.d_c > 0]
     points = [s for s in strata if s.d_c == 0]
     picked = rng.sample(smooth, min(len(smooth), 4)) + rng.sample(points, min(len(points), 2))
-    memo = ScalarMemo()
     for stratum in picked:
         for obj in oracle_variants(rng, data, stratum, group):
-            oracle = CohomologyOracle.from_json(obj, memo)
-            got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0), memo)
+            oracle = CohomologyOracle.from_json(obj)
+            got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0))
             want = ring_smooth_contribution(data, stratum, group, ring_oracle(obj))
             assert [c.to_json() for c in got.coefficients] == [c.to_json() for c in want]
-            lam = lambda_inverse_expansion(data, stratum, group, oracle, memo)
+            lam = lambda_inverse_expansion(data, stratum, group, oracle)
             ref_lam = ring_lambda_inverse_expansion(data, stratum, group, ring_oracle(obj))
             assert {k: v.to_json() for k, v in lam.items()} == {k: v.to_json() for k, v in ref_lam.items()}
 

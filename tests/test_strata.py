@@ -230,9 +230,10 @@ def _record(monkeypatch, name):
 
 def test_strata_builds_one_class_list_per_power_and_center(monkeypatch, capsys):
     """strata Z4 SU(3): enumerate_strata visits z < gcd(4, 3) = 1 and
-    count_strata_burnside z < 3, all four branches with l = 4, so each builds
-    one class list per (l, z): 4 calls, not one per branch; stratum_ranks
-    still gives the ranks.  The 471 KB listing is pinned by its sha256."""
+    count_strata_burnside z < 3, all four branches with l = 4, so one class
+    list is built per (l, z): 3 calls, not one per branch, and Burnside
+    reads (3, 4, 0) from the cache; stratum_ranks still gives the ranks.
+    The 471 KB listing is pinned by its sha256."""
     calls = _record(monkeypatch, "classes_with_power_central")
     ranks = _record(monkeypatch, "stratum_ranks")
     assert cli.main(["strata", "--orbit", str(INPUTS / "z4.json"), "--group", "SU(3)"]) == 0
@@ -240,7 +241,7 @@ def test_strata_builds_one_class_list_per_power_and_center(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "276b7795fb6aa0cfc1ef3ca6434acd8f021f0664534007417ea8ef6e20b3b662"
     )
-    assert calls == [(3, 4, 0), (3, 4, 0), (3, 4, 1), (3, 4, 2)]
+    assert calls == [(3, 4, 0), (3, 4, 1), (3, 4, 2)]
     assert ranks
 
 
