@@ -353,21 +353,17 @@ class CohomologyOracle:
 
 def _power_sums(basis, classes, top_n):
     """[None, p_1, ..., p_top_n] for a bundle with Chern classes c_i =
-    C_i / D, each p_n as (P_n, D^n) from the recursion P_n = (-1)^(n+1)
-    (n D^(n-1) C_n + sum_{0<i<n} (-1)^i D^(i-1) C_i P_(n-i)).  This is not
-    Newton's identity for odd n >= 3, whose cross terms carry (-1)^(i-1)
-    where this one has (-1)^(n+1+i).  The recursion is kept as the former
-    dict route (tests/oracles.py) has it, so that values stay as they were;
-    do not copy it as the reference identity (see the FOUND on _power_sums
-    in CHANGES.md)."""
+    C_i / D, each p_n as (P_n, D^n), by Newton's identities p_n = sum_{0<i<n}
+    (-1)^(i-1) c_i p_(n-i) + (-1)^(n-1) n c_n: P_n = n E_n + sum_{0<i<n}
+    E_i P_(n-i) with E_i = (-1)^(i-1) D^(i-1) C_i."""
     size, den = len(basis.degree), lcm(*(d for _, d in classes))
-    cs = [[(-1) ** i * den ** i // d * x for x in v] for i, (v, d) in enumerate(classes, 1)]
+    es = [[(-1) ** (i - 1) * den ** i // d * x for x in v] for i, (v, d) in enumerate(classes, 1)]
     p = [None]
     for n in range(1, top_n + 1):
-        acc = [(-1) ** n * n * x for x in cs[n - 1]] if n <= len(cs) else [0] * size
-        for i in range(1, min(n, len(cs) + 1)):
-            _mul(basis, cs[i - 1], p[n - i], acc)
-        p.append([(-1) ** (n + 1) * x for x in acc])
+        acc = [n * x for x in es[n - 1]] if n <= len(es) else [0] * size
+        for i in range(1, min(n, len(es) + 1)):
+            _mul(basis, es[i - 1], p[n - i], acc)
+        p.append(acc)
     return [None] + [(v, den**n) for n, v in enumerate(p[1:], 1)]
 
 

@@ -394,10 +394,10 @@ def ring_power_sums(ring, rank, classes, top_n):
     e = [ring.one()] + list(classes) + [{}] * top_n
     p = [ring.scale(ring.one(), rank)]
     for n in range(1, top_n + 1):
-        acc = ring.scale(e[n], n)
+        acc = ring.scale(e[n], (-1) ** (n - 1) * n)
         for i in range(1, n):
-            acc = ring.add(acc, ring.scale(ring.mul(e[i], p[n - i]), (-1) ** i))
-        p.append(ring.scale(acc, (-1) ** (n + 1)))
+            acc = ring.add(acc, ring.scale(ring.mul(e[i], p[n - i]), (-1) ** (i - 1)))
+        p.append(acc)
     return p
 
 

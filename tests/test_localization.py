@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -158,6 +159,25 @@ def test_todd_of_trivial_bundle_is_one():
     log_td = [((a,), v, d * b) for (v, d), (a, b) in zip(p[1:], _todd_log_coefficients(1))]
     # rows over the basis 1, u of Q(zeta_1) = Q, and their denominator
     assert _exp(oracle.basis, log_td, 1) == ([[1, 0]], 1)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_power_sums_of_split_bundles(r):
+    """A bundle with Chern roots y_1..y_r, generators of degree 2, has the
+    Chern classes e_k(y) and the power sums p_n = sum_i y_i^n, read off
+    without Newton's identities, for n <= 4."""
+    names = [f"y{i}" for i in range(r)]
+    classes = [{"*".join(c): "1" for c in combinations(names, k)} for k in range(1, r + 1)]
+    oracle = CohomologyOracle.from_json({
+        "d_c": 4,
+        "generators": [{"name": y, "degree": 2} for y in names],
+        "pairing": {"y0^4": "1"},
+        "chern": {"T_c": {"rank": r, "classes": classes}},
+    })
+    for n, (nums, den) in enumerate(oracle.tangent_power_sums[1:], 1):
+        roots = {tuple(n * (j == i) for j in range(r)): (1, 1) for i in range(r)}
+        want, want_den = oracle.dense(roots)
+        assert [F(x, den) for x in nums] == [F(x, want_den) for x in want]
 
 
 @pytest.mark.parametrize("top_n", range(25))

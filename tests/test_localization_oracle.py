@@ -117,10 +117,10 @@ def ref_chern_character(ring, rank, classes, top_n):
     e += [{}] * (top_n + 1 - len(e))
     p = [ring.scalar(rank)]
     for n in range(1, top_n + 1):
-        acc = ring.scale(e[n], n)
+        acc = ring.scale(e[n], (-1) ** (n - 1) * n)
         for i in range(1, n):
-            acc = ring.add(acc, ring.scale(ring.mul(e[i], p[n - i]), (-1) ** i))
-        p.append(ring.scale(acc, -1) if n % 2 == 0 else acc)
+            acc = ring.add(acc, ring.scale(ring.mul(e[i], p[n - i]), (-1) ** (i - 1)))
+        p.append(acc)
     return [p[0]] + [ring.scale(p[n], F(1, factorial(n))) for n in range(1, top_n + 1)]
 
 
