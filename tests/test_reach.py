@@ -1,8 +1,9 @@
 """Every function and method defined in src/torusfibre has a caller in the
 program.  The golden command lines, a noise-free fit, an argparse refusal and
-a spectrum on an invalid orbit run through main under sys.setprofile; a
-definition that none of them calls fails the test unless it is listed below
-with its reason."""
+a spectrum on an invalid orbit run through main under sys.setprofile, on the
+empty caches that conftest's autouse fixture leaves (a cache hit never
+enters its function); a definition that none of them calls fails the test
+unless it is listed below with its reason."""
 
 import ast
 import cmath
@@ -52,16 +53,6 @@ def _definitions():
     return out
 
 
-def _clear_caches():
-    """Empty the package's lru caches, so that their functions are entered
-    again (a hit never enters them)."""
-    for name, module in list(sys.modules.items()):
-        if name == "torusfibre" or name.startswith("torusfibre."):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-
-
 def _runs(tmp_path):
     """(argv, expected exit code) for every run, relative to golden/."""
     manifest = json.loads((GOLDEN / "manifest.json").read_text())
@@ -85,7 +76,6 @@ def _runs(tmp_path):
 def test_every_definition_is_reached(monkeypatch, tmp_path):
     runs = _runs(tmp_path)
     monkeypatch.chdir(GOLDEN)
-    _clear_caches()
     called = set()
 
     def profile(frame, event, arg):
