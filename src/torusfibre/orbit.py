@@ -127,12 +127,10 @@ def validate_orbit(data, raise_on_failure=True):
             return report
     report["checks"]["rotation_coprime"] = {"pass": True}
 
-    branching = sum((data.m // l) * (l - 1) for l, _ in data.branches)
-    chi_twice = data.m * (2 - 2 * data.quotient_genus) - branching
-    if chi_twice % 2 != 0:
+    chi_twice, g = _genus(data)
+    if g is None:
         fail("genus", None, f"Riemann-Hurwitz count 2-2g = {chi_twice} is odd")
         return report
-    g = (2 - chi_twice) // 2
     if g < 2:
         fail("genus", None, f"total genus g = {g} is below 2")
         return report
@@ -169,13 +167,21 @@ def validate_orbit(data, raise_on_failure=True):
     return report
 
 
+def _genus(data):
+    """(2 - 2g, g) for the total surface by Riemann-Hurwitz, 2 - 2g =
+    m (2 - 2 g_quotient) - sum_i (m / l_i)(l_i - 1); g is None when 2 - 2g
+    is odd."""
+    chi_twice = data.m * (2 - 2 * data.quotient_genus) - sum(
+        (data.m // l) * (l - 1) for l, _ in data.branches
+    )
+    return chi_twice, None if chi_twice % 2 else (2 - chi_twice) // 2
+
+
 def total_genus(data):
     """Genus of the total surface from the branched-cover Euler counts."""
-    branching = sum((data.m // l) * (l - 1) for l, _ in data.branches)
-    chi_twice = data.m * (2 - 2 * data.quotient_genus) - branching
-    if chi_twice % 2 != 0:
+    chi_twice, g = _genus(data)
+    if g is None:
         raise NonIntegralGenus(f"2 - 2g = {chi_twice} is odd; branch data inconsistent")
-    g = (2 - chi_twice) // 2
     if g < 2:
         raise GenusTooSmall(f"total genus g = {g}; need g >= 2")
     return g
