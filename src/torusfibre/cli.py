@@ -219,7 +219,8 @@ def _stratum_phases(strata, cs_map):
 def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
     """One entry per stratum: a ContributionPolynomial where computable, a
     marker dict otherwise.  strict mode turns markers into errors.  The
-    point strata share one trivial oracle."""
+    point strata share one trivial oracle, and each is certified against the
+    closed form of point_contribution."""
     phases = _stratum_phases(strata, cs_map)
     if oracle_map is not None and not isinstance(oracle_map, dict):
         raise ValidationError(
@@ -237,30 +238,37 @@ def _collect_contributions(data, group, strata, cs_map, oracle_map, strict):
             entries.append({"index": i, "empty": True})
             continue
         if s.d_c == 0:
-            value = point_contribution(s.ranks, s.z_delta_order)
-            contrib = smooth_contribution(data, s, group, point, cs_phase=phases[i])
-            if not (len(contrib.coefficients) == 1 and contrib.coefficients[0] == value):
-                raise ConsistencyError(
-                    f"stratum {i}: closed form and oracle route disagree"
-                )
-            entries.append({"index": i, "contribution": contrib})
-            continue
-        oracle_obj = None if oracle_map is None else oracle_map.get(str(i))
-        if oracle_obj is None:
-            if strict:
-                raise ValidationError(
-                    f"stratum {i} has dimension {s.d_c}; supply an intersection "
-                    f"oracle to evaluate it"
-                )
-            entries.append({"index": i, "needs_oracle": True, "d_c": s.d_c})
-            continue
-        try:
-            oracle = CohomologyOracle.from_json(oracle_obj)
-        except ValidationError as exc:
-            raise ValidationError(f"stratum {i}: {exc}") from None
+            oracle = point
+        else:
+            oracle_obj = None if oracle_map is None else oracle_map.get(str(i))
+            if oracle_obj is None:
+                if strict:
+                    raise ValidationError(
+                        f"stratum {i} has dimension {s.d_c}; supply an intersection "
+                        f"oracle to evaluate it"
+                    )
+                entries.append({"index": i, "needs_oracle": True, "d_c": s.d_c})
+                continue
+            try:
+                oracle = CohomologyOracle.from_json(oracle_obj)
+            except ValidationError as exc:
+                raise ValidationError(f"stratum {i}: {exc}") from None
         contrib = smooth_contribution(data, s, group, oracle, cs_phase=phases[i])
+        if s.d_c == 0 and contrib.coefficients != [point_contribution(s.ranks, s.z_delta_order)]:
+            raise ConsistencyError(f"stratum {i}: closed form and oracle route disagree")
         entries.append({"index": i, "contribution": contrib})
     return entries
+
+
+def _load_contributions(args, strict):
+    """The orbit, the group and the _collect_contributions entries of a
+    command line with --orbit, --group, --cs-phases and --oracles."""
+    data = _load_orbit(args.orbit)
+    group = GroupData.parse(args.group)
+    strata = enumerate_strata(data, group)
+    cs_map = _load_json(args.cs_phases) if args.cs_phases else None
+    oracle_map = _load_json(args.oracles) if args.oracles else None
+    return data, group, _collect_contributions(data, group, strata, cs_map, oracle_map, strict)
 
 
 def _cmd_validate(args):
@@ -321,12 +329,7 @@ def _cmd_strata(args):
 
 
 def _cmd_contributions(args):
-    data = _load_orbit(args.orbit)
-    group = GroupData.parse(args.group)
-    strata = enumerate_strata(data, group)
-    cs_map = _load_json(args.cs_phases) if args.cs_phases else None
-    oracle_map = _load_json(args.oracles) if args.oracles else None
-    entries = _collect_contributions(data, group, strata, cs_map, oracle_map, strict=False)
+    _, _, entries = _load_contributions(args, strict=False)
     out = []
     for e in entries:
         if "contribution" in e:
@@ -340,12 +343,7 @@ def _cmd_contributions(args):
 def _cmd_invariant(args):
     if args.precision is not None:
         check_precision(args.precision, "--precision")
-    data = _load_orbit(args.orbit)
-    group = GroupData.parse(args.group)
-    strata = enumerate_strata(data, group)
-    cs_map = _load_json(args.cs_phases) if args.cs_phases else None
-    oracle_map = _load_json(args.oracles) if args.oracles else None
-    entries = _collect_contributions(data, group, strata, cs_map, oracle_map, strict=True)
+    data, group, entries = _load_contributions(args, strict=True)
     contributions = [e["contribution"] for e in entries if "contribution" in e]
     spec = eigen_dimensions(data)
     framing = framing_phase(spec, group)

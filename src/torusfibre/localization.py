@@ -29,8 +29,9 @@ Td(T_c)), a nilpotent series on the table, paired as the dot product of
 the pairing vector with the top degree of omega^t X; the prefactor and
 m^t/(t! |Z_delta|) multiply the paired scalars last.  The prefactor is
 exactly the point-stratum product, which makes the zero-dimensional
-collapse automatic: there the value is the prefactor times the pairing of
-the point, with no ring algebra.
+collapse automatic: at d_c = 0 the exponent has no terms, X = 1, and the
+value is the prefactor times the pairing of the point.  Every stratum takes
+this one path.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class _Basis:
         terms.sort()
         self.top, self.degree, monos = top, [s for s, _ in terms], [x for _, x in terms]
         index = self.index = {x: i for i, x in enumerate(monos)}
-        self.monomials, self.start = monos, [bisect_left(self.degree, d) for d in range(top + 2)]
+        self.start = [bisect_left(self.degree, d) for d in range(top + 2)]
         self.table = [[index[tuple(map(add, x, y))] for y in monos[:self.start[top - s + 1]]]
                       for s, x in terms]
 
@@ -135,11 +136,13 @@ def _exp(basis, terms, m):
     """exp(rows / den), the _combination of terms, of positive degree, as
     (rows, denominator): sum_n T_n / (den^n n!), T_n = T_{n-1} rows.  Rows
     are kept as reduce_rows leaves them, so a rational exponent (a T_c-only
-    oracle) stays one row."""
+    oracle) stays one row; no terms (a point stratum) give the unit."""
     size = len(basis.degree)
+    total = term = [[1] + [0] * (size - 1)]
+    if not terms:
+        return total, 1
     rows, den = _combination(terms, size)
     rows = reduce_rows(rows, m)
-    total = term = [[1] + [0] * (size - 1)]
     tden = n = 1
     while True:
         term = _times(basis, term, rows, m)
@@ -452,7 +455,6 @@ def _prefactor(ranks):
     return _product(ranks, _oracle_factor)
 
 
-@lru_cache(maxsize=None)
 def _weight(m, j, t):
     """beta_j^t / t with beta_j = zeta^j / (1 - zeta^j) = (1 - zeta^j)^{-1} - 1."""
     return ((_oracle_inverses(m)[j] - 1) ** t).scaled(1, t)
@@ -504,13 +506,14 @@ def point_contribution(ranks, z_delta_order):
     return _point_product(tuple(ranks)) * Fraction(1, z_delta_order)
 
 
-def _lambda_exponent(data, stratum, group, oracle):
-    """The exponent of the lambda_{-1}-inverse of the normal bundle, without
-    its prefactor, as _combination terms (rows of a Q(zeta_m) scalar, a
-    rational vector, a denominator).  It is linear in N_j = T_c^dual - sum
-    w2/(2m) E^nu, E^nu trivial of its canonical rank unless overridden, so
-    T_c^dual and each overridden E[s][nu] enter once per t with
-    _exponent_scalar.  The ranks are certified as 2m r_j."""
+def lambda_inverse_expansion(data, stratum, group, oracle):
+    """The lambda_{-1}-inverse of the normal bundle as (prefactor, exponent
+    terms): the prefactor prod (1 - zeta^i)^{-r_i} on the oracle route, and
+    its exponent E as _combination terms (rows of a Q(zeta_m) scalar, a
+    rational vector, a denominator), none when d_c = 0.  E is linear in
+    N_j = T_c^dual - sum w2/(2m) E^nu, E^nu trivial of its canonical rank
+    unless overridden, so T_c^dual and each overridden E[s][nu] enter once
+    per t with _exponent_scalar.  The ranks are certified as 2m r_j."""
     m, d_c, basis = data.m, oracle.d_c, oracle.basis
     if oracle.tangent_rank != stratum.d_c:
         raise InvariantViolation(
@@ -560,20 +563,7 @@ def _lambda_exponent(data, stratum, group, oracle):
             if any(q):
                 scalar = _exponent_scalar(m, n, nu, t).embed(m)
                 terms.append((scalar.numerators, q, den * scalar.denominator))
-    return terms
-
-
-def lambda_inverse_expansion(data, stratum, group, oracle):
-    """The equivariant lambda_{-1}-inverse of the normal bundle as
-    {exponent tuple: Cyclotomic} on the oracle's basis, prefactor included
-    (for the trivial oracle the scalar prod (1 - zeta^i)^{-r_i})."""
-    pref = _prefactor(tuple(stratum.ranks))
-    terms = _lambda_exponent(data, stratum, group, oracle)
-    if not terms:
-        return {(0,) * len(oracle.degrees): pref}
-    rows, den = _exp(oracle.basis, terms, data.m)
-    return {expo: pref * Cyclotomic(data.m, list(nums), den)
-            for expo, nums in zip(oracle.basis.monomials, zip(*rows)) if any(nums)}
+    return _prefactor(tuple(stratum.ranks)), terms
 
 
 def smooth_contribution(data, stratum, group, oracle, cs_phase=None):
@@ -584,8 +574,8 @@ def smooth_contribution(data, stratum, group, oracle, cs_phase=None):
 
     with the lambda-inverse prefactor included, from exp(k m omega).  The
     prefactor and m^t/(t! |Z_delta|) multiply the pairings of one exponential
-    exp(E + log Td(T_c)), E the exponent of lambda^{-1}; d_c = 0 pairs the
-    prefactor alone."""
+    exp(E + log Td(T_c)), E the exponent of lambda^{-1}; at d_c = 0 neither
+    has a term, the exponential is 1 and the prefactor is paired alone."""
     if stratum.ranks is None:
         raise MissingChernData("stratum carries no rank data; run stratum_ranks first")
     if stratum.d_c < 0:
@@ -597,14 +587,9 @@ def smooth_contribution(data, stratum, group, oracle, cs_phase=None):
             f"oracle dimension {oracle.d_c} does not match stratum d_c = {stratum.d_c}"
         )
     m, d_c, basis = data.m, stratum.d_c, oracle.basis
-    if d_c == 0:
-        ((_, pref),) = lambda_inverse_expansion(data, stratum, group, oracle).items()
-        x = [[1]], 1
-    else:
-        pref = _prefactor(tuple(stratum.ranks))
-        terms = _lambda_exponent(data, stratum, group, oracle)
-        todd = zip(oracle.tangent_power_sums[1:], _todd_log_coefficients(d_c))
-        x = _exp(basis, terms + [((a,), v, d * b) for (v, d), (a, b) in todd], m)
+    pref, terms = lambda_inverse_expansion(data, stratum, group, oracle)
+    todd = zip(oracle.tangent_power_sums[1:], _todd_log_coefficients(d_c))
+    x = _exp(basis, terms + [((a,), v, d * b) for (v, d), (a, b) in todd], m)
     coeffs, (omega, wd) = [], oracle.dense(oracle.omega)
     form = [1] + [0] * (len(omega) - 1), 1
     for t in range(d_c + 1):

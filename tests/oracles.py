@@ -10,8 +10,10 @@ search, the formal log of the Bernoulli series for the Todd class, the
 localization route on sparse dicts of Fraction and Cyclotomic coefficients
 that the integer basis replaced (Ring, ring_oracle, ring_smooth_contribution),
 the same with a separate Todd exponential and ring products before the
-pairing, the per-tuple convolution behind the stratum ranks, and the
-Burnside count through one translated class per (class, z').
+pairing, the lambda_{-1}-inverse of the integer route as a dict over the
+basis monomials (lambda_inverse_dict), the per-tuple convolution behind
+the stratum ranks, and the Burnside count through one translated class
+per (class, z').
 Also here: Cyclotomic values from Fraction coefficients, the readers of
 the JSON forms of Cyclotomic and PhaseQ values, the JSON form of orbit data,
 phases as roots of unity and as complex floats, float evaluation of phase
@@ -30,7 +32,14 @@ import numpy as np
 
 from torusfibre.errors import GcdViolation, InvariantViolation, NonIntegralRank
 from torusfibre.exact import Cyclotomic, PhaseQ, cyclotomic_polynomial
-from torusfibre.localization import _eigen_ranks, _exponent_scalar, _prefactor, _w2
+from torusfibre.localization import (
+    _eigen_ranks,
+    _exp,
+    _exponent_scalar,
+    _prefactor,
+    _w2,
+    lambda_inverse_expansion,
+)
 from torusfibre.orbit import total_genus
 from torusfibre.spectrum import mu2_table
 from torusfibre.strata import ConjClassSU, classes_with_power_central
@@ -461,6 +470,17 @@ def ring_lambda_inverse_expansion(data, stratum, group, oracle):
     ring = oracle.ring
     pref = _prefactor(tuple(stratum.ranks))
     return ring.scale(ring.exp(ring_lambda_exponent(data, stratum, group, oracle)), pref)
+
+
+def lambda_inverse_dict(data, stratum, group, oracle):
+    """The lambda_{-1}-inverse of lambda_inverse_expansion as {exponent tuple:
+    Cyclotomic} on the oracle's basis, prefactor included: the prefactor
+    times the nonzero coefficients of exp(E), a lone unit monomial when E
+    has no terms."""
+    pref, terms = lambda_inverse_expansion(data, stratum, group, oracle)
+    rows, den = _exp(oracle.basis, terms, data.m)
+    return {expo: pref * Cyclotomic(data.m, list(nums), den)
+            for expo, nums in zip(oracle.basis.index, zip(*rows)) if any(nums)}
 
 
 def ring_smooth_contribution(data, stratum, group, oracle):

@@ -32,8 +32,9 @@ def test_layer_tracer_targets_resolve(monkeypatch):
 def test_layer_tracer_counts_localization(monkeypatch, capsys):
     """A traced contributions call on golden inputs with oracles reaches
     every localization counter, so a refactor that bypasses a wrapped
-    function cannot leave its counter silently at 0; stdout is the golden
-    one."""
+    function cannot leave its counter silently at 0, and every
+    smooth_contribution call takes lambda_inverse_expansion once; stdout is
+    the golden one."""
     case = "contributions_z4_su3"
     argv = json.loads((GOLDEN / "manifest.json").read_text())[case]["argv"]
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -50,6 +51,8 @@ def test_layer_tracer_counts_localization(monkeypatch, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text()
     for name in ("localization.smooth", "localization.lambda", "localization.point"):
         assert tracer.calls[name] > 0, name
+    # every stratum, a point or not, takes lambda_inverse_expansion once
+    assert tracer.calls["localization.lambda"] == tracer.calls["localization.smooth"]
     assert tracer.calls["strata.ranks"] > 0
 
 

@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import M5, Z3, Z4, clear_caches, is_asymmetric, random_asymmetric_orbits
-from oracles import euclid_inverse, todd_log_series
+from conftest import FREE2, HYPER, M5, Z3, Z4, clear_caches, is_asymmetric, random_asymmetric_orbits
+from oracles import euclid_inverse, lambda_inverse_dict, todd_log_series
 from torusfibre.errors import (
     InvariantViolation,
     MissingChernData,
@@ -57,22 +57,36 @@ def test_m5_zero_dimensional_strata_exact():
         assert not value.is_zero()
 
 
+def _point_strata():
+    """(data, group, stratum) for every point stratum of the fixtures in
+    SU(2) and SU(3); FREE2 (no fixed points, so no rank data) and HYPER in
+    SU(2) have none."""
+    return [
+        (data, group, s)
+        for data in (HYPER, Z3, Z4, M5, FREE2)
+        for group in (SU2, GroupData(3))
+        for s in enumerate_strata(data, group)
+        if s.d_c == 0
+    ]
+
+
 def test_zero_dimensional_collapse():
-    # the oracle route over the trivial oracle must reproduce the closed form
-    for s in enumerate_strata(M5, SU2):
-        if s.d_c != 0:
-            continue
+    # the oracle route over the trivial oracle must reproduce the closed
+    # form: there the exponential of no terms is 1
+    points = _point_strata()
+    assert len(points) == 250
+    for data, group, s in points:
         value = point_contribution(s.ranks, s.z_delta_order)
-        contrib = smooth_contribution(M5, s, SU2, CohomologyOracle.trivial(), PhaseQ(0))
+        contrib = smooth_contribution(data, s, group, CohomologyOracle.trivial(), PhaseQ(0))
         assert len(contrib.coefficients) == 1
         assert contrib.coefficients[0] == value
 
 
 def test_lambda_inverse_trivial_oracle_is_scalar():
-    s = next(s for s in enumerate_strata(M5, SU2) if s.d_c == 0)
-    lam = lambda_inverse_expansion(M5, s, SU2, CohomologyOracle.trivial())
-    assert list(lam.keys()) == [()]
-    assert lam[()] == _prefactor(s.ranks)
+    for data, group, s in _point_strata():
+        pref, terms = lambda_inverse_expansion(data, s, group, CohomologyOracle.trivial())
+        assert pref == _prefactor(s.ranks)
+        assert terms == []
 
 
 def _z3_stratum():
@@ -205,10 +219,10 @@ def test_trace_and_lambda_inverse_need_no_euclid(monkeypatch):
         for beta in range(data.m):
             lefschetz_trace(data, beta)
     s = _z3_stratum()
-    lambda_inverse_expansion(Z3, s, SU2, _toy_oracle({"T_c": {"rank": 1, "classes": [{"u": "2"}]}}))
+    lambda_inverse_dict(Z3, s, SU2, _toy_oracle({"T_c": {"rank": 1, "classes": [{"u": "2"}]}}))
     for s in enumerate_strata(M5, SU2):
         if s.d_c == 0:
-            lambda_inverse_expansion(M5, s, SU2, CohomologyOracle.trivial())
+            lambda_inverse_dict(M5, s, SU2, CohomologyOracle.trivial())
 
 
 def test_point_route_needs_no_closed_form_inverse(monkeypatch):
@@ -246,9 +260,9 @@ def _euclid_product(ranks, inverses):
 
 
 def test_memo_scalars_match_direct_products():
-    """The cached point and oracle products and weights beta_j^t / t, shared
-    by every stratum of an orbit, equal the products built directly for
-    each stratum, on seeded asymmetric fixed-point data."""
+    """The cached point and oracle products, shared by every stratum of an
+    orbit, and the weights beta_j^t / t equal the products built directly
+    for each stratum, on seeded asymmetric fixed-point data."""
     suite = random_asymmetric_orbits(
         43, 120, range(2, 9), max_branches=4, fixed_points_only=True
     )

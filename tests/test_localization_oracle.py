@@ -6,10 +6,11 @@ algebra moved to rational coefficients: every ring coefficient is a
 Cyclotomic, every eigenbundle (s, nu) gets a full Chern character, and the
 power sums sum_i (e^{y_i} - 1)^t come from the binomial expansion in Adams
 operations.  It reads the oracle as `oracles.ring_oracle` does, one dict
-per polynomial.  `smooth_contribution` and `lambda_inverse_expansion` must
-agree with it coefficient by coefficient, conductor included, on fixture
-strata and on random asymmetric fixed-point data, with random T_c,
-E[s][nu] and omega classes over one or two generators and d_c <= 3.  At
+per polynomial.  `smooth_contribution` and `lambda_inverse_expansion` (as
+the dict `oracles.lambda_inverse_dict` builds from it) must agree with it
+coefficient by coefficient, conductor included, on fixture strata and on
+random asymmetric fixed-point data, with random T_c, E[s][nu] and omega
+classes over one or two generators and d_c <= 3.  At
 the end, `smooth_contribution` (integer basis, one exponential, pairing
 vector, prefactor last) is compared with the dict route it replaced and
 with the ring-product route of `oracles.py` on asymmetric orbits in
@@ -36,6 +37,7 @@ from conftest import (
 )
 from oracles import (
     euclid_inverse,
+    lambda_inverse_dict,
     ring_lambda_inverse_expansion,
     ring_oracle,
     ring_smooth_contribution,
@@ -48,7 +50,6 @@ from torusfibre.framing import GroupData
 from torusfibre.localization import (
     CohomologyOracle,
     _prefactor,
-    lambda_inverse_expansion,
     smooth_contribution,
 )
 from torusfibre.spectrum import mu2_table
@@ -311,7 +312,7 @@ def test_smooth_contribution_matches_cyclotomic_reference(case):
             got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0))
             ref = ref_contribution(data, stratum, group, ring_oracle(obj))
             assert [c.to_json() for c in got.coefficients] == [c.to_json() for c in ref]
-            lam = lambda_inverse_expansion(data, stratum, group, oracle)
+            lam = lambda_inverse_dict(data, stratum, group, oracle)
             ref_lam = ref_lambda(data, stratum, group, ring_oracle(obj))
             assert lam.keys() == ref_lam.keys()
             assert all(lam[k].to_json() == ref_lam[k].to_json() for k in lam)
@@ -427,9 +428,10 @@ def test_one_exponential_matches_the_ring_route(case):
 
 @pytest.mark.parametrize("case", equivalence_cases(), ids=_case_id)
 def test_integer_route_matches_the_dict_route(case):
-    """smooth_contribution and lambda_inverse_expansion on the integer basis
-    against the route on dicts of Fractions and Cyclotomics that they
-    replaced (oracles.ring_smooth_contribution), by to_json: conductors
+    """smooth_contribution and lambda_inverse_expansion (as the dict of
+    oracles.lambda_inverse_dict) on the integer basis against the route on
+    dicts of Fractions and Cyclotomics that they replaced
+    (oracles.ring_smooth_contribution), by to_json: conductors
     included, so a pairing that meets no integrand monomial must give the
     conductor-1 zero there too."""
     data, N, seed = case
@@ -445,7 +447,7 @@ def test_integer_route_matches_the_dict_route(case):
             got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0))
             want = ring_smooth_contribution(data, stratum, group, ring_oracle(obj))
             assert [c.to_json() for c in got.coefficients] == [c.to_json() for c in want]
-            lam = lambda_inverse_expansion(data, stratum, group, oracle)
+            lam = lambda_inverse_dict(data, stratum, group, oracle)
             ref_lam = ring_lambda_inverse_expansion(data, stratum, group, ring_oracle(obj))
             assert {k: v.to_json() for k, v in lam.items()} == {k: v.to_json() for k, v in ref_lam.items()}
 
