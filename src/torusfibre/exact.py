@@ -15,9 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, factorial, prod
 
-import mpmath
-from mpmath.libmp import fzero, from_int, from_man_exp, mpc_expjpi, mpf_div, round_nearest
-
 from .errors import ValidationError
 
 __all__ = [
@@ -404,7 +401,11 @@ class Cyclotomic:
         complex product and, for a nonzero coefficient, the addition of
         n/den in lowest terms.  Each product component and each sum is
         rounded once to nearest, as mpc_mul and mpf_add round, so the value
-        is bit for bit mpmath's Horner at prec bits."""
+        is bit for bit mpmath's Horner at prec bits.  mpmath is imported
+        here, so that only a caller of to_mpc loads it."""
+        import mpmath
+        from mpmath.libmp import fzero, from_int, from_man_exp, mpc_expjpi, mpf_div, round_nearest
+
         rnd = round_nearest
         den = self.denominator
         angle = mpf_div(from_int(2), from_int(self.conductor), prec, rnd)

@@ -7,17 +7,15 @@ sums: phases are searched over reduced fractions with bounded denominator
 (they enter only through e^{2 pi i k q}), growth orders over a half-integer
 grid.  Phases are located with a windowed matched filter, gathered from a
 table of roots of unity; every linear fit on the chosen phases is one
-column-scaled float64 least-squares solve.
+column-scaled float64 least-squares solve.  numpy is imported inside the
+functions of the recovery, so that no other command pays for loading it.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-
-import numpy as np
 
 from .errors import (
     IllConditioned,
@@ -75,10 +73,22 @@ def default_precision():
     return check_precision(bits, "TORUSFIBRE_PRECISION")
 
 
-@dataclass
 class InvariantModel:
-    framing: object            # FramingPhase
-    terms: list                # of ContributionPolynomial, phases merged
+    __slots__ = ("framing", "terms")
+
+    def __init__(self, framing, terms):
+        self.framing = framing  # FramingPhase
+        self.terms = terms      # list of ContributionPolynomial, phases merged
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.framing, self.terms) == (other.framing, other.terms)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return f"InvariantModel(framing={self.framing!r}, terms={self.terms!r})"
 
     def to_json(self):
         return {
@@ -162,10 +172,22 @@ def evaluate_invariant(model, k, precision=None):
     return exact, exact.to_mpc(prec)
 
 
-@dataclass
 class FitResult:
-    terms: list        # of dicts: q (Fraction), d (Fraction), b (complex), a (list)
-    residual: float
+    __slots__ = ("terms", "residual")
+
+    def __init__(self, terms, residual):
+        self.terms = terms  # list of dicts: q (Fraction), d (Fraction), b (complex), a (list)
+        self.residual = residual  # float
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.terms, self.residual) == (other.terms, other.residual)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return f"FitResult(terms={self.terms!r}, residual={self.residual!r})"
 
     def to_json(self):
         out = []
@@ -235,6 +257,8 @@ def _probe(candidates, levels):
     q = num/den and the integer levels k, gathered from a table of the
     den-th roots of unity at index num k mod den, so q k is reduced mod 1
     exactly and np.exp runs once per table entry."""
+    import numpy as np
+
     nums = np.array([n for n, _ in candidates])[:, None]
     dens = np.array([d for _, d in candidates])[:, None]
     sizes = np.arange(1, int(dens.max()) + 1)
@@ -260,6 +284,8 @@ def _design_matrix(levels, ks, phases, exponents):
     """Columns e^{2 pi i q k} (k + shift)^e for integer levels k and the
     shifted variable ks.  q k is reduced mod 1 exactly before rounding, so
     the phase is accurate to one ulp at any level."""
+    import numpy as np
+
     cols = []
     for q in phases:
         # k mod den first, so num k neither overflows int64 nor needs object arithmetic
@@ -274,6 +300,8 @@ def _lstsq(A, y):
     """Float64 least squares on A with its columns scaled to unit norm.
     Returns the coefficients for A, the residual vector and the condition
     number of the scaled matrix (inf for an exactly dependent column)."""
+    import numpy as np
+
     scale = np.linalg.norm(A, axis=0)
     scale[scale == 0] = 1.0
     scaled = A / scale
@@ -282,7 +310,6 @@ def _lstsq(A, y):
     return coef / scale, y - scaled @ coef, cond
 
 
-@np.errstate(over="ignore")
 def fit_expansion(
     samples,
     q_denominator_bound,
@@ -307,6 +334,8 @@ def fit_expansion(
     IllConditioned.  A fit whose residual or coefficients overflow float64
     raises ValueError (numpy's overflow warning is silenced here).
     """
+    import numpy as np
+
     if max_terms < 1 or degree_bound < 0:
         raise ValueError("need at least one term and a non-negative degree bound")
     samples = sorted(samples, key=lambda sample: sample[0])
@@ -319,102 +348,103 @@ def fit_expansion(
         raise ValueError(
             f"need at least {need} samples at consecutive integer levels"
         )
-    # exact integer levels: int64 where they fit, Python ints past it
-    try:
-        levels = np.array(ks_int, dtype=np.int64)
-    except OverflowError:
-        levels = np.array(ks_int, dtype=object)
-    try:
-        ks = levels.astype(float) + float(variable_shift)
-    except OverflowError:
-        raise ValueError("sample levels must lie within the float64 range") from None
-    y = np.array([complex(v) for _, v in samples])
-    if not np.isfinite(y).all():
-        raise ValueError("samples must be finite")
-    yscale = float(np.max(np.abs(y))) or 1.0
+    with np.errstate(over="ignore"):
+        # exact integer levels: int64 where they fit, Python ints past it
+        try:
+            levels = np.array(ks_int, dtype=np.int64)
+        except OverflowError:
+            levels = np.array(ks_int, dtype=object)
+        try:
+            ks = levels.astype(float) + float(variable_shift)
+        except OverflowError:
+            raise ValueError("sample levels must lie within the float64 range") from None
+        y = np.array([complex(v) for _, v in samples])
+        if not np.isfinite(y).all():
+            raise ValueError("samples must be finite")
+        yscale = float(np.max(np.abs(y))) or 1.0
 
-    check_probe_size(q_denominator_bound, len(samples), "q_denominator_bound")
-    candidates = _phase_candidates(q_denominator_bound)
-    # triangular window suppresses leakage from the other phases
-    window = 1.0 - np.abs(np.linspace(-1.0, 1.0, len(ks)))
-    window /= window.sum()
-    probe = _probe(candidates, levels)
-    exponents = _exponent_grid(degree_bound, half_integer_degrees)
-    detect_weights = [ks ** -float(d) for d in range(degree_bound + 1)]
+        check_probe_size(q_denominator_bound, len(samples), "q_denominator_bound")
+        candidates = _phase_candidates(q_denominator_bound)
+        # triangular window suppresses leakage from the other phases
+        window = 1.0 - np.abs(np.linspace(-1.0, 1.0, len(ks)))
+        window /= window.sum()
+        probe = _probe(candidates, levels)
+        exponents = _exponent_grid(degree_bound, half_integer_degrees)
+        detect_weights = [ks ** -float(d) for d in range(degree_bound + 1)]
 
-    def joint_fit(phase_list):
-        return _lstsq(_design_matrix(levels, ks, phase_list, exponents), y)
+        def joint_fit(phase_list):
+            return _lstsq(_design_matrix(levels, ks, phase_list, exponents), y)
 
-    def phase(i):
-        return Fraction(*candidates[i])
+        def phase(i):
+            return Fraction(*candidates[i])
 
-    # chosen phases as candidate indices, and as Fractions for the fits
-    taken, chosen = [], []
-    resid = y.copy()
-    for _ in range(max_terms):
-        best = None
-        for w in detect_weights:
-            scores = np.abs(probe @ (resid * w * window))
-            scores[taken] = -1.0
-            i = int(np.argmax(scores))
-            if best is None or scores[i] > best[0]:
-                best = (scores[i], i)
-        taken.append(best[1])
-        chosen.append(phase(best[1]))
-        coeffs, resid, cond = joint_fit(chosen)
-        if np.max(np.abs(resid)) < 1e-12 * yscale:
-            break
-    # coordinate-descent refinement when the greedy pick did not converge
-    if np.max(np.abs(resid)) > 1e-9 * yscale:
-        for _round in range(2):
-            improved = False
-            for slot in range(len(chosen)):
-                best_i, best_r = taken[slot], float(np.linalg.norm(resid))
-                for i in range(len(candidates)):
-                    if i in taken:
-                        continue
-                    trial = chosen[:slot] + [phase(i)] + chosen[slot + 1:]
-                    r = float(np.linalg.norm(joint_fit(trial)[1]))
-                    if r < best_r * 0.999:
-                        best_i, best_r = i, r
-                if best_i != taken[slot]:
-                    taken[slot] = best_i
-                    chosen[slot] = phase(best_i)
-                    coeffs, resid, cond = joint_fit(chosen)
-                    improved = True
-            if not improved:
+        # chosen phases as candidate indices, and as Fractions for the fits
+        taken, chosen = [], []
+        resid = y.copy()
+        for _ in range(max_terms):
+            best = None
+            for w in detect_weights:
+                scores = np.abs(probe @ (resid * w * window))
+                scores[taken] = -1.0
+                i = int(np.argmax(scores))
+                if best is None or scores[i] > best[0]:
+                    best = (scores[i], i)
+            taken.append(best[1])
+            chosen.append(phase(best[1]))
+            coeffs, resid, cond = joint_fit(chosen)
+            if np.max(np.abs(resid)) < 1e-12 * yscale:
                 break
+        # coordinate-descent refinement when the greedy pick did not converge
+        if np.max(np.abs(resid)) > 1e-9 * yscale:
+            for _round in range(2):
+                improved = False
+                for slot in range(len(chosen)):
+                    best_i, best_r = taken[slot], float(np.linalg.norm(resid))
+                    for i in range(len(candidates)):
+                        if i in taken:
+                            continue
+                        trial = chosen[:slot] + [phase(i)] + chosen[slot + 1:]
+                        r = float(np.linalg.norm(joint_fit(trial)[1]))
+                        if r < best_r * 0.999:
+                            best_i, best_r = i, r
+                    if best_i != taken[slot]:
+                        taken[slot] = best_i
+                        chosen[slot] = phase(best_i)
+                        coeffs, resid, cond = joint_fit(chosen)
+                        improved = True
+                if not improved:
+                    break
 
-    if condition_threshold is None:
-        condition_threshold = 2.0 ** 32
-    if cond > condition_threshold:
-        raise IllConditioned(
-            f"condition number {cond:.3g} of the column-scaled design matrix "
-            f"exceeds {condition_threshold:.3g}; start the samples nearer "
-            f"k = 1 or lower the degree bound"
-        )
-    rel_resid = float(np.linalg.norm(resid)) / yscale
-    if not (np.isfinite(rel_resid) and np.isfinite(coeffs).all()):
-        raise ValueError(
-            f"the fit left the float64 range (relative residual {rel_resid}); "
-            f"scale the samples down"
-        )
+        if condition_threshold is None:
+            condition_threshold = 2.0 ** 32
+        if cond > condition_threshold:
+            raise IllConditioned(
+                f"condition number {cond:.3g} of the column-scaled design matrix "
+                f"exceeds {condition_threshold:.3g}; start the samples nearer "
+                f"k = 1 or lower the degree bound"
+            )
+        rel_resid = float(np.linalg.norm(resid)) / yscale
+        if not (np.isfinite(rel_resid) and np.isfinite(coeffs).all()):
+            raise ValueError(
+                f"the fit left the float64 range (relative residual {rel_resid}); "
+                f"scale the samples down"
+            )
 
-    tol = COEFFICIENT_TOLERANCE * yscale
-    terms = []
-    for i, q in enumerate(chosen):
-        block = coeffs[i * len(exponents):(i + 1) * len(exponents)]
-        lead = None
-        for j, e in enumerate(exponents):
-            if abs(block[j]) > tol:
-                lead = j
-                break
-        if lead is None:
-            continue
-        b = complex(block[lead])
-        lower = [complex(c) / b for c in block[lead + 1:]]
-        while lower and abs(lower[-1]) * abs(b) < tol:
-            lower.pop()
-        terms.append({"q": q, "d": exponents[lead], "b": b, "a": lower})
-    terms.sort(key=lambda t: t["q"])
-    return FitResult(terms=terms, residual=rel_resid)
+        tol = COEFFICIENT_TOLERANCE * yscale
+        terms = []
+        for i, q in enumerate(chosen):
+            block = coeffs[i * len(exponents):(i + 1) * len(exponents)]
+            lead = None
+            for j, e in enumerate(exponents):
+                if abs(block[j]) > tol:
+                    lead = j
+                    break
+            if lead is None:
+                continue
+            b = complex(block[lead])
+            lower = [complex(c) / b for c in block[lead + 1:]]
+            while lower and abs(lower[-1]) * abs(b) < tol:
+                lower.pop()
+            terms.append({"q": q, "d": exponents[lead], "b": b, "a": lower})
+        terms.sort(key=lambda t: t["q"])
+        return FitResult(terms=terms, residual=rel_resid)

@@ -9,7 +9,6 @@ isolated below so a different normalization is a one-line change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import PhaseQ, PhaseSeries
@@ -24,15 +23,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GroupData:
     """The group SU(N)."""
 
-    N: int
+    __slots__ = ("N",)
 
-    def __post_init__(self):
-        if self.N < 1:
+    def __init__(self, N):
+        if N < 1:
             raise ValueError("N must be positive")
+        self.N = N
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.N == other.N
+
+    def __hash__(self):
+        return hash((self.N,))
+
+    def __repr__(self):
+        return f"GroupData(N={self.N!r})"
 
     @property
     def dim_G(self):
@@ -63,10 +73,23 @@ class GroupData:
         return cls(n)
 
 
-@dataclass(frozen=True)
 class FramingPhase:
-    B: Fraction
-    group: GroupData
+    __slots__ = ("B", "group")
+
+    def __init__(self, B, group):
+        self.B = B  # Fraction
+        self.group = group  # GroupData
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.B, self.group) == (other.B, other.group)
+
+    def __hash__(self):
+        return hash((self.B, self.group))
+
+    def __repr__(self):
+        return f"FramingPhase(B={self.B!r}, group={self.group!r})"
 
     def to_json(self):
         return {

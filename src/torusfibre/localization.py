@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
@@ -223,19 +222,41 @@ def _parse_bundle(poly, entry, what):
     return rank, [poly(c, what, True) for c in classes]
 
 
-@dataclass
 class CohomologyOracle:
     """Intersection data for one stratum, as supplied by the user.  The
     polynomials are {exponent tuple: (p, q)}; they go onto the integer
-    basis when a stratum of the oracle's dimension uses them."""
+    basis when a stratum of the oracle's dimension uses them.  No
+    __slots__: the cached properties below keep their values in __dict__."""
 
-    d_c: int
-    degrees: list          # generator degrees
-    pairing: dict          # exponent tuple -> (p, q), top degree only
-    tangent_chern: list    # Chern classes c_1.. of T_c as polynomials
-    tangent_rank: int
-    eigen_chern: dict      # (s, nu) -> (rank override or None, chern class list)
-    omega: dict            # polynomial
+    def __init__(self, d_c, degrees, pairing, tangent_chern, tangent_rank, eigen_chern, omega):
+        self.d_c = d_c
+        self.degrees = degrees                # list of generator degrees
+        self.pairing = pairing                # exponent tuple -> (p, q), top degree only
+        self.tangent_chern = tangent_chern    # Chern classes c_1.. of T_c as polynomials
+        self.tangent_rank = tangent_rank
+        self.eigen_chern = eigen_chern        # (s, nu) -> (rank override or None, chern classes)
+        self.omega = omega                    # polynomial
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.d_c, self.degrees, self.pairing, self.tangent_chern,
+            self.tangent_rank, self.eigen_chern, self.omega,
+        ) == (
+            other.d_c, other.degrees, other.pairing, other.tangent_chern,
+            other.tangent_rank, other.eigen_chern, other.omega,
+        )
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return (
+            f"CohomologyOracle(d_c={self.d_c!r}, degrees={self.degrees!r}, "
+            f"pairing={self.pairing!r}, tangent_chern={self.tangent_chern!r}, "
+            f"tangent_rank={self.tangent_rank!r}, eigen_chern={self.eigen_chern!r}, "
+            f"omega={self.omega!r})"
+        )
 
     @classmethod
     def trivial(cls):
@@ -390,12 +411,24 @@ def _todd_log_coefficients(top_n):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ContributionPolynomial:
     """One stratum's polynomial P_c(k) with its phase tag."""
 
-    coefficients: list     # Cyclotomic, k^0 .. k^degree
-    q: object              # PhaseQ, or a string tag for a symbolic phase
+    __slots__ = ("coefficients", "q")
+
+    def __init__(self, coefficients, q):
+        self.coefficients = coefficients  # list of Cyclotomic, k^0 .. k^degree
+        self.q = q                        # PhaseQ, or a string tag for a symbolic phase
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coefficients, self.q) == (other.coefficients, other.q)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return f"ContributionPolynomial(coefficients={self.coefficients!r}, q={self.q!r})"
 
     def is_symbolic(self):
         return not isinstance(self.q, PhaseQ)

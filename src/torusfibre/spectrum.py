@@ -9,7 +9,6 @@ sum for mu lives with the other literal routes in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -28,10 +27,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class EigenSpectrum:
-    m: int
-    d: tuple  # d[a] = multiplicity of eigenvalue e^{2 pi i a/m}
+    __slots__ = ("m", "d")
+
+    def __init__(self, m, d):
+        self.m = m
+        self.d = d  # tuple, d[a] = multiplicity of eigenvalue e^{2 pi i a/m}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.d) == (other.m, other.d)
+
+    def __hash__(self):
+        return hash((self.m, self.d))
+
+    def __repr__(self):
+        return f"EigenSpectrum(m={self.m!r}, d={self.d!r})"
 
     def to_json(self):
         return {"m": self.m, "d": list(self.d), "wall_signature": wall_signature(self)}

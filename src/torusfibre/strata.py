@@ -9,7 +9,6 @@ which makes every operation here integer combinatorics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, gcd, prod
@@ -48,15 +47,33 @@ def _ratio(p, q):
     return f"{p // g}/{q // g}"
 
 
-@dataclass(frozen=True)
 class ConjClassSU:
     """A conjugacy class of SU(N): N eigenvalue angles in [0,1) summing to an
     integer, stored sorted as residues[i] / denominator with no factor
     common to the denominator and all residues."""
 
-    N: int
-    residues: tuple
-    denominator: int
+    __slots__ = ("N", "residues", "denominator")
+
+    def __init__(self, N, residues, denominator):
+        self.N = N
+        self.residues = residues
+        self.denominator = denominator
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.N, self.residues, self.denominator) == (
+            other.N, other.residues, other.denominator
+        )
+
+    def __hash__(self):
+        return hash((self.N, self.residues, self.denominator))
+
+    def __repr__(self):
+        return (
+            f"ConjClassSU(N={self.N!r}, residues={self.residues!r}, "
+            f"denominator={self.denominator!r})"
+        )
 
     @classmethod
     def from_residues(cls, N, residues, denominator):
@@ -89,14 +106,37 @@ class ConjClassSU:
         return [_ratio(r, self.denominator) for r in self.residues]
 
 
-@dataclass(frozen=True)
 class StratumDescriptor:
-    z: int
-    classes: tuple  # of ConjClassSU, one per branch orbit
-    z_delta_order: int
-    c_delta: tuple  # of ConjClassSU, the classes c_i^{-k_i}
-    ranks: tuple | None  # r_0 ... r_{m-1}, when all orbits are fixed points
-    d_c: int | None
+    __slots__ = ("z", "classes", "z_delta_order", "c_delta", "ranks", "d_c")
+
+    def __init__(self, z, classes, z_delta_order, c_delta, ranks, d_c):
+        self.z = z
+        self.classes = classes  # tuple of ConjClassSU, one per branch orbit
+        self.z_delta_order = z_delta_order
+        self.c_delta = c_delta  # tuple of ConjClassSU, the classes c_i^{-k_i}
+        self.ranks = ranks  # r_0 ... r_{m-1} when all orbits are fixed points, else None
+        self.d_c = d_c  # int, or None with ranks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.z, self.classes, self.z_delta_order, self.c_delta, self.ranks, self.d_c
+        ) == (
+            other.z, other.classes, other.z_delta_order, other.c_delta, other.ranks, other.d_c
+        )
+
+    def __hash__(self):
+        return hash(
+            (self.z, self.classes, self.z_delta_order, self.c_delta, self.ranks, self.d_c)
+        )
+
+    def __repr__(self):
+        return (
+            f"StratumDescriptor(z={self.z!r}, classes={self.classes!r}, "
+            f"z_delta_order={self.z_delta_order!r}, c_delta={self.c_delta!r}, "
+            f"ranks={self.ranks!r}, d_c={self.d_c!r})"
+        )
 
     def to_json(self):
         """The fields in output order; the classes stay ConjClassSU values,

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -23,7 +22,7 @@ from torusfibre.localization import (
 )
 from torusfibre.orbit import OrbitData
 from torusfibre.spectrum import lefschetz_trace
-from torusfibre.strata import enumerate_strata
+from torusfibre.strata import StratumDescriptor, enumerate_strata
 
 SU2 = GroupData(2)
 
@@ -325,7 +324,9 @@ def test_rank_certificate_runs_with_filled_tables():
         for j in range(1, data.m):
             ranks = list(good.ranks)
             ranks[j] += 1
-            bad = dataclasses.replace(good, ranks=tuple(ranks))
+            bad = StratumDescriptor(
+                good.z, good.classes, good.z_delta_order, good.c_delta, tuple(ranks), good.d_c
+            )
             with pytest.raises(InvariantViolation, match=f"r_{j} = {ranks[j]}"):
                 smooth_contribution(data, bad, SU2, oracle, PhaseQ(0))
         assert eigen_ranks.cache_info().currsize == filled.currsize

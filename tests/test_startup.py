@@ -1,0 +1,140 @@
+"""Start-up cost and the value classes that keep it low.
+
+Every CLI call is a fresh process, so what importing the package costs is
+paid on every call: the package generates no code at import (its value
+classes are written out, not dataclasses), numpy is loaded only by ``fit``
+and mpmath only by ``Cyclotomic.to_mpc`` (``invariant --level``).  The
+classes keep the value semantics the dataclasses gave them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from torusfibre import localization
+from torusfibre.exact import Cyclotomic, PhaseQ
+from torusfibre.expansion import FitResult, InvariantModel
+from torusfibre.framing import FramingPhase, GroupData
+from torusfibre.localization import CohomologyOracle, ContributionPolynomial
+from torusfibre.orbit import OrbitData, SeifertData
+from torusfibre.spectrum import EigenSpectrum
+from torusfibre.strata import ConjClassSU, StratumDescriptor
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+
+# Runs the golden cases named on the command line through main, each
+# checked against its recorded stdout and exit code, then prints which of
+# numpy and mpmath are loaded and which torusfibre classes are dataclasses.
+PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+from torusfibre.cli import main
+
+manifest = json.loads(Path("manifest.json").read_text())
+for case in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(manifest[case]["argv"])
+    assert code == manifest[case]["exit"], case
+    assert out.getvalue() == Path(case + ".out").read_text(), case
+print(json.dumps({
+    "loaded": sorted(m for m in ("numpy", "mpmath") if m in sys.modules),
+    "dataclasses": sorted(
+        f"{name}.{cls.__qualname__}"
+        for name, module in list(sys.modules.items())
+        if name == "torusfibre" or name.startswith("torusfibre.")
+        for cls in vars(module).values()
+        if isinstance(cls, type) and hasattr(cls, "__dataclass_fields__")
+    ),
+}))
+"""
+
+
+def _fresh_process(cases):
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *cases],
+        cwd=GOLDEN, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _cases(*commands):
+    return [case for case in sorted(MANIFEST) if MANIFEST[case]["argv"][0] in commands]
+
+
+def test_exact_commands_load_neither_numpy_nor_mpmath():
+    cases = _cases("validate", "seifert", "spectrum", "framing", "strata", "contributions")
+    assert {MANIFEST[case]["argv"][0] for case in cases} == {
+        "validate", "seifert", "spectrum", "framing", "strata", "contributions",
+    }
+    assert _fresh_process(cases) == {"loaded": [], "dataclasses": []}
+
+
+def test_invariant_at_a_level_loads_mpmath_but_not_numpy():
+    cases = [case for case in _cases("invariant") if "--level" in MANIFEST[case]["argv"]]
+    assert cases
+    assert _fresh_process(cases) == {"loaded": ["mpmath"], "dataclasses": []}
+
+
+def _values():
+    """(class, build, hashable) for every value class: build() makes a new
+    instance, equal in every field to the one before; the formerly frozen
+    dataclasses are hashable."""
+    c = ConjClassSU.from_residues(2, [1, 3], 4)
+    term = ContributionPolynomial([Cyclotomic.from_rational(1, 2)], PhaseQ(Fraction(1, 3)))
+    framing = FramingPhase(Fraction(-3, 8), GroupData(2))
+    return [
+        (OrbitData, lambda: OrbitData(4, 0, [[4, 1], [4, 3]]), True),
+        (SeifertData, lambda: SeifertData(-1, 0, ((4, 1), (4, 3))), True),
+        (GroupData, lambda: GroupData(3), True),
+        (FramingPhase, lambda: FramingPhase(Fraction(-3, 8), GroupData(2)), True),
+        (EigenSpectrum, lambda: EigenSpectrum(4, (0, 1, 0, 1)), True),
+        (ConjClassSU, lambda: ConjClassSU.from_residues(2, [3, 1], 4), True),
+        (StratumDescriptor, lambda: StratumDescriptor(0, (c, c), 2, (c, c), (1, 0, 0, 0), 0), True),
+        (CohomologyOracle, CohomologyOracle.trivial, False),
+        (ContributionPolynomial, lambda: ContributionPolynomial(list(term.coefficients), term.q), False),
+        (InvariantModel, lambda: InvariantModel(framing, [term]), False),
+        (FitResult, lambda: FitResult([{"q": Fraction(1, 3), "b": 1j}], 0.0), False),
+    ]
+
+
+VALUES = _values()
+
+
+@pytest.mark.parametrize("cls, build, hashable", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_value_semantics(cls, build, hashable):
+    """Equal fields give equal objects with equal reprs; the formerly frozen
+    classes hash by their fields and the mutable ones are unhashable."""
+    a, b = build(), build()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    assert a != object()
+    assert repr(a) == repr(b) and repr(a).startswith(cls.__name__ + "(")
+    # __slots__ everywhere but where cached properties need a __dict__
+    assert hasattr(a, "__dict__") == (cls is CohomologyOracle)
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+def test_an_equal_class_hits_the_eigen_rank_cache():
+    first, second = (ConjClassSU.from_residues(3, [1, 2, 3], 6) for _ in range(2))
+    assert first == second and first is not second
+    eigen_ranks = localization._eigen_ranks
+    value = eigen_ranks(6, 1, 2, first)
+    before = eigen_ranks.cache_info()
+    assert eigen_ranks(6, 1, 2, second) == value
+    after = eigen_ranks.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
