@@ -7,10 +7,10 @@ input, 2 violated internal consistency check, 3 I/O trouble.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import ConsistencyError, ValidationError
 from .exact import PhaseQ, rational_from_json
@@ -41,12 +41,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCONSISTENT = 2
 EXIT_IO = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
 
 
 def _load_json(path):
@@ -444,7 +438,15 @@ def _options(name):
 
 
 def build_parser():
-    """The argument parser with every subcommand, for help and refusals."""
+    """The argument parser with every subcommand, for help and refusals.
+    argparse is imported here, since the fast path of main needs none."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_INVALID)
+
     parser = _Parser(prog="torusfibre")
     parser.add_argument("--format", choices=FORMATS, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -476,7 +478,7 @@ def _fast_parse(argv):
         i = _fast_option(argv, i, options, given)
     if i is None:
         return None
-    args = argparse.Namespace(format=top.get("--format"), command=name, func=COMMANDS[name][0])
+    args = SimpleNamespace(format=top.get("--format"), command=name, func=COMMANDS[name][0])
     for flag, kwargs in options.items():
         if flag not in given and kwargs.get("required"):
             return None

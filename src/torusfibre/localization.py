@@ -40,7 +40,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import comb, factorial, gcd, lcm
 from operator import add
 
@@ -88,10 +88,39 @@ class _Basis:
                       for s, x in terms]
 
 
+# The most product-table entries a basis may have.  Building the table costs
+# about 1 s per million entries, and every product of the integration reads
+# it.  The largest basis the tests, golden cases and benchmark ops build has
+# 495 entries (70 monomials: four generators of degree 2, top degree 8, in
+# tests/test_localization.py::test_power_sums_of_split_bundles).
+MAX_BASIS_PRODUCTS = 2**20
+
+
+def _basis_size(degrees, top):
+    """(monomials, product-table entries) of _Basis(degrees, top), counted
+    from the degrees alone: count[s] monomials of degree s, and a monomial
+    of degree s has a table row over the monomials of degree <= top - s."""
+    count = [1] + [0] * top
+    for d in degrees:
+        if d:
+            for s in range(d, top + 1):
+                count[s] += count[s - d]
+    below = list(accumulate(count))
+    return below[top], sum(c * below[top - s] for s, c in enumerate(count))
+
+
 @lru_cache(maxsize=None)
 def _basis(degrees, top):
     """The _Basis of (degrees, top), built once and shared by every oracle
-    that uses it; nothing writes to it."""
+    that uses it; nothing writes to it.  Its size is predicted first and
+    refused above MAX_BASIS_PRODUCTS."""
+    monomials, products = _basis_size(degrees, top)
+    if products > MAX_BASIS_PRODUCTS:
+        raise ValidationError(
+            f"oracle basis of degree <= {top} in generators of degrees "
+            f"{[d for d in degrees if d]} has {monomials} monomials and {products} "
+            f"products, more than MAX_BASIS_PRODUCTS = {MAX_BASIS_PRODUCTS}"
+        )
     return _Basis(degrees, top)
 
 

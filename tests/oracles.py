@@ -7,13 +7,14 @@ Cyclotomic values, their evaluation under an mpmath context over the
 Fraction view as the reference for Cyclotomic.to_mpc, and the sorted
 Fraction candidates and per-entry np.exp probe of fit_expansion's phase
 search, the formal log of the Bernoulli series for the Todd class, the
-localization route on sparse dicts of Fraction and Cyclotomic coefficients
-that the integer basis replaced (Ring, ring_oracle, ring_smooth_contribution),
-the same with a separate Todd exponential and ring products before the
-pairing, the lambda_{-1}-inverse of the integer route as a dict over the
-basis monomials (lambda_inverse_dict), the per-tuple convolution behind
-the stratum ranks, and the Burnside count through one translated class
-per (class, z').
+lambda_{-1}-inverse of the integer route as a dict over the basis
+monomials (lambda_inverse_dict), the per-tuple convolution behind the
+stratum ranks, and the Burnside count through one translated class per
+(class, z').  The two localization references, the literal route
+(RefRing) and the root reference, live in test_localization_oracle.py;
+they take their (1 - zeta^j)^{-1} from euclid_inverse, the root reference
+its eigenbundle weights from mu_bruteforce, and the literal route its Todd
+coefficients from todd_log_series.
 Also here: Cyclotomic values from Fraction coefficients, the readers of
 the JSON forms of Cyclotomic and PhaseQ values, the JSON form of orbit data,
 phases as roots of unity and as complex floats, float evaluation of phase
@@ -22,24 +23,15 @@ class times a center element.
 """
 
 import cmath
-import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
 import numpy as np
 
 from torusfibre.errors import GcdViolation, InvariantViolation, NonIntegralRank
 from torusfibre.exact import Cyclotomic, PhaseQ, cyclotomic_polynomial
-from torusfibre.localization import (
-    _eigen_ranks,
-    _exp,
-    _exponent_scalar,
-    _prefactor,
-    _w2,
-    lambda_inverse_expansion,
-)
+from torusfibre.localization import _exp, lambda_inverse_expansion
 from torusfibre.orbit import total_genus
 from torusfibre.spectrum import mu2_table
 from torusfibre.strata import ConjClassSU, classes_with_power_central
@@ -266,210 +258,7 @@ def todd_log_series(top_n):
     return tuple(logc[1:top_n + 1])
 
 
-# -- localization on sparse dicts: the ring route ------------------------------
-
-
-class Ring:
-    """Commutative graded ring over the oracle generators, truncated above
-    the oracle's top degree.  Elements are dicts exponent-tuple -> nonzero
-    coefficient: a Fraction for Chern data, a Cyclotomic once a value meets
-    beta_j or the prefactor."""
-
-    def __init__(self, names, degrees, top_degree):
-        self.names = list(names)
-        self.degrees = list(degrees)
-        self.top_degree = top_degree
-
-    @staticmethod
-    def is_zero(c):
-        return c.is_zero() if isinstance(c, Cyclotomic) else not c
-
-    def monomial_degree(self, expo):
-        return sum(e * d for e, d in zip(expo, self.degrees))
-
-    def one(self):
-        return {(0,) * len(self.names): Fraction(1)}
-
-    def add(self, a, b):
-        out = dict(a)
-        for k, v in b.items():
-            cur = out.get(k)
-            s = v if cur is None else cur + v
-            if self.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return out
-
-    def scale(self, a, c):
-        # a Cyclotomic factor goes on the left, so that a Fraction never
-        # tries it first
-        if self.is_zero(c):
-            return {}
-        if isinstance(c, Cyclotomic):
-            return {k: c * v for k, v in a.items()}
-        return {k: v * c for k, v in a.items()}
-
-    def mul(self, a, b):
-        out = {}
-        for ka, va in a.items():
-            for kb, vb in b.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
-                if self.monomial_degree(k) > self.top_degree:
-                    continue
-                cur = out.get(k)
-                v = vb * va if isinstance(vb, Cyclotomic) else va * vb
-                s = v if cur is None else cur + v
-                if self.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return out
-
-    def exp(self, a):
-        """exp of an element with no degree-0 part (nilpotent after
-        truncation)."""
-        if any(self.monomial_degree(k) == 0 for k in a):
-            raise ValueError("exp needs a positive-degree argument")
-        out = self.one()
-        term = self.one()
-        n = 1
-        while True:
-            term = self.scale(self.mul(term, a), Fraction(1, n))
-            if not term:
-                break
-            out = self.add(out, term)
-            n += 1
-        return out
-
-
-@dataclass
-class RingOracle:
-    """An oracle read onto a Ring: pairing, Chern classes and omega as ring
-    elements with Fraction coefficients."""
-
-    d_c: int
-    ring: Ring
-    pairing: dict          # exponent tuple -> Fraction, top degree only
-    tangent_chern: list
-    tangent_rank: int
-    eigen_chern: dict      # (s, nu) -> (rank override or None, chern class list)
-    omega: dict
-
-    @cached_property
-    def tangent_power_sums(self):
-        return ring_power_sums(self.ring, self.tangent_rank, self.tangent_chern, self.d_c)
-
-
-def _ring_poly(ring, obj):
-    out = {}
-    for mono, coeff in (obj or {}).items():
-        expo = [0] * len(ring.names)
-        if mono.strip() not in ("1", ""):
-            for part in mono.split("*"):
-                name, hat, e = part.partition("^")
-                expo[ring.names.index(name.strip())] += int(e.strip()) if hat else 1
-        out = ring.add(out, {tuple(expo): Fraction(coeff)})
-    return out
-
-
-def ring_oracle(obj):
-    """The oracle JSON object read as the ring route read it, one dict per
-    polynomial; the object must be valid (CohomologyOracle.from_json
-    checks it)."""
-    d_c = obj["d_c"]
-    gens = obj.get("generators", [])
-    ring = Ring([g["name"] for g in gens], [g["degree"] for g in gens], 2 * d_c)
-    pairing = {}
-    for mono, val in obj.get("pairing", {}).items():
-        (expo,) = _ring_poly(ring, {mono: 1})
-        pairing[expo] = Fraction(val)
-    chern = obj.get("chern", {})
-
-    def bundle(entry):
-        return entry.get("rank"), [_ring_poly(ring, c) for c in entry.get("classes", [])]
-
-    rank, tangent = bundle(chern.get("T_c", {}))
-    eigen = {
-        tuple(map(int, re.fullmatch(r"E\[(\d+)\]\[(\d+)\]", key).groups())): bundle(val)
-        for key, val in chern.items() if key.startswith("E[")
-    }
-    omega = _ring_poly(ring, chern.get("omega"))
-    return RingOracle(d_c, ring, pairing, tangent, d_c if rank is None else rank, eigen, omega)
-
-
-def ring_power_sums(ring, rank, classes, top_n):
-    """[p_0, ..., p_top_n] by Newton's identities; p_0 = rank."""
-    e = [ring.one()] + list(classes) + [{}] * top_n
-    p = [ring.scale(ring.one(), rank)]
-    for n in range(1, top_n + 1):
-        acc = ring.scale(e[n], (-1) ** (n - 1) * n)
-        for i in range(1, n):
-            acc = ring.add(acc, ring.scale(ring.mul(e[i], p[n - i]), (-1) ** (i - 1)))
-        p.append(acc)
-    return p
-
-
-def ring_todd_class(ring, p, exponent=None):
-    """Td(V) from the power sums p = [p_0, ..., p_top_n] of V, times exp(exponent)."""
-    f = todd_log_series(len(p) - 1)
-    acc = {} if exponent is None else exponent
-    for n in range(1, len(p)):
-        acc = ring.add(acc, ring.scale(p[n], f[n - 1]))
-    return ring.exp(acc)
-
-
-def ring_pair(oracle, x, form):
-    """<form x> as sum_a x[a] sum_b form[b] pairing[a + b]; None when no
-    monomial of the pairing table has a nonzero coefficient in form x."""
-    dual = {}
-    for b, fb in form.items():
-        for k, pk in oracle.pairing.items():
-            a = tuple(i - j for i, j in zip(k, b))
-            if min(a, default=0) >= 0:
-                dual[a] = dual.get(a, 0) + fb * pk
-    terms = [x[a] * w for a, w in dual.items() if a in x and w]
-    acc = sum(terms[1:], terms[0]) if terms else Fraction(0)
-    ring = oracle.ring
-    if ring.is_zero(acc) and not any(k in ring.mul(form, x) for k in oracle.pairing):
-        return None
-    return acc
-
-
-def ring_lambda_exponent(data, stratum, group, oracle):
-    """The exponent of the lambda_{-1}-inverse as a ring element, summed
-    per bundle; the rank certificates of the production route are left to
-    it."""
-    m = data.m
-    rotations = [n for _, n in data.branches]
-    ranks = [_eigen_ranks(m, n, group.rank, c)[0] for n, c in zip(rotations, stratum.c_delta)]
-    ring = oracle.ring
-    bundles = [([ring.scale(p, (-1) ** n) for n, p in enumerate(oracle.tangent_power_sums)], None, None)]
-    for (s, nu), (rank, classes) in oracle.eigen_chern.items():
-        if rank not in (None, ranks[s][nu]):
-            raise InvariantViolation(f"oracle rank {rank} for E[{s}][{nu}]")
-        if any(_w2(m, rotations[s])[nu][1:]):
-            p = ring_power_sums(ring, ranks[s][nu], classes, oracle.d_c)
-            bundles.append((p, rotations[s], nu))
-    exponent = {}
-    for p, rotation, nu in bundles:
-        for t in range(1, oracle.d_c + 1):
-            p_t = {}
-            for n in range(t, oracle.d_c + 1):
-                surj = sum((-1) ** (t - u) * comb(t, u) * u**n for u in range(1, t + 1))
-                p_t = ring.add(p_t, ring.scale(p[n], Fraction(surj, factorial(n))))
-            p_t = {k: v for k, v in p_t.items() if ring.monomial_degree(k) >= 2 * t}
-            if p_t:
-                scalar = _exponent_scalar(m, rotation, nu, t)
-                exponent = ring.add(exponent, ring.scale(p_t, scalar))
-    return exponent
-
-
-def ring_lambda_inverse_expansion(data, stratum, group, oracle):
-    """The lambda_{-1}-inverse with its prefactor as a ring element."""
-    ring = oracle.ring
-    pref = _prefactor(tuple(stratum.ranks))
-    return ring.scale(ring.exp(ring_lambda_exponent(data, stratum, group, oracle)), pref)
+# -- localization: the lambda-inverse as a dict, per-tuple ranks ----------------
 
 
 def lambda_inverse_dict(data, stratum, group, oracle):
@@ -481,58 +270,6 @@ def lambda_inverse_dict(data, stratum, group, oracle):
     rows, den = _exp(oracle.basis, terms, data.m)
     return {expo: pref * Cyclotomic(data.m, list(nums), den)
             for expo, nums in zip(oracle.basis.index, zip(*rows)) if any(nums)}
-
-
-def ring_smooth_contribution(data, stratum, group, oracle):
-    """The coefficients of P_c(k) by the ring route: one exponential
-    exp(E + log Td(T_c)) as a ring element, paired rationally with
-    omega^t, the prefactor and m^t/(t! |Z_delta|) last."""
-    ring = oracle.ring
-    if stratum.d_c == 0:
-        ((unit, scalar),) = ring_lambda_inverse_expansion(data, stratum, group, oracle).items()
-        val = oracle.pairing.get(unit)
-        coeffs = [Cyclotomic.from_rational(0) if val is None else scalar * val]
-    else:
-        pref = _prefactor(tuple(stratum.ranks))
-        exponent = ring_lambda_exponent(data, stratum, group, oracle)
-        integrand = ring_todd_class(ring, oracle.tangent_power_sums, exponent)
-        coeffs = []
-        omega_pow = ring.one()
-        for t in range(stratum.d_c + 1):
-            if t > 0:
-                omega_pow = ring.mul(omega_pow, oracle.omega)
-            paired = ring_pair(oracle, integrand, omega_pow)
-            coeffs.append(Cyclotomic.from_rational(0) if paired is None else pref * paired)
-    z = stratum.z_delta_order
-    coeffs = [c * Fraction(data.m**t, factorial(t) * z) for t, c in enumerate(coeffs)]
-    while len(coeffs) > 1 and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
-
-
-def smooth_contribution_two_exponentials(data, stratum, group, oracle):
-    """The coefficients of P_c(k) by the ring route with two exponentials:
-    lambda^{-1} with its prefactor times Td(T_c) from its own exponential,
-    omega^t times that, both as ring products, then the pairing of the
-    top-degree monomials of the product, summed from the conductor-1 zero;
-    oracle is a RingOracle."""
-    ring = oracle.ring
-    lam = ring_lambda_inverse_expansion(data, stratum, group, oracle)
-    base = ring.mul(lam, ring_todd_class(ring, oracle.tangent_power_sums))
-    coeffs = []
-    omega_pow = ring.one()
-    for t in range(stratum.d_c + 1):
-        if t:
-            omega_pow = ring.mul(omega_pow, oracle.omega)
-        paired = Cyclotomic.from_rational(0)
-        for expo, coeff in ring.mul(omega_pow, base).items():
-            val = oracle.pairing.get(expo)
-            if val is not None and ring.monomial_degree(expo) == 2 * stratum.d_c:
-                paired = paired + coeff * val
-        coeffs.append(paired * Fraction(data.m**t, factorial(t) * stratum.z_delta_order))
-    while len(coeffs) > 1 and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
 
 
 def stratum_ranks_convolution(data, group, roots):

@@ -392,6 +392,30 @@ def test_oracle_of_another_dimension_builds_no_basis(monkeypatch, tmp_path, caps
     assert tops and 2 * entry["d_c"] not in tops
 
 
+def test_oversized_oracle_basis_is_refused_from_its_predicted_size(monkeypatch, tmp_path, capsys):
+    """Sixteen generators of degree 1 on the d_c = 4 stratum 63 of HYPER
+    SU(3) would make a basis of 735471 monomials; it is refused from the
+    predicted counts, unbuilt."""
+    import torusfibre.localization as localization
+
+    basis = localization._Basis
+
+    def point_bases_only(degrees, top):
+        assert top == 0, "_Basis built"
+        return basis(degrees, top)
+
+    monkeypatch.setattr(localization, "_Basis", point_bases_only)
+    names = [f"g{i}" for i in range(16)]
+    oracle = {"d_c": 4, "generators": [{"name": n, "degree": 1} for n in names], "pairing": {"g0^8": "1"},
+              "chern": {"T_c": {"rank": 4}, "omega": dict.fromkeys(names, "1")}}
+    path = tmp_path / "oracles.json"
+    path.write_text(json.dumps({"63": oracle}))
+    code, out, err = run(capsys, "contributions", "--orbit", str(GOLDEN_INPUTS / "hyper.json"),
+                         "--group", "SU(3)", "--oracles", str(path))
+    assert (code, out) == (1, "")
+    assert "has 735471 monomials and 76904685 products, more than MAX_BASIS_PRODUCTS" in err
+
+
 @pytest.mark.parametrize("value", ["1e4300", "-2.5E-4300", "1_0e0_4300", "7/0", " 3/4 ", "+5/10"])
 def test_rational_literals_read_as_fraction_reads_them(value):
     """Below the exponent bound, every string reads as Fraction reads it,

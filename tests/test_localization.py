@@ -193,6 +193,17 @@ def test_power_sums_of_split_bundles(r):
         assert [F(x, den) for x in nums] == [F(x, want_den) for x in want]
 
 
+def test_basis_size_is_predicted_exactly():
+    """The monomial and product-table counts that the basis budget reads
+    equal those of the built basis, degree-0 generators included."""
+    from torusfibre.localization import _Basis, _basis_size
+
+    for degrees in [(), (0,), (2,), (2, 1, 0), (1, 3), (2, 2, 2, 2), (4, 0, 1, 2), (1,) * 5]:
+        for top in range(11):
+            basis = _Basis(degrees, top)
+            assert _basis_size(degrees, top) == (len(basis.degree), sum(map(len, basis.table)))
+
+
 @pytest.mark.parametrize("top_n", range(25))
 def test_todd_closed_form_matches_formal_log(top_n):
     from torusfibre.localization import _todd_log_coefficients

@@ -2,9 +2,11 @@
 
 Every CLI call is a fresh process, so what importing the package costs is
 paid on every call: the package generates no code at import (its value
-classes are written out, not dataclasses), numpy is loaded only by ``fit``
-and mpmath only by ``Cyclotomic.to_mpc`` (``invariant --level``).  The
-classes keep the value semantics the dataclasses gave them.
+classes are written out, not dataclasses), numpy is loaded only by ``fit``,
+mpmath only by ``Cyclotomic.to_mpc`` (``invariant --level``), and argparse
+only when a command line leaves the fast path of ``cli.main`` (help and
+usage errors).  The classes keep the value semantics the dataclasses gave
+them.
 """
 
 import json
@@ -31,7 +33,8 @@ MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 
 # Runs the golden cases named on the command line through main, each
 # checked against its recorded stdout and exit code, then prints which of
-# numpy and mpmath are loaded and which torusfibre classes are dataclasses.
+# numpy, mpmath and argparse are loaded and which torusfibre classes are
+# dataclasses.
 PROBE = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -45,7 +48,7 @@ for case in sys.argv[1:]:
     assert code == manifest[case]["exit"], case
     assert out.getvalue() == Path(case + ".out").read_text(), case
 print(json.dumps({
-    "loaded": sorted(m for m in ("numpy", "mpmath") if m in sys.modules),
+    "loaded": sorted(m for m in ("numpy", "mpmath", "argparse") if m in sys.modules),
     "dataclasses": sorted(
         f"{name}.{cls.__qualname__}"
         for name, module in list(sys.modules.items())
@@ -68,21 +71,29 @@ def _fresh_process(cases):
     return json.loads(proc.stdout)
 
 
+def _command(case):
+    """The subcommand of a golden case, after an optional top-level --format."""
+    argv = MANIFEST[case]["argv"]
+    return argv[2] if argv[0] == "--format" else argv[0]
+
+
 def _cases(*commands):
-    return [case for case in sorted(MANIFEST) if MANIFEST[case]["argv"][0] in commands]
+    return [case for case in sorted(MANIFEST) if _command(case) in commands]
+
+
+EXACT = ("validate", "seifert", "spectrum", "framing", "strata", "contributions")
 
 
 def test_exact_commands_load_neither_numpy_nor_mpmath():
-    cases = _cases("validate", "seifert", "spectrum", "framing", "strata", "contributions")
-    assert {MANIFEST[case]["argv"][0] for case in cases} == {
-        "validate", "seifert", "spectrum", "framing", "strata", "contributions",
-    }
+    cases = _cases(*EXACT)
+    assert {_command(case) for case in cases} == set(EXACT)
     assert _fresh_process(cases) == {"loaded": [], "dataclasses": []}
 
 
 def test_invariant_at_a_level_loads_mpmath_but_not_numpy():
     cases = [case for case in _cases("invariant") if "--level" in MANIFEST[case]["argv"]]
-    assert cases
+    # with the test above, every golden case runs, and none loads argparse
+    assert len(cases) + len(_cases(*EXACT)) == len(MANIFEST)
     assert _fresh_process(cases) == {"loaded": ["mpmath"], "dataclasses": []}
 
 
