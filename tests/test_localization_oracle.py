@@ -515,36 +515,70 @@ def pick_strata(rng, strata):
     return rng.sample(smooth, min(len(smooth), 4)) + rng.sample(points, min(len(points), 2))
 
 
+def assert_matches_literal_route(data, stratum, group, objs, with_lambda=True):
+    """smooth_contribution on each oracle JSON of objs against the literal
+    route, by to_json, and with_lambda its lambda-inverse (the dict of
+    oracles.lambda_inverse_dict) too.  Oracles that differ only in omega and
+    the pairing share one literal lambda-inverse."""
+    lams = {}
+    for obj in objs:
+        oracle, ref = CohomologyOracle.from_json(obj), ref_oracle(obj)
+        got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0))
+        key = repr((obj.get("generators"), {k: v for k, v in obj.get("chern", {}).items() if k != "omega"}))
+        if key not in lams:
+            lams[key] = ref_lambda(data, stratum, group, ref)
+        want = ref_contribution(data, stratum, group, ref, lams[key])
+        assert [c.to_json() for c in got.coefficients] == [c.to_json() for c in want]
+        if with_lambda:
+            lam = lambda_inverse_dict(data, stratum, group, oracle)
+            assert {k: v.to_json() for k, v in lam.items()} == {k: v.to_json() for k, v in lams[key].items()}
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", CASES, ids=_case_id)
+@pytest.mark.parametrize("case", oracle_cases(), ids=_case_id)
 def test_smooth_contribution_matches_cyclotomic_reference(case):
     """smooth_contribution and its lambda-inverse against the literal route,
-    by to_json: two random oracles per stratum on the first cases, the
-    oracle_variants on the SU(2..4) cases with d_c up to 4.  Variants that
-    differ only in omega and the pairing share one literal lambda-inverse."""
+    by to_json, on two random oracles per picked stratum, d_c up to 3."""
     data, N, seed, top = case
     group = GroupData(N)
     rng = random.Random(_case_id(case))
     for stratum in pick_strata(rng, eligible_strata(data, N, top)):
-        if top == 4:
-            objs = oracle_variants(rng, data, stratum, group)
-        else:
-            objs = [random_oracle(rng, data, stratum, group) for _ in range(2)]
-        lams = {}
-        for obj in objs:
-            oracle, ref = CohomologyOracle.from_json(obj), ref_oracle(obj)
-            got = smooth_contribution(data, stratum, group, oracle, PhaseQ(0))
-            key = repr((obj.get("generators"), {k: v for k, v in obj.get("chern", {}).items() if k != "omega"}))
-            if key not in lams:
-                lams[key] = ref_lambda(data, stratum, group, ref)
-            want = ref_contribution(data, stratum, group, ref, lams[key])
-            assert [c.to_json() for c in got.coefficients] == [c.to_json() for c in want]
-            lam = lambda_inverse_dict(data, stratum, group, oracle)
-            assert {k: v.to_json() for k, v in lam.items()} == {k: v.to_json() for k, v in lams[key].items()}
+        objs = [random_oracle(rng, data, stratum, group) for _ in range(2)]
+        assert_matches_literal_route(data, stratum, group, objs)
+
+
+@pytest.mark.parametrize("case", equivalence_cases(), ids=_case_id)
+def test_one_exponential_matches_the_ring_route(case):
+    """smooth_contribution (one exponential, rational pairing, prefactor
+    last) against the literal route, which multiplies its lambda-inverse by
+    a Td(T_c) from a second exponential and by omega^t as ring products
+    before it pairs, by to_json: the conductor of every zero coefficient is
+    compared too.  SU(2..4), d_c up to 4, on the oracle_variants."""
+    data, N, seed, top = case
+    group = GroupData(N)
+    rng = random.Random("one-exp-" + _case_id(case))
+    for stratum in pick_strata(rng, eligible_strata(data, N, top)):
+        objs = oracle_variants(rng, data, stratum, group)
+        assert_matches_literal_route(data, stratum, group, objs, with_lambda=False)
+
+
+@pytest.mark.parametrize("case", equivalence_cases(), ids=_case_id)
+def test_integer_route_matches_the_dict_route(case):
+    """smooth_contribution and its lambda-inverse on the integer basis
+    against the literal route on dicts of Cyclotomic coefficients, by
+    to_json: conductors included, so a pairing that meets no integrand
+    monomial must give the conductor-1 zero there too.  SU(2..4), d_c up to
+    4, on the oracle_variants."""
+    data, N, seed, top = case
+    group = GroupData(N)
+    rng = random.Random("integer-" + _case_id(case))
+    for stratum in pick_strata(rng, eligible_strata(data, N, top)):
+        objs = oracle_variants(rng, data, stratum, group)
+        assert_matches_literal_route(data, stratum, group, objs)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
