@@ -57,7 +57,8 @@ def _load_orbit(path):
 
 def _emit(obj, fmt):
     """Print ``obj``: JSON values, where a value with a ``to_json`` method
-    stands for what that method returns."""
+    stands for what that method returns.  Every command but ``strata`` writes
+    its JSON through _write_json; ``strata`` comes here for its table only."""
     if fmt == "table":
         _print_table(obj)
     else:
@@ -68,63 +69,41 @@ _CHUNK = 1 << 16  # characters per write
 _INF = float("inf")
 
 
+def _flush(parts, out, last=False):
+    """Write the joined ``parts`` to ``out`` and empty them once they come to
+    _CHUNK characters, or when ``last``; else leave them joined as one part."""
+    text = "".join(parts)
+    parts.clear()
+    if last or len(text) >= _CHUNK:
+        out.write(text)
+    else:
+        parts.append(text)
+
+
 def _write_json(obj, out):
-    """Write exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` to
-    ``out`` in writes of at least _CHUNK characters (but the last), without
-    building the whole text.  A ``to_json`` value is rendered once per
-    (value, depth) in this call, so it must be hashable; it is looked up by
-    its id first, and then by equality.  A tuple of ints only, such as the
-    ranks that strata share, is rendered once per (id, depth).  Nothing
-    else is memoised by equality: 1, True and 1.0 are equal but render
-    differently."""
+    """Write exactly ``json.dumps(obj, sort_keys=True, indent=2,
+    default=lambda o: o.to_json()) + "\\n"`` to ``out`` in writes of at least
+    _CHUNK characters (but the last), without building the whole text: a
+    value with a ``to_json`` method stands for what that method returns."""
     quote = json.encoder.encode_basestring_ascii
     # leaves of exactly these types; subclasses take the isinstance route
     leaves = {str: quote, int: int.__repr__, float: _scalar, bool: _scalar, type(None): _scalar}
-    memo = {}
-    by_id = {}  # (id, depth) -> text of to_json values and int tuples
-    kept = []  # the values by_id names, so that no other value takes their id
     top = []
 
-    def flush(last=False):
-        text = "".join(top)
-        top.clear()
-        if last or len(text) >= _CHUNK:
-            out.write(text)
-        else:
-            top.append(text)
-
-    def render(o, depth):
-        sub = []
-        put(o, depth, sub)
-        return "".join(sub)
-
-    def fragment(o, depth):
-        """The text of a to_json value or of a tuple of ints."""
-        text = by_id.get((id(o), depth))
-        if text is None:
-            if type(o) is tuple:
-                text = render(o, depth)
-            else:
-                text = memo.get((o, depth))
-                if text is None:
-                    text = memo[o, depth] = render(o.to_json(), depth)
-            by_id[id(o), depth] = text
-            kept.append(o)
-        return text
-
-    def put(o, depth, parts):
+    def put(o, depth):
         keyed = isinstance(o, dict)
         if not (keyed or isinstance(o, (list, tuple))):
             text = _scalar(o)
-            if text is None:
-                if not hasattr(o, "to_json"):
-                    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-                text = fragment(o, depth)
-            parts.append(text)
+            if text is not None:
+                top.append(text)
+            elif hasattr(o, "to_json"):
+                put(o.to_json(), depth)
+            else:
+                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
             return
         brackets = "{}" if keyed else "[]"
         if not o:
-            parts.append(brackets)
+            top.append(brackets)
             return
         inner = "\n" + "  " * (depth + 1)
         sep = brackets[0] + inner
@@ -137,20 +116,70 @@ def _write_json(obj, out):
                 label += quote(k if isinstance(k, str) else _scalar(k)) + ": "
             leaf = leaves.get(type(v))
             if leaf is not None:
-                parts.append(label + leaf(v))
-            elif hasattr(v, "to_json") or type(v) is tuple and {*map(type, v)} == {int}:
-                parts.append(label + fragment(v, depth + 1))
+                top.append(label + leaf(v))
             else:
-                parts.append(label)
-                put(v, depth + 1, parts)
+                top.append(label)
+                put(v, depth + 1)
             sep = "," + inner
-            if parts is top and len(top) >= 512:
-                flush()
-        parts.append(inner[:-2] + brackets[1])
+            if len(top) >= 512:
+                _flush(top, out)
+        top.append(inner[:-2] + brackets[1])
 
-    put(obj, 0, top)
+    put(obj, 0)
     top.append("\n")
-    flush(last=True)
+    _flush(top, out, last=True)
+
+
+# One stratum of the strata list, its keys in sorted order, at the depth
+# json.dumps(indent=2) gives it; the first field is "[" or "," before it.
+_STRATUM = (
+    '%s\n    {\n      "Z_delta": %d,\n      "c_delta": %s,\n      "classes": %s,\n'
+    '      "d_c": %s,\n      "ranks": %s,\n      "z": %d\n    }'
+)
+
+
+def _write_strata(strata, out):
+    """Write ``{"count": len(strata), "strata": strata}`` to ``out`` exactly
+    as _write_json would, each StratumDescriptor standing for its to_json, by
+    filling one template per stratum.  Each class and each ranks tuple is
+    rendered once per call, keyed by its id alone: every value it keys stays
+    alive in ``strata`` for the whole call, so no other value takes the id,
+    and a class sits at the same depth in ``classes`` and ``c_delta``.  A
+    class has N >= 1 angles and ranks m >= 2 entries, so only a tuple of
+    classes can be empty."""
+    quote = json.encoder.encode_basestring_ascii
+    texts = {}  # id of a class or a ranks tuple -> its text
+
+    def classes(cs):
+        items = []
+        for c in cs:
+            text = texts.get(id(c))
+            if text is None:
+                angles = ",\n          ".join(map(quote, c.to_json()))
+                text = texts[id(c)] = "[\n          " + angles + "\n        ]"
+            items.append(text)
+        return "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
+
+    def ranks(r):
+        if r is None:
+            return "null"
+        text = texts.get(id(r))
+        if text is None:
+            text = texts[id(r)] = "[\n        " + ",\n        ".join(map(int.__repr__, r)) + "\n      ]"
+        return text
+
+    parts = ['{\n  "count": %d,\n  "strata": ' % len(strata)]
+    lead = "["
+    for s in strata:
+        parts.append(_STRATUM % (
+            lead, s.z_delta_order, classes(s.c_delta), classes(s.classes),
+            "null" if s.d_c is None else s.d_c, ranks(s.ranks), s.z,
+        ))
+        lead = ","
+        if len(parts) >= 64:
+            _flush(parts, out)
+    parts.append("\n  ]\n}\n" if strata else "[]\n}\n")
+    _flush(parts, out, last=True)
 
 
 def _scalar(o):
@@ -315,10 +344,10 @@ def _cmd_strata(args):
             f"orbit enumeration found {len(strata)} strata, orbit counting "
             f"gives {count}"
         )
-    _emit(
-        {"count": len(strata), "strata": [s.to_json() for s in strata]},
-        args.format,
-    )
+    if args.format == "json":
+        _write_strata(strata, sys.stdout)
+    else:
+        _emit({"count": len(strata), "strata": strata}, args.format)
     return EXIT_OK
 
 

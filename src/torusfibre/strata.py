@@ -140,7 +140,9 @@ class StratumDescriptor:
 
     def to_json(self):
         """The fields in output order; the classes stay ConjClassSU values,
-        which the CLI writer renders once per call."""
+        which ``--format table`` resolves.  The JSON of ``strata`` is written
+        from the fields by ``cli._write_strata``, which renders each class
+        once per call."""
         return {
             "z": self.z,
             "classes": self.classes,
