@@ -377,7 +377,7 @@ def _cmd_invariant(args):
         out["value"] = {
             "level": args.level,
             "exact": exact.to_json(),
-            "numeric": [float(numeric.real), float(numeric.imag)],
+            "numeric": [numeric.real, numeric.imag],
         }
     _emit(out, args.format)
     return EXIT_OK

@@ -40,7 +40,9 @@ __all__ = [
 
 # bits of a float64, the precision in which the numeric value is printed
 MIN_PRECISION = 53
-# The rendering costs about phi(M) products of prec-bit numbers: 65536 bits
+# The precision fixes the Horner (Cyclotomic.to_mpc) whose float64 pair is
+# printed.  Its phi(M) products of prec-bit numbers are paid only where a
+# sum over the value's few terms does not certify the pair: 65536 bits
 # take about a second at level 5, and a million bits runs past 100 s.
 MAX_PRECISION = 2 ** 16
 # Largest conductor M evaluated: the value is an integer vector of length M
@@ -129,8 +131,9 @@ def assemble_invariant(data, group, contributions, framing):
 
 
 def evaluate_invariant(model, k, precision=None):
-    """Value at level k: the exact element of Q(zeta) together with a high
-    precision complex rendering.  Needs every phase resolved."""
+    """Value at level k: the exact element of Q(zeta) together with its
+    printed float64 pair as a complex, that of the Horner rendering at
+    precision bits (Cyclotomic.to_float64).  Needs every phase resolved."""
     if any(t.is_symbolic() for t in model.terms):
         tags = [str(t.q) for t in model.terms if t.is_symbolic()]
         raise SymbolicPhaseInNumericContext(
@@ -153,10 +156,12 @@ def evaluate_invariant(model, k, precision=None):
         )
     # Each term (framing phase) (term phase) k^i c_i is the coefficient
     # vector of c_i, spread into conductor M and shifted by the exponent of
-    # the two roots of unity.  All terms go into one integer vector mod
-    # x^M - 1 over a common denominator, reduced once mod Phi_M.
+    # the two roots of unity.  All terms go into one sum of integer
+    # multiples n_e of zeta_M^e over a common denominator: as a vector mod
+    # x^M - 1 it is reduced once mod Phi_M, and its few nonzero n_e give the
+    # printed float64 pair (Cyclotomic.to_float64).
     den = lcm(1, *(c.denominator for t in model.terms for c in t.coefficients))
-    vec = [0] * conductor
+    sparse = {}
     fr_shift = fr.numerator * (conductor // fr.denominator)
     for t, phase in zip(model.terms, phases):
         shift = fr_shift + phase.numerator * (conductor // phase.denominator)
@@ -166,10 +171,14 @@ def evaluate_invariant(model, k, precision=None):
             scale = kp * (den // c.denominator)
             for j, n in enumerate(c.numerators):
                 if n:
-                    vec[(shift + j * step) % conductor] += n * scale
+                    e = (shift + j * step) % conductor
+                    sparse[e] = sparse.get(e, 0) + n * scale
             kp *= k
+    vec = [0] * conductor
+    for e, n in sparse.items():
+        vec[e] = n
     exact = Cyclotomic(conductor, vec, den)
-    return exact, exact.to_mpc(prec)
+    return exact, exact.to_float64(prec, [(e, n) for e, n in sparse.items() if n], den)
 
 
 class FitResult:

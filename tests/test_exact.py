@@ -17,6 +17,7 @@ from oracles import (
     series_eval_numeric,
     to_complex,
 )
+from torusfibre import exact
 from torusfibre.exact import (
     Cyclotomic,
     PhaseQ,
@@ -455,6 +456,102 @@ def test_to_mpc_edge_cases_match_fraction_horner(prec):
     assert value.imag == 0 and value.real == ctx.mpf(5) / cancelling.denominator
     for x in elements:
         assert x.to_mpc(prec)._mpc_ == horner_mpc(x, ctx)._mpc_
+
+
+# -- the printed float64 pair, certified from the terms -------------------------
+
+CERTIFY_CONDUCTORS = [60, 420, 1308, 2388, 2940]
+
+
+def _pair_hex(value):
+    return value.real.hex(), value.imag.hex()
+
+
+def _horner_pair(x, prec):
+    value = x.to_mpc(prec)
+    return float(value.real).hex(), float(value.imag).hex()
+
+
+def _sparse_element(rng, m, kind):
+    """A seeded element sum_e n_e zeta_m^e / den of 2 to 18 terms, with its
+    terms and den: n_e = n_-e for kind "real", n_e = -n_-e for
+    "imaginary", the n_e independent otherwise; numerators up to 10, 2^40
+    or 2^130."""
+    size = rng.choice((10, 2**40, 2**130))
+    sparse = {}
+    for _ in range(rng.randint(1, 9)):
+        e = rng.randrange(1, m)
+        if 2 * e == m:
+            continue
+        n = rng.randrange(-size, size) or 1
+        sparse[e] = sparse.get(e, 0) + n
+        if kind != "generic":
+            sparse[m - e] = sparse.get(m - e, 0) + (n if kind == "real" else -n)
+    terms = [(e, n) for e, n in sparse.items() if n]
+    den = rng.choice((1, 3, rng.randrange(1, 2**70)))
+    vec = [0] * m
+    for e, n in terms:
+        vec[e] = n
+    return Cyclotomic(m, vec, den), terms, den
+
+
+@pytest.mark.parametrize("m", CERTIFY_CONDUCTORS)
+def test_certified_pair_is_the_horner_pair(m):
+    """Every pair the terms certify is the float64 pair of to_mpc, bit for
+    bit; an exactly zero component and prec = 53 are never certified; and
+    to_float64 gives the Horner pair whichever route it takes."""
+    rng = random.Random(f"certify-{m}")
+    routes = {"certified": 0, "fallback": 0}
+    for i in range(16):
+        kind = ("generic", "generic", "real", "imaginary")[i % 4]
+        x, terms, den = _sparse_element(rng, m, kind)
+        conj = x.galois(m - 1)
+        zero_component = (x + conj).is_zero() or (x - conj).is_zero()
+        assert zero_component == (kind != "generic")
+        for prec in (53, 128, 160):
+            want = _horner_pair(x, prec)
+            pair = exact._certified_pair(x, prec, terms, den)
+            if pair is None:
+                routes["fallback"] += 1
+            else:
+                routes["certified"] += 1
+                assert _pair_hex(pair) == want
+                assert prec > 53 and not zero_component
+            assert _pair_hex(x.to_float64(prec, terms, den)) == want
+    assert routes["certified"] and routes["fallback"]
+
+
+def test_to_float64_of_zero_is_the_horner_zero():
+    for m in (1, 60, 2940):
+        x = Cyclotomic.from_rational(0, m)
+        assert _pair_hex(x.to_float64(128, [], 1)) == _horner_pair(x, 128) == ("0x0.0p+0",) * 2
+
+
+@pytest.mark.parametrize("prec", [53, 128, 160, exact.SUM_PRECISION])
+def test_rounded_cosine_and_sine_are_within_the_bounds(prec):
+    """The accuracy the certificate assumes of mpmath: cos and sin of pi
+    times a prec-bit angle 2e/M, rounded to prec bits, within 2 2^-prec of
+    the values at that angle, so the rotation of to_mpc is within 10 2^-prec
+    of exp(2 pi i / M), checked against 400 bits."""
+    from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_div, round_nearest
+
+    ctx = mpmath.mp.clone()
+    ctx.prec = 400
+    rng = random.Random(f"cos-sin-{prec}")
+    for m in [1, 2, 4, 7, *CERTIFY_CONDUCTORS, 10010, 4194060]:
+        for e in {1, m - 1, *(rng.randrange(m) for _ in range(8))}:
+            angle = mpf_div(from_int(2 * e), from_int(m), prec, round_nearest)
+            c, s = map(ctx.make_mpf, mpf_cos_sin_pi(angle, prec, round_nearest))
+            near = ctx.cospi(ctx.make_mpf(angle)), ctx.sinpi(ctx.make_mpf(angle))
+            assert max(abs(c - near[0]), abs(s - near[1])) <= ctx.ldexp(2, -prec)
+            if e == 1:
+                exact_root = ctx.expjpi(ctx.mpf(2) / m)
+                assert abs(ctx.mpc(c, s) - exact_root) < ctx.ldexp(10, -prec)
+
+
+def test_euler_phi_is_the_degree_of_the_cyclotomic_polynomial():
+    for m in [*range(1, 2000), 15015, 37515]:
+        assert euler_phi(m) == len(cyclotomic_polynomial(m)) - 1, m
 
 
 @pytest.mark.parametrize("m", RENDER_CONDUCTORS)

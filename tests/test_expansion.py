@@ -249,3 +249,30 @@ def test_evaluate_matches_literal_route(name):
             assert exact.conductor == literal.conductor
             assert exact == literal
             assert exact.to_json() == literal.to_json()
+
+
+@pytest.mark.parametrize("name", ["m5", "z4"])
+def test_evaluate_prints_the_horner_pair(name, monkeypatch):
+    """The float64 pair evaluate_invariant returns is that of the Horner
+    rendering at the requested precision, bit for bit, whether the sum over
+    the value's terms certified it or to_mpc ran; both happen here."""
+    to_mpc, horner_calls = Cyclotomic.to_mpc, []
+
+    def counted(self, prec):
+        horner_calls.append(prec)
+        return to_mpc(self, prec)
+
+    monkeypatch.setattr(Cyclotomic, "to_mpc", counted)
+    routes = set()
+    model = _golden_model(name, 1)
+    for k in (5, 47, 197, 565):
+        for prec in (53, 128, 160):
+            horner_calls.clear()
+            exact, numeric = evaluate_invariant(model, k, precision=prec)
+            routes.add(bool(horner_calls))
+            value = to_mpc(exact, prec)
+            assert (numeric.real.hex(), numeric.imag.hex()) == (
+                float(value.real).hex(),
+                float(value.imag).hex(),
+            )
+    assert routes == {True, False}

@@ -3,7 +3,7 @@
 Every CLI call is a fresh process, so what importing the package costs is
 paid on every call: the package generates no code at import (its value
 classes are written out, not dataclasses), numpy is loaded only by ``fit``,
-mpmath only by ``Cyclotomic.to_mpc`` (``invariant --level``), and argparse
+mpmath only by ``Cyclotomic.to_float64`` (``invariant --level``), and argparse
 only when a command line leaves the fast path of ``cli.main`` (help and
 usage errors).  The classes keep the value semantics the dataclasses gave
 them.
