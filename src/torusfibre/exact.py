@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm, factorial, prod
+from operator import add, sub
 
 from .errors import ValidationError
 
@@ -64,7 +66,9 @@ def _rational(value):
     return r.numerator, r.denominator
 
 
+@lru_cache(maxsize=None)
 def _prime_factors(m):
+    """The primes dividing m, ascending, as a tuple."""
     out, p = [], 2
     while p * p <= m:
         if m % p == 0:
@@ -74,37 +78,41 @@ def _prime_factors(m):
         p += 1
     if m > 1:
         out.append(m)
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m):
     """Integer coefficients of Phi_m, low degree first, monic.
 
-    Phi_m(x) = Phi_r(x^(m/r)) for r the product of the primes dividing m,
-    and Phi_r = prod_{d | r} (x^d - 1)^mu(r/d): the binomials with
-    mu = 1 are multiplied in, then those with mu = -1 divided out exactly.
+    Phi_m(x) = Phi_r(x^(m/r)) for r the product of the primes dividing m.
+    For r > 1, Phi_r is the power series prod_{d | r} (1 - x^d)^mu(r/d)
+    kept to its phi(r) + 1 terms, so a factor with d > phi(r) is 1 and is
+    skipped.  Times (1 - x^d) is one slice difference; over (1 - x^d) is a
+    running sum along each residue class mod d, or block by block of d
+    terms, whichever takes fewer Python-level steps.
     """
     primes = _prime_factors(m)
     r = prod(primes)
-    up, down = [], []
+    if r == 1:
+        return (-1, 1)
+    n = euler_phi(r) + 1
+    poly = [1] + [0] * (n - 1)
     for mask in range(1 << len(primes)):
         picked = [p for i, p in enumerate(primes) if mask >> i & 1]
-        (down if len(picked) % 2 else up).append(r // prod(picked))
-    poly = [1]
-    for d in up:
-        # times (x^d - 1)
-        poly = [-c for c in poly] + [0] * d
-        for i in range(len(poly) - 1, d - 1, -1):
-            poly[i] -= poly[i - d]
-    for d in down:
-        # exact quotient by (x^d - 1): q_i = q_{i-d} - p_i
-        quot = [0] * (len(poly) - d)
-        for i in range(len(quot)):
-            quot[i] = (quot[i - d] if i >= d else 0) - poly[i]
-        poly = quot
+        d = r // prod(picked)
+        if d >= n:
+            continue
+        if len(picked) % 2 == 0:
+            poly[d:] = map(sub, poly[d:], poly[:n - d])
+        elif d * d < n:
+            for c in range(d):
+                poly[c::d] = accumulate(poly[c::d])
+        else:
+            for i in range(d, n, d):
+                poly[i:i + d] = map(add, poly[i:i + d], poly[i - d:i])
     s = m // r
-    out = [0] * ((len(poly) - 1) * s + 1)
+    out = [0] * ((n - 1) * s + 1)
     out[::s] = poly
     return tuple(out)
 
@@ -131,16 +139,32 @@ def _phi_tail(m):
 
 def _reduce(nums, m):
     """Reduce the integer coefficient list nums (consumed) modulo Phi_m and
-    return the phi(m) coefficients of the remainder as a list.  x^m = 1 is
-    folded in first; the long division then visits only the nonzero
-    coefficients of Phi_m."""
+    return the phi(m) coefficients of the remainder as a list.
+
+    x^m = 1 is folded in first.  Then, with r the product of the primes of
+    m, the remainder comes down the tower (_tower) when m has at least two
+    primes and fewer than r / 4 of the coefficients are nonzero, and from
+    one long division by Phi_m (_divide) otherwise.  The long division is
+    the cheaper one for dense input at small conductors, where the tower
+    pays a Python-level step per class.  Both routes give the same
+    remainder."""
     n = len(nums)
     if n > m:
         for i in range(m, n):
             if nums[i]:
                 nums[i % m] += nums[i]
         del nums[m:]
-        n = m
+    primes = _prime_factors(m)
+    if len(primes) > 1 and 4 * (len(nums) - nums.count(0)) < prod(primes):
+        return _tower(nums, m)
+    return _divide(nums, m)
+
+
+def _divide(nums, m):
+    """nums (consumed) modulo Phi_m by long division, from the top down to
+    x^phi(m), visiting only the nonzero coefficients of Phi_m; the phi(m)
+    coefficients of the remainder as a list."""
+    n = len(nums)
     deg, tail = _phi_tail(m)
     for i in range(n - 1, deg - 1, -1):
         c = nums[i]
@@ -155,6 +179,44 @@ def _reduce(nums, m):
     else:
         nums.extend([0] * (deg - n))
     return nums
+
+
+def _tower(nums, m):
+    """nums (at most m entries) modulo Phi_m, m > 1, down the cyclotomic
+    tower, as a list of phi(m).  With r the product of the primes of m and
+    s = m / r, Phi_m(x) = Phi_r(x^s): the residue class nums[c::s] is the
+    polynomial in x^s whose remainder mod Phi_r (_squarefree) fills the
+    class c of the result.  A zero class costs one test."""
+    primes = _prime_factors(m)
+    s = m // prod(primes)
+    out = [0] * euler_phi(m)
+    for c in range(s):
+        part = nums[c::s]
+        if any(part):
+            out[c::s] = _squarefree(part, primes)
+    return out
+
+
+def _squarefree(g, primes):
+    """g (consumed, at most r = prod(primes) entries) modulo Phi_r, r
+    squarefree, as a list of phi(r).  For a prime p, y^(p-1) is
+    -(1 + y + ... + y^(p-2)).  Otherwise, with p the largest prime and
+    n = r / p, Phi_r divides Phi_n(y^p): each class g[c::p] is reduced mod
+    Phi_n, which leaves p phi(n) coefficients, and only their top phi(n)
+    are long-divided by Phi_r."""
+    p = primes[-1]
+    if len(primes) == 1:
+        if len(g) < p:
+            return g + [0] * (p - 1 - len(g))
+        t = g.pop()
+        return [c - t for c in g] if t else g
+    rest = primes[:-1]
+    out = [0] * (p * euler_phi(prod(rest)))
+    for c in range(p):
+        part = g[c::p]
+        if any(part):
+            out[c::p] = _squarefree(part, rest)
+    return _divide(out, prod(primes))
 
 
 def reduce_rows(rows, m):

@@ -46,7 +46,10 @@ MIN_PRECISION = 53
 # take about a second at level 5, and a million bits runs past 100 s.
 MAX_PRECISION = 2 ** 16
 # Largest conductor M evaluated: the value is an integer vector of length M
-# reduced mod Phi_M.  Level 99991 (M = 1999860 on the M5 orbit) is inside.
+# reduced mod Phi_M, so this bounds memory, not time.  The reduction's cost
+# follows the primes of M, not M alone: level 69899 on the M5 orbit
+# (M = 4194060) is inside and runs for more than six minutes on a 2-vCPU
+# VM.  A bound on time is the predicted-cost budget of ROADMAP item 5.
 MAX_CONDUCTOR = 2 ** 22
 
 

@@ -1,20 +1,22 @@
 """Literal routes that the tests compare the production closed forms with.
 
 None of this runs outside the tests: extended Euclid over Fraction
-polynomials as the reference for Cyclotomic.inverse, the brute-force
-root-of-unity sum for mu, complex conjugation and float evaluation of
-Cyclotomic values, their evaluation under an mpmath context over the
-Fraction view as the reference for Cyclotomic.to_mpc, and the sorted
-Fraction candidates and per-entry np.exp probe of fit_expansion's phase
-search, the formal log of the Bernoulli series for the Todd class, the
-lambda_{-1}-inverse of the integer route as a dict over the basis
-monomials (lambda_inverse_dict), the per-tuple convolution behind the
-stratum ranks, and the Burnside count through one translated class per
-(class, z').  The two localization references, the literal route
-(RefRing) and the root reference, live in test_localization_oracle.py;
-they take their (1 - zeta^j)^{-1} from euclid_inverse, the root reference
-its eigenbundle weights from mu_bruteforce, and the literal route its Todd
-coefficients from todd_log_series.
+polynomials as the reference for Cyclotomic.inverse, cyclotomic
+polynomials as full-length products and quotients of binomials as the
+reference for cyclotomic_polynomial, the brute-force root-of-unity sum for
+mu, complex conjugation and float evaluation of Cyclotomic values, their
+evaluation under an mpmath context over the Fraction view as the reference
+for Cyclotomic.to_mpc, and the sorted Fraction candidates and per-entry
+np.exp probe of fit_expansion's phase search, the formal log of the
+Bernoulli series for the Todd class, the lambda_{-1}-inverse of the
+integer route as a dict over the basis monomials (lambda_inverse_dict),
+the per-tuple convolution behind the stratum ranks, and the Burnside count
+through one translated class per (class, z').  The two localization
+references, the literal route (RefRing) and the root reference, live in
+test_localization_oracle.py; they take their (1 - zeta^j)^{-1} from
+euclid_inverse, the root reference its eigenbundle weights from
+mu_bruteforce, and the literal route its Todd coefficients from
+todd_log_series.
 Also here: Cyclotomic values from Fraction coefficients, the readers of
 the JSON forms of Cyclotomic and PhaseQ values, the JSON form of orbit data,
 phases as roots of unity and as complex floats, float evaluation of phase
@@ -94,6 +96,51 @@ def euclid_inverse(x):
     if not r1 or r1[0] == 0:
         raise ZeroDivisionError("element is a zero divisor (not canonical?)")
     return cyclotomic(x.conductor, t1) * (x.denominator / r1[0])
+
+
+# -- cyclotomic polynomials by binomial products ------------------------------
+
+
+def cyclotomic_polynomial_by_division(m):
+    """Phi_m, low degree first, as Phi_r(x^(m/r)) for r the product of the
+    primes of m, with Phi_r = prod_{d | r} (x^d - 1)^mu(r/d) at full length:
+    the binomials with mu = 1 multiplied in, then those with mu = -1 divided
+    out exactly.  The reference for the truncated series of
+    cyclotomic_polynomial."""
+    primes, rest, p = [], m, 2
+    while rest > 1:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    r = 1
+    for p in primes:
+        r *= p
+    up, down = [], []
+    for mask in range(1 << len(primes)):
+        picked = [p for i, p in enumerate(primes) if mask >> i & 1]
+        d = r
+        for p in picked:
+            d //= p
+        (down if len(picked) % 2 else up).append(d)
+    poly = [1]
+    for d in up:
+        # times (x^d - 1)
+        poly = [-c for c in poly] + [0] * d
+        for i in range(len(poly) - 1, d - 1, -1):
+            poly[i] -= poly[i - d]
+    for d in down:
+        # exact quotient by (x^d - 1): q_i = q_{i-d} - p_i
+        quot = [0] * (len(poly) - d)
+        for i in range(len(quot)):
+            quot[i] = (quot[i - d] if i >= d else 0) - poly[i]
+        assert all(poly[i] == quot[i - d] for i in range(len(quot), len(poly))), "inexact quotient"
+        poly = quot
+    s = m // r
+    out = [0] * ((len(poly) - 1) * s + 1)
+    out[::s] = poly
+    return tuple(out)
 
 
 # -- brute-force mu sum --------------------------------------------------------

@@ -1,7 +1,11 @@
 import cmath
+import contextlib
+import io
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -10,6 +14,7 @@ from oracles import (
     conjugate,
     cyclotomic,
     cyclotomic_from_json,
+    cyclotomic_polynomial_by_division,
     euclid_inverse,
     horner_mpc,
     phase_from_json,
@@ -28,6 +33,8 @@ from torusfibre.exact import (
     inverse_one_minus_zeta,
     reduce_rows,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_norm_of_one_minus_zeta3():
@@ -220,6 +227,102 @@ def _polydiv_exact(num, den):
 @pytest.mark.parametrize("m", list(range(1, 401)) + [1260, 1740, 2388, 2940])
 def test_cyclotomic_polynomial_matches_recursive_division(m):
     assert cyclotomic_polynomial(m) == _phi_recursive(m)
+
+
+def test_cyclotomic_polynomial_matches_binomial_products():
+    """The truncated series is the full-length multiply-then-divide product
+    for every m < 3000."""
+    for m in range(1, 3000):
+        assert cyclotomic_polynomial(m) == cyclotomic_polynomial_by_division(m), m
+
+
+def _folded(f, m):
+    """f modulo x^m - 1, as a list of min(len(f), m) entries."""
+    out = [0] * min(len(f), m)
+    for i, c in enumerate(f):
+        out[i % m] += c
+    return out
+
+
+def _sparse(rng, length, top=None):
+    """At most 15 nonzero entries of up to 2^100 among the first top (or all
+    length) positions, one of them the highest."""
+    top = length if top is None else top
+    out = [0] * length
+    for i in rng.sample(range(top - 1), min(top - 1, rng.randint(0, 14))) + [top - 1]:
+        out[i] = rng.choice((-1, 1)) * rng.randint(1, 2 ** 100)
+    return out
+
+
+def test_tower_and_long_division_agree(monkeypatch):
+    """_reduce, the tower (exact._tower) and the long division
+    (exact._divide) give one remainder, so the route _reduce does not take
+    is its oracle: for every m from 2 to 399 on sparse and dense input of
+    lengths m, m/2 + 1, 2m - 1 and 2m + 3; at the level_sweep conductors
+    on sparse input of length m and 2m + 3 and dense input of length m;
+    and at M = 15015 and 37515 on sparse input of length M whose support
+    lies below phi(M) + 128, so that the long division stays cheap (the
+    golden cases at levels 2000 and 5000 pin their evaluation vectors at
+    these M, recorded from the long division).  _reduce takes both routes."""
+    tower, taken = exact._tower, []
+    monkeypatch.setattr(exact, "_tower", lambda nums, m: taken.append(m) or tower(nums, m))
+    rng = random.Random(25)
+    inputs = []
+    for m in range(2, 400):
+        for length in (m, m // 2 + 1, 2 * m - 1, 2 * m + 3):
+            inputs.append((m, _sparse(rng, length)))
+            inputs.append((m, [rng.randint(-2 ** 40, 2 ** 40) for _ in range(length)]))
+    for m in (1260, 1308, 1740, 1788, 2388, 2940):
+        inputs += [(m, _sparse(rng, m)), (m, _sparse(rng, 2 * m + 3))]
+        inputs.append((m, [rng.randint(-2 ** 40, 2 ** 40) for _ in range(m)]))
+    for m in (15015, 37515):
+        inputs += [(m, _sparse(rng, m, euler_phi(m) + 128)) for _ in range(2)]
+    for m, f in inputs:
+        want = exact._divide(_folded(f, m), m)
+        assert tower(_folded(f, m), m) == want, (m, len(f))
+        assert exact._reduce(list(f), m) == want, (m, len(f))
+    assert 0 < len(taken) < len(inputs)
+    assert {15015, 37515} <= set(taken)
+
+
+def test_level_2000_long_divides_only_the_top_of_each_class(monkeypatch):
+    """Counts the work of the golden M5 SU(2) evaluation at level 2000
+    (M = 15015 = 3 5 7 11 13) instead of timing it: its vector goes down the
+    tower, and each step long-divides at most phi(n) positions, for Phi_r
+    with largest prime p and n = r / p.  Long division of the whole vector
+    would visit 9255 positions by the 5370 taps of Phi_15015."""
+    from torusfibre import cli
+
+    tower, divide = exact._tower, exact._divide
+    towers, steps, depth = [], [], [0]
+
+    def counted_tower(nums, m):
+        towers.append(m)
+        depth[0] += 1
+        try:
+            return tower(nums, m)
+        finally:
+            depth[0] -= 1
+
+    def counted_divide(nums, m):
+        steps.append((m, len(nums) - euler_phi(m), depth[0]))
+        return divide(nums, m)
+
+    monkeypatch.setattr(exact, "_tower", counted_tower)
+    monkeypatch.setattr(exact, "_divide", counted_divide)
+    monkeypatch.chdir(GOLDEN)
+    case = "invariant_m5_su2_k2000"
+    argv = json.loads((GOLDEN / "manifest.json").read_text())[case]["argv"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert out.getvalue() == (GOLDEN / f"{case}.out").read_text()
+    assert towers.count(15015) == 1
+    inside = [(m, positions) for m, positions, d in steps if d]
+    assert {m for m, _ in inside} == {15015, 1155, 105, 15}
+    for m, positions in inside:
+        assert positions <= euler_phi(m // max(exact._prime_factors(m))), (m, positions)
+    assert all(m < 15 for m, _, d in steps if not d)
 
 
 def _ref_reduce(coeffs, m):
@@ -550,7 +653,7 @@ def test_rounded_cosine_and_sine_are_within_the_bounds(prec):
 
 
 def test_euler_phi_is_the_degree_of_the_cyclotomic_polynomial():
-    for m in [*range(1, 2000), 15015, 37515]:
+    for m in [*range(1, 3000), 15015, 37515]:
         assert euler_phi(m) == len(cyclotomic_polynomial(m)) - 1, m
 
 
