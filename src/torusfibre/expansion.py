@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 from .errors import (
     IllConditioned,
@@ -25,6 +26,7 @@ from .errors import (
 from .exact import Cyclotomic, PhaseQ, format_rational
 from .framing import framing_evaluate
 from .localization import ContributionPolynomial
+from .value import Value
 
 __all__ = [
     "InvariantModel",
@@ -47,9 +49,10 @@ MIN_PRECISION = 53
 MAX_PRECISION = 2 ** 16
 # Largest conductor M evaluated: the value is an integer vector of length M
 # reduced mod Phi_M, so this bounds memory, not time.  The reduction's cost
-# follows the primes of M, not M alone: level 69899 on the M5 orbit
-# (M = 4194060) is inside and runs for more than six minutes on a 2-vCPU
-# VM.  A bound on time is the predicted-cost budget of ROADMAP item 5.
+# follows the primes of M, not M alone: ``invariant --level 69899`` on the
+# M5 inputs (M = 4194060) is inside, and exits 0 after 376 s on a shared
+# 2-vCPU VM, most of it in the tower's top step.  A bound on time is the
+# predicted-cost budget of ROADMAP item 4; item 2 shortens the top step.
 MAX_CONDUCTOR = 2 ** 22
 
 
@@ -78,22 +81,14 @@ def default_precision():
     return check_precision(bits, "TORUSFIBRE_PRECISION")
 
 
-class InvariantModel:
-    __slots__ = ("framing", "terms")
+class InvariantModel(Value):
+    __slots__ = _fields = ("framing", "terms")
+    _key = attrgetter(*_fields)
+    __hash__ = None  # mutable
 
     def __init__(self, framing, terms):
         self.framing = framing  # FramingPhase
         self.terms = terms      # list of ContributionPolynomial, phases merged
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.framing, self.terms) == (other.framing, other.terms)
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return f"InvariantModel(framing={self.framing!r}, terms={self.terms!r})"
 
     def to_json(self):
         return {
@@ -184,22 +179,14 @@ def evaluate_invariant(model, k, precision=None):
     return exact, exact.to_float64(prec, [(e, n) for e, n in sparse.items() if n], den)
 
 
-class FitResult:
-    __slots__ = ("terms", "residual")
+class FitResult(Value):
+    __slots__ = _fields = ("terms", "residual")
+    _key = attrgetter(*_fields)
+    __hash__ = None  # mutable
 
     def __init__(self, terms, residual):
         self.terms = terms  # list of dicts: q (Fraction), d (Fraction), b (complex), a (list)
         self.residual = residual  # float
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.terms, self.residual) == (other.terms, other.residual)
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return f"FitResult(terms={self.terms!r}, residual={self.residual!r})"
 
     def to_json(self):
         out = []

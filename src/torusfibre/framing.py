@@ -10,8 +10,10 @@ isolated below so a different normalization is a one-line change.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .exact import PhaseQ, PhaseSeries
+from .value import Value
 
 __all__ = [
     "GroupData",
@@ -23,26 +25,16 @@ __all__ = [
 ]
 
 
-class GroupData:
+class GroupData(Value):
     """The group SU(N)."""
 
-    __slots__ = ("N",)
+    __slots__ = _fields = ("N",)
+    _key = attrgetter(*_fields)
 
     def __init__(self, N):
         if N < 1:
             raise ValueError("N must be positive")
         self.N = N
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.N == other.N
-
-    def __hash__(self):
-        return hash((self.N,))
-
-    def __repr__(self):
-        return f"GroupData(N={self.N!r})"
 
     @property
     def dim_G(self):
@@ -73,23 +65,13 @@ class GroupData:
         return cls(n)
 
 
-class FramingPhase:
-    __slots__ = ("B", "group")
+class FramingPhase(Value):
+    __slots__ = _fields = ("B", "group")
+    _key = attrgetter(*_fields)
 
     def __init__(self, B, group):
         self.B = B  # Fraction
         self.group = group  # GroupData
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.B, self.group) == (other.B, other.group)
-
-    def __hash__(self):
-        return hash((self.B, self.group))
-
-    def __repr__(self):
-        return f"FramingPhase(B={self.B!r}, group={self.group!r})"
 
     def to_json(self):
         return {

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, zip_longest
 from math import comb, factorial, gcd, lcm
-from operator import add
+from operator import add, attrgetter
 
 from .errors import (
     InvariantViolation,
@@ -54,6 +54,7 @@ from .errors import (
 from .exact import Cyclotomic, PhaseQ, inverse_one_minus_zeta, rational_from_json, reduce_rows
 from .spectrum import mu2_table
 from .strata import root_eigendata
+from .value import Value
 
 __all__ = [
     "CohomologyOracle",
@@ -251,11 +252,17 @@ def _parse_bundle(poly, entry, what):
     return rank, [poly(c, what, True) for c in classes]
 
 
-class CohomologyOracle:
+class CohomologyOracle(Value):
     """Intersection data for one stratum, as supplied by the user.  The
     polynomials are {exponent tuple: (p, q)}; they go onto the integer
     basis when a stratum of the oracle's dimension uses them.  No
     __slots__: the cached properties below keep their values in __dict__."""
+
+    _fields = (
+        "d_c", "degrees", "pairing", "tangent_chern", "tangent_rank", "eigen_chern", "omega",
+    )
+    _key = attrgetter(*_fields)
+    __hash__ = None  # mutable
 
     def __init__(self, d_c, degrees, pairing, tangent_chern, tangent_rank, eigen_chern, omega):
         self.d_c = d_c
@@ -265,27 +272,6 @@ class CohomologyOracle:
         self.tangent_rank = tangent_rank
         self.eigen_chern = eigen_chern        # (s, nu) -> (rank override or None, chern classes)
         self.omega = omega                    # polynomial
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.d_c, self.degrees, self.pairing, self.tangent_chern,
-            self.tangent_rank, self.eigen_chern, self.omega,
-        ) == (
-            other.d_c, other.degrees, other.pairing, other.tangent_chern,
-            other.tangent_rank, other.eigen_chern, other.omega,
-        )
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return (
-            f"CohomologyOracle(d_c={self.d_c!r}, degrees={self.degrees!r}, "
-            f"pairing={self.pairing!r}, tangent_chern={self.tangent_chern!r}, "
-            f"tangent_rank={self.tangent_rank!r}, eigen_chern={self.eigen_chern!r}, "
-            f"omega={self.omega!r})"
-        )
 
     @classmethod
     def trivial(cls):
@@ -440,24 +426,16 @@ def _todd_log_coefficients(top_n):
 # ---------------------------------------------------------------------------
 
 
-class ContributionPolynomial:
+class ContributionPolynomial(Value):
     """One stratum's polynomial P_c(k) with its phase tag."""
 
-    __slots__ = ("coefficients", "q")
+    __slots__ = _fields = ("coefficients", "q")
+    _key = attrgetter(*_fields)
+    __hash__ = None  # mutable
 
     def __init__(self, coefficients, q):
         self.coefficients = coefficients  # list of Cyclotomic, k^0 .. k^degree
         self.q = q                        # PhaseQ, or a string tag for a symbolic phase
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coefficients, self.q) == (other.coefficients, other.q)
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return f"ContributionPolynomial(coefficients={self.coefficients!r}, q={self.q!r})"
 
     def is_symbolic(self):
         return not isinstance(self.q, PhaseQ)

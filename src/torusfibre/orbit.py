@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from .errors import (
     InvalidBranch,
@@ -21,6 +22,7 @@ from .errors import (
     NonIntegralB,
     ValidationError,
 )
+from .value import Value
 
 __all__ = ["OrbitData", "SeifertData", "validate_orbit", "total_genus", "seifert_invariants"]
 
@@ -29,29 +31,14 @@ __all__ = ["OrbitData", "SeifertData", "validate_orbit", "total_genus", "seifert
 MAX_ORDER = 2**16
 
 
-class OrbitData:
-    __slots__ = ("m", "quotient_genus", "branches")
+class OrbitData(Value):
+    __slots__ = _fields = ("m", "quotient_genus", "branches")
+    _key = attrgetter(*_fields)
 
     def __init__(self, m, quotient_genus, branches):
         self.m = m
         self.quotient_genus = quotient_genus
         self.branches = tuple((int(l), int(n)) for l, n in branches)  # of (l, n) pairs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.quotient_genus, self.branches) == (
-            other.m, other.quotient_genus, other.branches
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.quotient_genus, self.branches))
-
-    def __repr__(self):
-        return (
-            f"OrbitData(m={self.m!r}, quotient_genus={self.quotient_genus!r}, "
-            f"branches={self.branches!r})"
-        )
 
     def orbit_sizes(self):
         return [self.m // l for l, _ in self.branches]
@@ -83,24 +70,14 @@ def _integer(value, field):
     return value
 
 
-class SeifertData:
-    __slots__ = ("b", "base_genus", "pairs")
+class SeifertData(Value):
+    __slots__ = _fields = ("b", "base_genus", "pairs")
+    _key = attrgetter(*_fields)
 
     def __init__(self, b, base_genus, pairs):
         self.b = b
         self.base_genus = base_genus
         self.pairs = pairs  # tuple of (alpha, beta), 0 < beta < alpha, coprime
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.b, self.base_genus, self.pairs) == (other.b, other.base_genus, other.pairs)
-
-    def __hash__(self):
-        return hash((self.b, self.base_genus, self.pairs))
-
-    def __repr__(self):
-        return f"SeifertData(b={self.b!r}, base_genus={self.base_genus!r}, pairs={self.pairs!r})"
 
     def euler_number(self):
         return -(self.b + sum(Fraction(beta, alpha) for alpha, beta in self.pairs))

@@ -12,10 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 
 from .errors import DegenerateTerm, GcdViolation, NonIntegralMultiplicity
 from .exact import Cyclotomic, inverse_one_minus_zeta
 from .orbit import total_genus, validate_orbit
+from .value import Value
 
 __all__ = [
     "EigenSpectrum",
@@ -27,23 +29,13 @@ __all__ = [
 ]
 
 
-class EigenSpectrum:
-    __slots__ = ("m", "d")
+class EigenSpectrum(Value):
+    __slots__ = _fields = ("m", "d")
+    _key = attrgetter(*_fields)
 
     def __init__(self, m, d):
         self.m = m
         self.d = d  # tuple, d[a] = multiplicity of eigenvalue e^{2 pi i a/m}
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.d) == (other.m, other.d)
-
-    def __hash__(self):
-        return hash((self.m, self.d))
-
-    def __repr__(self):
-        return f"EigenSpectrum(m={self.m!r}, d={self.d!r})"
 
     def to_json(self):
         return {"m": self.m, "d": list(self.d), "wall_signature": wall_signature(self)}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, gcd, prod
-from operator import getitem
+from operator import attrgetter, getitem
 
 from .errors import (
     IncompatibleClass,
@@ -23,6 +23,7 @@ from .errors import (
 )
 from .orbit import total_genus, validate_orbit
 from .spectrum import mu2_table
+from .value import Value
 
 __all__ = [
     "MAX_TUPLES",
@@ -47,33 +48,18 @@ def _ratio(p, q):
     return f"{p // g}/{q // g}"
 
 
-class ConjClassSU:
+class ConjClassSU(Value):
     """A conjugacy class of SU(N): N eigenvalue angles in [0,1) summing to an
     integer, stored sorted as residues[i] / denominator with no factor
     common to the denominator and all residues."""
 
-    __slots__ = ("N", "residues", "denominator")
+    __slots__ = _fields = ("N", "residues", "denominator")
+    _key = attrgetter(*_fields)
 
     def __init__(self, N, residues, denominator):
         self.N = N
         self.residues = residues
         self.denominator = denominator
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.N, self.residues, self.denominator) == (
-            other.N, other.residues, other.denominator
-        )
-
-    def __hash__(self):
-        return hash((self.N, self.residues, self.denominator))
-
-    def __repr__(self):
-        return (
-            f"ConjClassSU(N={self.N!r}, residues={self.residues!r}, "
-            f"denominator={self.denominator!r})"
-        )
 
     @classmethod
     def from_residues(cls, N, residues, denominator):
@@ -106,8 +92,9 @@ class ConjClassSU:
         return [_ratio(r, self.denominator) for r in self.residues]
 
 
-class StratumDescriptor:
-    __slots__ = ("z", "classes", "z_delta_order", "c_delta", "ranks", "d_c")
+class StratumDescriptor(Value):
+    __slots__ = _fields = ("z", "classes", "z_delta_order", "c_delta", "ranks", "d_c")
+    _key = attrgetter(*_fields)
 
     def __init__(self, z, classes, z_delta_order, c_delta, ranks, d_c):
         self.z = z
@@ -116,27 +103,6 @@ class StratumDescriptor:
         self.c_delta = c_delta  # tuple of ConjClassSU, the classes c_i^{-k_i}
         self.ranks = ranks  # r_0 ... r_{m-1} when all orbits are fixed points, else None
         self.d_c = d_c  # int, or None with ranks
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.z, self.classes, self.z_delta_order, self.c_delta, self.ranks, self.d_c
-        ) == (
-            other.z, other.classes, other.z_delta_order, other.c_delta, other.ranks, other.d_c
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.z, self.classes, self.z_delta_order, self.c_delta, self.ranks, self.d_c)
-        )
-
-    def __repr__(self):
-        return (
-            f"StratumDescriptor(z={self.z!r}, classes={self.classes!r}, "
-            f"z_delta_order={self.z_delta_order!r}, c_delta={self.c_delta!r}, "
-            f"ranks={self.ranks!r}, d_c={self.d_c!r})"
-        )
 
     def to_json(self):
         """The fields in output order; the classes stay ConjClassSU values,

@@ -2,18 +2,21 @@
 
 Every CLI call is a fresh process, so what importing the package costs is
 paid on every call: the package generates no code at import (its value
-classes are written out, not dataclasses), numpy is loaded only by ``fit``,
-mpmath only by ``Cyclotomic.to_float64`` (``invariant --level``), and argparse
-only when a command line leaves the fast path of ``cli.main`` (help and
-usage errors).  The classes keep the value semantics the dataclasses gave
+classes share one ``Value`` base, whose ``==``, ``hash`` and ``repr`` go by
+the fields each class lists, and no dataclasses), numpy is loaded only by
+``fit``, mpmath only by ``Cyclotomic.to_float64`` (``invariant --level``), and
+argparse only when a command line leaves the fast path of ``cli.main`` (help
+and usage errors).  The classes keep the value semantics the dataclasses gave
 them.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,7 @@ from torusfibre.localization import CohomologyOracle, ContributionPolynomial
 from torusfibre.orbit import OrbitData, SeifertData
 from torusfibre.spectrum import EigenSpectrum
 from torusfibre.strata import ConjClassSU, StratumDescriptor
+from torusfibre.value import Value
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -98,32 +102,72 @@ def test_invariant_at_a_level_loads_mpmath_but_not_numpy():
 
 
 def _values():
-    """(class, build, hashable) for every value class: build() makes a new
-    instance, equal in every field to the one before; the formerly frozen
-    dataclasses are hashable."""
+    """(class, build, hashable, repr) for every value class: build() makes a
+    new instance, equal in every field to the one before; the formerly frozen
+    dataclasses are hashable; repr is the instance's, written out."""
     c = ConjClassSU.from_residues(2, [1, 3], 4)
     term = ContributionPolynomial([Cyclotomic.from_rational(1, 2)], PhaseQ(Fraction(1, 3)))
     framing = FramingPhase(Fraction(-3, 8), GroupData(2))
+    c_text = "ConjClassSU(N=2, residues=(1, 3), denominator=4)"
+    term_text = "ContributionPolynomial(coefficients=[1], q=1/3 mod 1)"
     return [
-        (OrbitData, lambda: OrbitData(4, 0, [[4, 1], [4, 3]]), True),
-        (SeifertData, lambda: SeifertData(-1, 0, ((4, 1), (4, 3))), True),
-        (GroupData, lambda: GroupData(3), True),
-        (FramingPhase, lambda: FramingPhase(Fraction(-3, 8), GroupData(2)), True),
-        (EigenSpectrum, lambda: EigenSpectrum(4, (0, 1, 0, 1)), True),
-        (ConjClassSU, lambda: ConjClassSU.from_residues(2, [3, 1], 4), True),
-        (StratumDescriptor, lambda: StratumDescriptor(0, (c, c), 2, (c, c), (1, 0, 0, 0), 0), True),
-        (CohomologyOracle, CohomologyOracle.trivial, False),
-        (ContributionPolynomial, lambda: ContributionPolynomial(list(term.coefficients), term.q), False),
-        (InvariantModel, lambda: InvariantModel(framing, [term]), False),
-        (FitResult, lambda: FitResult([{"q": Fraction(1, 3), "b": 1j}], 0.0), False),
+        (
+            OrbitData, lambda: OrbitData(4, 0, [[4, 1], [4, 3]]), True,
+            "OrbitData(m=4, quotient_genus=0, branches=((4, 1), (4, 3)))",
+        ),
+        (
+            SeifertData, lambda: SeifertData(-1, 0, ((4, 1), (4, 3))), True,
+            "SeifertData(b=-1, base_genus=0, pairs=((4, 1), (4, 3)))",
+        ),
+        (GroupData, lambda: GroupData(3), True, "GroupData(N=3)"),
+        (
+            FramingPhase, lambda: FramingPhase(Fraction(-3, 8), GroupData(2)), True,
+            "FramingPhase(B=Fraction(-3, 8), group=GroupData(N=2))",
+        ),
+        (
+            EigenSpectrum, lambda: EigenSpectrum(4, (0, 1, 0, 1)), True,
+            "EigenSpectrum(m=4, d=(0, 1, 0, 1))",
+        ),
+        (
+            ConjClassSU, lambda: ConjClassSU.from_residues(2, [3, 1], 4), True,
+            "ConjClassSU(N=2, residues=(1, 3), denominator=4)",
+        ),
+        (
+            StratumDescriptor,
+            lambda: StratumDescriptor(0, (c, c), 2, (c, c), (1, 0, 0, 0), 0),
+            True,
+            f"StratumDescriptor(z=0, classes=({c_text}, {c_text}), z_delta_order=2, "
+            f"c_delta=({c_text}, {c_text}), ranks=(1, 0, 0, 0), d_c=0)",
+        ),
+        (
+            CohomologyOracle, CohomologyOracle.trivial, False,
+            "CohomologyOracle(d_c=0, degrees=[], pairing={(): (1, 1)}, tangent_chern=[], "
+            "tangent_rank=0, eigen_chern={}, omega={})",
+        ),
+        (
+            ContributionPolynomial,
+            lambda: ContributionPolynomial(list(term.coefficients), term.q),
+            False,
+            term_text,
+        ),
+        (
+            InvariantModel, lambda: InvariantModel(framing, [term]), False,
+            "InvariantModel(framing=FramingPhase(B=Fraction(-3, 8), group=GroupData(N=2)), "
+            f"terms=[{term_text}])",
+        ),
+        (
+            FitResult, lambda: FitResult([{"q": Fraction(1, 3), "b": 1j}], 0.0), False,
+            "FitResult(terms=[{'q': Fraction(1, 3), 'b': 1j}], residual=0.0)",
+        ),
     ]
 
 
 VALUES = _values()
+IDS = [v[0].__name__ for v in VALUES]
 
 
-@pytest.mark.parametrize("cls, build, hashable", VALUES, ids=[v[0].__name__ for v in VALUES])
-def test_value_semantics(cls, build, hashable):
+@pytest.mark.parametrize("cls, build, hashable, text", VALUES, ids=IDS)
+def test_value_semantics(cls, build, hashable, text):
     """Equal fields give equal objects with equal reprs; the formerly frozen
     classes hash by their fields and the mutable ones are unhashable."""
     a, b = build(), build()
@@ -131,6 +175,7 @@ def test_value_semantics(cls, build, hashable):
     assert a == b and not a != b
     assert a != object()
     assert repr(a) == repr(b) and repr(a).startswith(cls.__name__ + "(")
+    assert repr(a) == text
     # __slots__ everywhere but where cached properties need a __dict__
     assert hasattr(a, "__dict__") == (cls is CohomologyOracle)
     if hashable:
@@ -138,6 +183,47 @@ def test_value_semantics(cls, build, hashable):
     else:
         with pytest.raises(TypeError):
             hash(a)
+
+
+@pytest.mark.parametrize("cls, build, hashable, text", VALUES, ids=IDS)
+def test_fields_are_what_init_sets(cls, build, hashable, text):
+    """``_fields``, which ``==``, ``hash`` and ``repr`` go by, names every
+    attribute that ``__init__`` sets, in order, and ``_key`` reads them: a
+    field left out would be ignored by all three."""
+    obj = build()
+    if "__slots__" in cls.__dict__:
+        assert cls._fields == cls.__slots__
+        assert all(hasattr(obj, name) for name in cls._fields)
+    else:
+        cached = {name for name, v in vars(cls).items() if isinstance(v, cached_property)}
+        assert tuple(name for name in vars(obj) if name not in cached) == cls._fields
+    key = cls._key(obj)
+    values = key if len(cls._fields) > 1 else (key,)
+    assert len(values) == len(cls._fields)
+    assert all(v is getattr(obj, name) for v, name in zip(values, cls._fields))
+    # the 4 mutable classes, and only they, are unhashable
+    assert (cls.__hash__ is None) == (not hashable)
+
+
+def test_every_value_class_is_listed():
+    assert set(Value.__subclasses__()) == {cls for cls, *_ in VALUES}
+
+
+# Cyclotomic equals ints and Fractions and is unhashable; PhaseQ compares
+# mod 1 and hashes as ("PhaseQ", q).  No other class writes the protocol.
+PROTOCOL_WRITERS = {"Value", "Cyclotomic", "PhaseQ"}
+
+
+def test_only_the_value_base_writes_the_protocol():
+    writers = {
+        cls.name
+        for path in (SRC / "torusfibre").glob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("__eq__", "__hash__", "__repr__")
+    }
+    assert writers == PROTOCOL_WRITERS
 
 
 def test_an_equal_class_hits_the_eigen_rank_cache():
