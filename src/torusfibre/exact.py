@@ -240,65 +240,17 @@ def _fill(obj, conductor, nums, den):
     return obj
 
 
-def _signed(x):
-    """The raw mpf x, a finite number, as (signed mantissa, exponent)."""
-    sign, man, exp, _ = x
-    return (-man if sign else man), exp
-
-
-def _add_rounded(sm, se, tm, te, prec):
-    """mpf_add on (signed odd mantissa, exponent) pairs: s + t rounded to
-    nearest at prec bits, ties to even, with an odd mantissa or 0 back.
-    Like mpf_add, an operand more than 100 exponent steps and prec + 4 bits
-    below the other enters only through its sign, as one unit prec + 4 bits
-    below the other's lowest bit."""
-    if not tm:
-        m, e = sm, se
-    elif not sm:
-        m, e = tm, te
-    elif se - te > 100 and se - te + sm.bit_length() - tm.bit_length() > prec + 4:
-        m, e = (sm << prec + 4) + (1 if tm > 0 else -1), se - prec - 4
-    elif te - se > 100 and te - se + tm.bit_length() - sm.bit_length() > prec + 4:
-        m, e = (tm << prec + 4) + (1 if sm > 0 else -1), te - prec - 4
-    elif se >= te:
-        m, e = (sm << se - te) + tm, te
-    else:
-        m, e = sm + (tm << te - se), se
-    if not m:
-        return 0, 0
-    a = -m if m < 0 else m
-    n = a.bit_length() - prec
-    if n > 0:
-        t = a >> (n - 1)
-        if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)):
-            a = (t >> 1) + 1
-        else:
-            a = t >> 1
-        e += n
-    if not a & 1:
-        z = (a & -a).bit_length() - 1
-        a >>= z
-        e += z
-    return (-a if m < 0 else a), e
-
-
 # Cyclotomic.to_float64 sums a value over its nonzero terms when its power
 # basis has more than STEPS_PER_TERM coefficients per term.  A term, one
-# cosine and sine at SUM_PRECISION bits, costs about 6 Horner steps of
-# to_mpc at 128 bits (17 us against 2.9 us on a shared 2-vCPU VM).  8, above
-# that ratio, keeps a value the sum cannot certify (a real one, say), which
-# pays for both, within about 1.8 times its Horner.
-STEPS_PER_TERM = 8
+# cosine and sine at SUM_PRECISION bits, costs about 4 Horner steps of
+# to_mpc at 128 bits (14 us against 3.6 us at M = 2940, 3 to 5.4 steps at
+# the conductors 300 to 2388, on a shared 2-vCPU VM).  4, at that ratio,
+# keeps a value the sum cannot certify (a real one, say), which pays for
+# both, within about twice its Horner.
+STEPS_PER_TERM = 4
 # Working precision of that sum, whatever the precision of the Horner whose
 # float64 pair it certifies.
 SUM_PRECISION = 140
-
-
-def _fixed(x, bits):
-    """The raw mpf x times 2^bits, rounded down to an int."""
-    man, exp = _signed(x)
-    exp += bits
-    return man << exp if exp >= 0 else man >> -exp
 
 
 def _certified_pair(x, prec, terms, den):
@@ -346,10 +298,12 @@ def _certified_pair(x, prec, terms, den):
         from_rational,
         mpf_cos_sin_pi,
         mpf_div,
+        mpf_shift,
         round_ceiling,
         round_floor,
         round_nearest,
         to_float,
+        to_int,
     )
 
     wp, rnd = SUM_PRECISION, round_nearest
@@ -358,8 +312,8 @@ def _certified_pair(x, prec, terms, den):
     re = im = size = 0
     for e, n in terms:
         c, s = mpf_cos_sin_pi(mpf_div(from_int(2 * e), m, wp, rnd), wp, rnd)
-        re += n * _fixed(c, fix)
-        im += n * _fixed(s, fix)
+        re += n * to_int(mpf_shift(c, fix), round_floor)
+        im += n * to_int(mpf_shift(s, fix), round_floor)
         size += abs(n)
     # B in units of 2^-fix / den, rounded up
     top = (32 * len(x.numerators) + 8) * sum(map(abs, x.numerators)) * den
@@ -556,32 +510,26 @@ class Cyclotomic:
     def to_mpc(self, prec):
         """The complex value computed at prec bits, as an mpc of mpmath.mp
         (later arithmetic on it runs at mpmath.mp's precision).  Horner in
-        z = exp(2 pi i / M) on the integer numerators, with every number a
-        pair (odd signed mantissa, exponent) of Python ints: each step is one
-        complex product and, for a nonzero coefficient, the addition of
-        n/den in lowest terms.  Each product component and each sum is
-        rounded once to nearest, as mpc_mul and mpf_add round, so the value
-        is bit for bit mpmath's Horner at prec bits.  mpmath is imported
-        here, so that only a caller of to_mpc loads it."""
+        z = exp(2 pi i / M) on the integer numerators: each step is one
+        complex product (mpc_mul) and, for a nonzero coefficient, the
+        addition (mpc_add_mpf) of n/den in lowest terms, rounded to nearest
+        at every operation.  mpmath is imported here, so that only a caller
+        of to_mpc loads it."""
         import mpmath
-        from mpmath.libmp import fzero, from_int, from_man_exp, mpc_expjpi, mpf_div, round_nearest
+        from mpmath.libmp import fzero, from_int, mpc_add_mpf, mpc_expjpi, mpc_mul, mpf_div, round_nearest
 
         rnd = round_nearest
         den = self.denominator
         angle = mpf_div(from_int(2), from_int(self.conductor), prec, rnd)
-        (cm, ce), (dm, de) = map(_signed, mpc_expjpi((angle, fzero), prec, rnd))
-        am = ae = bm = be = 0
+        z = mpc_expjpi((angle, fzero), prec, rnd)
+        acc = (fzero, fzero)
         for n in reversed(self.numerators):
-            if am or bm:
-                am, ae, bm, be = (
-                    *_add_rounded(am * cm, ae + ce, -bm * dm, be + de, prec),
-                    *_add_rounded(am * dm, ae + de, bm * cm, be + ce, prec),
-                )
+            acc = mpc_mul(acc, z, prec, rnd)
             if n:
                 g = gcd(n, den)
-                c = _signed(mpf_div(from_int(n // g, prec, rnd), from_int(den // g), prec, rnd))
-                am, ae = _add_rounded(am, ae, *c, prec)
-        return mpmath.mp.make_mpc((from_man_exp(am, ae), from_man_exp(bm, be)))
+                c = mpf_div(from_int(n // g, prec, rnd), from_int(den // g), prec, rnd)
+                acc = mpc_add_mpf(acc, c, prec, rnd)
+        return mpmath.mp.make_mpc(acc)
 
     def to_float64(self, prec, terms, den):
         """The float64 pair of to_mpc(prec), complex(float(re), float(im)),

@@ -43,9 +43,11 @@ __all__ = [
 # bits of a float64, the precision in which the numeric value is printed
 MIN_PRECISION = 53
 # The precision fixes the Horner (Cyclotomic.to_mpc) whose float64 pair is
-# printed.  Its phi(M) products of prec-bit numbers are paid only where a
-# sum over the value's few terms does not certify the pair: 65536 bits
-# take about a second at level 5, and a million bits runs past 100 s.
+# printed.  Its rotation and its phi(M) products of prec-bit numbers are
+# paid only where a sum over the value's few terms does not certify the
+# pair: at 65536 bits level 1 on the M5 inputs (M = 60, 16 steps) takes 0.2
+# to 0.4 s, level 5 is decided from its terms, and a million bits runs past
+# 100 s.
 MAX_PRECISION = 2 ** 16
 # Largest conductor M evaluated: the value is an integer vector of length M
 # reduced mod Phi_M, so this bounds memory, not time.  The reduction's cost
@@ -206,7 +208,8 @@ class FitResult(Value):
 # candidates times samples: 64 MiB of complex128.
 MAX_PROBE_ENTRIES = 2 ** 22
 
-# A fitted coefficient below this fraction of the largest sample is pruned.
+# A fitted coefficient whose largest contribution to a sample is below this
+# fraction of the largest sample is pruned.
 COEFFICIENT_TOLERANCE = 1e-7
 
 
@@ -324,8 +327,10 @@ def fit_expansion(
     triangular-window matched filter over all reduced fractions with
     denominator up to the bound (at most MAX_PROBE_ENTRIES candidates times
     samples, or ValidationError), each pick followed by a joint linear fit
-    on the phases chosen so far; terms of the final fit below
-    COEFFICIENT_TOLERANCE of the largest sample are pruned.
+    on the phases chosen so far; a coefficient c of (k + shift)^e in the
+    final fit is pruned when its largest contribution to a sample,
+    |c| max_k |k + shift|^e, is below COEFFICIENT_TOLERANCE of the largest
+    sample.
 
     The condition number is that of the design matrix with unit-norm
     columns; above condition_threshold (default 2**32, which leaves at least
@@ -430,19 +435,19 @@ def fit_expansion(
             )
 
         tol = COEFFICIENT_TOLERANCE * yscale
+        # the coefficient of (k + shift)^exponents[j] moves a sample by at most
+        # its modulus times reach[j]
+        top = np.max(np.abs(ks))
+        reach = [float(top ** float(e)) for e in exponents]
         terms = []
         for i, q in enumerate(chosen):
             block = coeffs[i * len(exponents):(i + 1) * len(exponents)]
-            lead = None
-            for j, e in enumerate(exponents):
-                if abs(block[j]) > tol:
-                    lead = j
-                    break
+            lead = next((j for j, r in enumerate(reach) if abs(block[j]) * r > tol), None)
             if lead is None:
                 continue
             b = complex(block[lead])
             lower = [complex(c) / b for c in block[lead + 1:]]
-            while lower and abs(lower[-1]) * abs(b) < tol:
+            while lower and abs(lower[-1]) * abs(b) * reach[lead + len(lower)] < tol:
                 lower.pop()
             terms.append({"q": q, "d": exponents[lead], "b": b, "a": lower})
         terms.sort(key=lambda t: t["q"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import phase_to_cyclotomic
-from torusfibre.cli import _collect_contributions
+from torusfibre.cli import _collect_contributions, main
 from torusfibre.errors import (
     IllConditioned,
     SymbolicPhaseInNumericContext,
@@ -228,11 +228,17 @@ def _evaluate_literal(model, k):
 def _golden_model(name, seed):
     """The SU(2) model of a golden orbit with the golden oracles and a seeded
     CS-phase map with denominator 12 and no symmetry between strata."""
+    rng = random.Random(f"{name}-{seed}")
+    return _model(name, lambda strata: {str(i): f"{rng.randrange(12)}/12" for i in range(len(strata))})
+
+
+def _model(name, cs_of):
+    """The SU(2) model of a golden orbit with the golden oracles and the
+    CS-phase map cs_of(strata)."""
     data = OrbitData.from_json(json.loads((GOLDEN_INPUTS / f"{name}.json").read_text()))
     oracles = json.loads((GOLDEN_INPUTS / f"{name}_su2_oracles.json").read_text())
     strata = enumerate_strata(data, SU2)
-    rng = random.Random(f"{name}-{seed}")
-    cs = {str(i): f"{rng.randrange(12)}/12" for i in range(len(strata))}
+    cs = cs_of(strata)
     entries = _collect_contributions(data, SU2, strata, cs, oracles, strict=True)
     contributions = [e["contribution"] for e in entries if "contribution" in e]
     framing = framing_phase(eigen_dimensions(data), SU2)
@@ -276,3 +282,58 @@ def test_evaluate_prints_the_horner_pair(name, monkeypatch):
                 float(value.imag).hex(),
             )
     assert routes == {True, False}
+
+
+@pytest.mark.parametrize("prec", [128, 65536])
+def test_level_5_pair_comes_from_the_terms(prec, capsys, monkeypatch):
+    """invariant --level 5 on the golden M5 SU(2) inputs renders a value of
+    phi(420) = 96 coefficients and 14 terms, more than STEPS_PER_TERM
+    coefficients per term, whose pair the sum over the terms decides at
+    both precisions: to_mpc never runs, and the printed pair is that of
+    to_mpc(prec), bit for bit."""
+    to_mpc, to_float64 = Cyclotomic.to_mpc, Cyclotomic.to_float64
+    horner_calls, rendered = [], []
+
+    def counted(self, p):
+        horner_calls.append(p)
+        return to_mpc(self, p)
+
+    def recorded(self, p, terms, den):
+        rendered.append(self)
+        return to_float64(self, p, terms, den)
+
+    monkeypatch.setattr(Cyclotomic, "to_mpc", counted)
+    monkeypatch.setattr(Cyclotomic, "to_float64", recorded)
+    monkeypatch.chdir(GOLDEN_INPUTS.parent)
+    code = main([
+        "invariant", "--orbit", "inputs/m5.json", "--group", "SU(2)",
+        "--cs-phases", "inputs/m5_su2_cs.json", "--oracles", "inputs/m5_su2_oracles.json",
+        "--level", "5", "--precision", str(prec),
+    ])
+    numeric = json.loads(capsys.readouterr().out)["value"]["numeric"]
+    assert code == 0 and horner_calls == [] and len(rendered) == 1
+    value = to_mpc(rendered[0], prec)
+    assert [x.hex() for x in numeric] == [float(value.real).hex(), float(value.imag).hex()]
+
+
+def test_fit_keeps_the_linear_term_of_the_hyper_model():
+    """The HYPER SU(2) model with the golden inputs is (2/3)k^3 + k^2 + k/3
+    at phase 2/3, with B = 0.  Fitted from k = 1..200, all three terms come
+    back: the k term adds up to 200/3 to a sample, far above the pruning
+    tolerance of 1e-7 of the largest sample (about 0.54), though its
+    coefficient 1/3 is below it."""
+    cs = json.loads((GOLDEN_INPUTS / "hyper_su2_cs.json").read_text())
+    model = _model("hyper", lambda strata: cs)
+    assert model.framing.B == 0 and len(model.terms) == 1
+    assert model.terms[0].q == PhaseQ(F(2, 3))
+    assert [c.rational_value() for c in model.terms[0].coefficients] == [0, F(1, 3), 1, F(2, 3)]
+    samples = [(k, evaluate_invariant(model, k)[1]) for k in range(1, 201)]
+    res = fit_expansion(samples, 12, 4, 4, half_integer_degrees=False)
+    assert len(res.terms) == 1
+    term = res.terms[0]
+    assert term["q"] == F(2, 3) and term["d"] == 3
+    b, a = term["b"], term["a"]
+    assert len(a) == 2
+    assert abs(b - F(2, 3)) < 1e-6
+    assert abs(a[0] * b - 1) < 1e-6
+    assert abs(a[1] * b - F(1, 3)) < 1e-6
