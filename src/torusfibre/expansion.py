@@ -105,28 +105,46 @@ def _merge_key(q):
     return (1, str(q))
 
 
+def _total(parts):
+    """The sum of the Cyclotomic values in parts, which then holds it
+    alone: their numerators placed at the exponents j M/m < M of zeta_M, M
+    the lcm of the conductors, over the lcm of the denominators, and
+    reduced once.  That is the sum, conductor M included, that adding them
+    one by one gives."""
+    if len(parts) > 1:
+        m, den = lcm(*(c.conductor for c in parts)), lcm(*(c.denominator for c in parts))
+        nums = [0] * m
+        for c in parts:
+            step, scale = m // c.conductor, den // c.denominator
+            for j, n in enumerate(c.numerators):
+                nums[j * step] += n * scale
+        parts[:] = [Cyclotomic(m, nums, den)]
+    return parts[0]
+
+
 def assemble_invariant(data, group, contributions, framing):
     """Collect stratum contributions into one model, adding polynomials that
-    share a phase.  Symbolic phases merge only on equal tags."""
+    share a phase.  Symbolic phases merge only on equal tags.  The values
+    added to a coefficient are kept in a list and summed by _total when it
+    is read.  After each merge a zero top coefficient is dropped, so a
+    coefficient that reappears later starts afresh, with the conductor of
+    the values added since."""
     buckets = {}
     for contrib in contributions:
         key = _merge_key(contrib.q)
         if key not in buckets:
-            buckets[key] = ContributionPolynomial(
-                coefficients=list(contrib.coefficients), q=contrib.q
-            )
+            buckets[key] = contrib.q, [[c] for c in contrib.coefficients]
             continue
-        cur = buckets[key]
-        a, b = cur.coefficients, contrib.coefficients
-        if len(b) > len(a):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] = merged[i] + c
-        while len(merged) > 1 and merged[-1].is_zero():
-            merged.pop()
-        buckets[key] = ContributionPolynomial(coefficients=merged, q=cur.q)
-    terms = [buckets[k] for k in sorted(buckets)]
+        parts = buckets[key][1]
+        for i, c in enumerate(contrib.coefficients):
+            if i < len(parts):
+                parts[i].append(c)
+            else:
+                parts.append([c])
+        while len(parts) > 1 and _total(parts[-1]).is_zero():
+            parts.pop()
+    terms = [ContributionPolynomial(coefficients=list(map(_total, parts)), q=q)
+             for q, parts in map(buckets.get, sorted(buckets))]
     return InvariantModel(framing=framing, terms=terms)
 
 

@@ -24,14 +24,17 @@ scalar.  The ring algebra runs on integers: per oracle, the monomials of
 degree <= 2 d_c are numbered once in degree order, with a table of their
 products.  A rational element is a list of integer numerators over one
 denominator, a Q(zeta_m) element phi(m) such lists (list c for z^c) over
-one denominator.  The integrand is one exponential X = exp(E + log
-Td(T_c)), a nilpotent series on the table, paired as the dot product of
-the pairing vector with the top degree of omega^t X; the prefactor and
-m^t/(t! |Z_delta|) multiply the paired scalars last.  The prefactor is
-exactly the point-stratum product, which makes the zero-dimensional
-collapse automatic: at d_c = 0 the exponent has no terms, X = 1, and the
-value is the prefactor times the pairing of the point.  Every stratum takes
-this one path.
+one denominator.  The integrand is one exponential X = exp(A), A = E + log
+Td(T_c), a nilpotent series on the table that starts at A and stops where
+its powers pass the top degree, with no product of the unit and none that
+is known to vanish.  Each pairing <omega^t X> is, per pairing monomial, a
+sum over the index pairs (i, j) whose product is that monomial of
+omega^t[i] X[j]; no other product is formed.  The prefactor and m^t/(t!
+|Z_delta|) multiply the paired scalars last.  The prefactor is exactly the
+point-stratum product, which makes the zero-dimensional collapse
+automatic: at d_c = 0 the exponent has no terms, X = 1, and the value is
+the prefactor times the pairing of the point.  Every stratum takes this one
+path.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ class _Basis:
     """Monomials of degree <= top in generators of the given degrees (one of
     degree 0 keeps exponent 0), in degree order; start[d] is the first of
     degree >= d, table[i][j] the index of monomial i times j, for deg i +
-    deg j <= top."""
+    deg j <= top, and factor_pairs[k] the index pairs (i, j) whose product
+    is k, for each k of degree top."""
 
     def __init__(self, degrees, top):
         terms = [(0, ())]
@@ -87,6 +91,11 @@ class _Basis:
         self.start = [bisect_left(self.degree, d) for d in range(top + 2)]
         self.table = [[index[tuple(map(add, x, y))] for y in monos[:self.start[top - s + 1]]]
                       for s, x in terms]
+        self.factor_pairs = {}
+        for i, row in enumerate(self.table):
+            lo = self.start[top - self.degree[i]]
+            for j, k in enumerate(row[lo:], lo):
+                self.factor_pairs.setdefault(k, []).append((i, j))
 
 
 # The most product-table entries a basis may have.  Building the table costs
@@ -125,14 +134,12 @@ def _basis(degrees, top):
     return _Basis(degrees, top)
 
 
-def _mul(basis, a, b, out, top_only=False):
-    """Add the product of the numerator lists a and b, or its top-degree
-    part, into out; returns out."""
-    start, degree, top = basis.start, basis.degree, basis.top
+def _mul(basis, a, b, out):
+    """Add the product of the numerator lists a and b into out; returns
+    out."""
     for i, x in enumerate(a):
         if x:
-            lo = start[top - degree[i]] if top_only else 0
-            for k, y in zip(basis.table[i][lo:], b[lo:]):
+            for k, y in zip(basis.table[i], b):
                 if y:
                     out[k] += x * y
     return out
@@ -162,25 +169,28 @@ def _times(basis, a, b, m):
 
 
 def _exp(basis, terms, m):
-    """exp(rows / den), the _combination of terms, of positive degree, as
-    (rows, denominator): sum_n T_n / (den^n n!), T_n = T_{n-1} rows.  Rows
-    are kept as reduce_rows leaves them, so a rational exponent (a T_c-only
-    oracle) stays one row; no terms (a point stratum) give the unit."""
+    """exp(A), A = rows / den the _combination of terms, of positive degree,
+    as (rows, denominator): 1 + sum_{n>=1} T_n / (den^n n!), T_1 = rows and
+    T_n = T_{n-1} rows.  A^n starts in degree n low, low the least degree
+    in which rows has an entry, and is nonzero below the top, so the series
+    ends before the first n with n low > top and takes no product past it.
+    Rows are kept as reduce_rows leaves them, so a rational exponent (a
+    T_c-only oracle) stays one row; no terms (a point stratum), or A = 0,
+    give the unit."""
     size = len(basis.degree)
-    total = term = [[1] + [0] * (size - 1)]
-    if not terms:
-        return total, 1
-    rows, den = _combination(terms, size)
-    rows = reduce_rows(rows, m)
-    tden = n = 1
-    while True:
-        term = _times(basis, term, rows, m)
-        if not any(map(any, term)):
-            return total, tden
-        total = [[den * n * x + y for x, y in zip(a, b)]
-                 for a, b in zip_longest(total, term, fillvalue=[0] * size)]
-        tden *= den * n
-        n += 1
+    total, tden, n = [[1] + [0] * (size - 1)], 1, 1
+    if terms:
+        rows, den = _combination(terms, size)
+        rows = reduce_rows(rows, m)
+        low = min((basis.degree[i] for row in rows for i, x in enumerate(row) if x),
+                  default=basis.top + 1)
+        while n * low <= basis.top:
+            term = rows if n == 1 else _times(basis, term, rows, m)
+            total = [[den * n * x + y for x, y in zip(a, b)]
+                     for a, b in zip_longest(total, term, fillvalue=[0] * size)]
+            tden *= den * n
+            n += 1
+    return total, tden
 
 
 # ---------------------------------------------------------------------------
@@ -199,30 +209,38 @@ def _expect(value, kind, what):
     return value
 
 
+@lru_cache(maxsize=None)
+def _parse_monomial(names, degrees, mono):
+    """(exponent tuple, degree) of a monomial string over the generator
+    names of the given degrees (tuples): names joined by '*' with optional
+    '^e' (e >= 0), or "1" for the constant.  A refused string raises, and
+    is not cached."""
+    expo = [0] * len(names)
+    if mono.strip() not in ("1", ""):
+        for part in mono.split("*"):
+            name, hat, e = part.partition("^")
+            e = e.strip() if hat else "1"
+            if not e.isdecimal():
+                raise ValidationError(f"monomial {mono!r} needs non-negative integer exponents")
+            name = name.strip()
+            if name not in names:
+                raise MissingChernData(f"unknown generator {name!r}")
+            expo[names.index(name)] += int(e)
+    return tuple(expo), sum(map(int.__mul__, expo, degrees))
+
+
 def _parse_poly(names, degrees, top, obj, what, chern=False):
     """Polynomial given as {monomial string: "p/q"}, as {exponent tuple:
-    (p, q)}; monomials are generator names joined by '*' with optional '^e'
-    (e >= 0), or "1" for the constant.  A Chern class (``chern``) has no
-    term of degree 0."""
+    (p, q)}; the monomials are read by _parse_monomial.  A Chern class
+    (``chern``) has no term of degree 0."""
     if obj is None:
         return {}
     out = {}
     for mono, coeff in _expect(obj, dict, what).items():
-        expo = [0] * len(names)
-        if mono.strip() not in ("1", ""):
-            for part in mono.split("*"):
-                name, hat, e = part.partition("^")
-                e = e.strip() if hat else "1"
-                if not e.isdecimal():
-                    raise ValidationError(
-                        f"{what}: monomial {mono!r} needs non-negative integer exponents"
-                    )
-                name = name.strip()
-                if name not in names:
-                    raise MissingChernData(f"{what}: unknown generator {name!r}")
-                expo[names.index(name)] += int(e)
-        expo = tuple(expo)
-        degree = sum(map(int.__mul__, expo, degrees))
+        try:
+            expo, degree = _parse_monomial(names, degrees, mono)
+        except ValidationError as exc:
+            raise type(exc)(f"{what}: {exc}") from None
         if degree > top:
             raise OracleDegreeOverflow(
                 f"{what}: monomial {mono!r} exceeds the declared top degree"
@@ -298,8 +316,10 @@ class CohomologyOracle(Value):
         if any(d <= 0 for d in degrees):
             raise ValidationError("generator degrees must be positive")
 
+        gens = tuple(names), tuple(degrees)
+
         def poly(value, what, chern=False):
-            return _parse_poly(names, degrees, 2 * d_c, value, what, chern)
+            return _parse_poly(*gens, 2 * d_c, value, what, chern)
 
         pairing, named = {}, {}
         for mono, val in _expect(obj.get("pairing", {}), dict, "pairing").items():
@@ -351,23 +371,37 @@ class CohomologyOracle(Value):
         degrees = tuple(d if any(e[i] for e in used) else 0 for i, d in enumerate(self.degrees))
         return _basis(degrees, 2 * self.d_c)
 
-    def dense(self, poly, keys=None):
+    def dense(self, poly):
         """poly as (numerators, denominator) on the basis, without the terms
-        off it; the indices kept go to keys."""
+        off it."""
         den = lcm(*(d for _, d in poly.values()))
         nums = [0] * len(self.basis.degree)
         for expo, (n, d) in poly.items():
             k = self.basis.index.get(expo)
             if k is not None:
                 nums[k] += n * (den // d)
-                if keys is not None:
-                    keys.append(k)
         return nums, den
 
     @cached_property
-    def pairing_vector(self):
-        keys = []
-        return self.dense(self.pairing, keys), keys
+    def pairing_factors(self):
+        """([(p, pairs), ...], denominator): per pairing monomial on the
+        basis, zero values included, its value p over the denominator and
+        the index pairs whose product it is (_Basis.factor_pairs)."""
+        index, pairs = self.basis.index, self.basis.factor_pairs
+        den = lcm(*(d for _, d in self.pairing.values()))
+        return [(n * (den // d), pairs[index[expo]])
+                for expo, (n, d) in self.pairing.items() if expo in index], den
+
+    @cached_property
+    def forms(self):
+        """omega^t for t = 0..d_c, as (numerators, denominator) on the
+        basis."""
+        (omega, wd), basis = self.dense(self.omega), self.basis
+        out = [([1] + [0] * (len(omega) - 1), 1)]
+        for _ in range(self.d_c):
+            f, fd = out[-1]
+            out.append((_mul(basis, f, omega, [0] * len(omega)), fd * wd))
+        return out
 
     @cached_property
     def tangent_power_sums(self):
@@ -377,12 +411,14 @@ class CohomologyOracle(Value):
 
     def pair(self, x, form):
         """<form x> for x in Q(zeta_m), as (numerator per row, denominator);
-        None when no pairing monomial has a nonzero coefficient in form x."""
-        (rows, den), (f, fd), ((p, pd), keys) = x, form, self.pairing_vector
-        tops = [_mul(self.basis, f, row, [0] * len(f), True) for row in rows]
-        if not any(v[k] for v in tops for k in keys):
+        None when no pairing monomial has a nonzero coefficient in form x.
+        That coefficient, per row, is the sum of form[i] row[j] over the
+        index pairs (i, j) of the monomial; no other product is formed."""
+        (rows, den), (f, fd), (pairing, pd) = x, form, self.pairing_factors
+        tops = [[sum([f[i] * row[j] for i, j in pairs]) for _, pairs in pairing] for row in rows]
+        if not any(map(any, tops)):
             return None
-        return [sum(map(int.__mul__, p, v)) for v in tops], den * fd * pd
+        return [sum([p * v for (p, _), v in zip(pairing, top)]) for top in tops], den * fd * pd
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +500,16 @@ def _product(ranks, factor):
 
 
 @lru_cache(maxsize=None)
+def _point_inverse(m, i):
+    """(1 - zeta_m^i)^{-1} through Cyclotomic.inverse, the Galois norm."""
+    return (1 - Cyclotomic.zeta(m, i)).inverse()
+
+
+@lru_cache(maxsize=None)
 def _point_factor(m, i, r):
-    """(1 - zeta_m^i)^{-r}, a negative power through Cyclotomic.inverse."""
-    return (1 - Cyclotomic.zeta(m, i)) ** -r
+    """(1 - zeta_m^i)^{-r}: a power of _point_inverse, so one inverse per
+    (m, i) serves every r; a negative r is a positive power of 1 - zeta^i."""
+    return _point_inverse(m, i) ** r if r > 0 else (1 - Cyclotomic.zeta(m, i)) ** -r
 
 
 @lru_cache(maxsize=None)
@@ -493,6 +536,13 @@ def _oracle_factor(m, i, r):
 def _prefactor(ranks):
     """The product of _point_product on the oracle route."""
     return _product(ranks, _oracle_factor)
+
+
+@lru_cache(maxsize=None)
+def _surjections(n, t):
+    """t! S(n, t), the number of maps of n elements onto t:
+    sum_{u=1}^{t} (-1)^(t-u) C(t, u) u^n."""
+    return sum((-1) ** (t - u) * comb(t, u) * u**n for u in range(1, t + 1))
 
 
 def _weight(m, j, t):
@@ -534,8 +584,9 @@ def point_contribution(ranks, z_delta_order):
     """(1/|Z_delta|) prod_{i=1}^{m-1} (1 - zeta_m^i)^{-r_i} for a
     zero-dimensional stratum.
 
-    The negative powers go through Cyclotomic.inverse, a product of Galois
-    conjugates over the norm.  The oracle route (smooth_contribution with a
+    The negative powers are powers of (1 - zeta_m^i)^{-1} from
+    Cyclotomic.inverse, a product of Galois conjugates over the norm, taken
+    once per (m, i).  The oracle route (smooth_contribution with a
     trivial oracle) takes (1 - zeta^j)^{-1} from the closed form of
     inverse_one_minus_zeta instead, so the CLI's certificate that the two
     agree compares independent computations."""
@@ -594,8 +645,7 @@ def lambda_inverse_expansion(data, stratum, group, oracle):
             # sum_i (e^{y_i} - 1)^t = sum_{n >= t} t! S(n, t) p_n / n!
             q = [0] * len(basis.degree)
             for k in range(t, d_c + 1):
-                c = sign**k * sum((-1) ** (t - u) * comb(t, u) * u**k for u in range(1, t + 1))
-                c *= den // (p[k][1] * factorial(k))
+                c = sign**k * _surjections(k, t) * (den // (p[k][1] * factorial(k)))
                 q = [a + c * x for a, x in zip(q, p[k][0])]
             # this starts in degree 2t; drop what a non-homogeneous user
             # class puts below
@@ -630,11 +680,8 @@ def smooth_contribution(data, stratum, group, oracle, cs_phase=None):
     pref, terms = lambda_inverse_expansion(data, stratum, group, oracle)
     todd = zip(oracle.tangent_power_sums[1:], _todd_log_coefficients(d_c))
     x = _exp(basis, terms + [((a,), v, d * b) for (v, d), (a, b) in todd], m)
-    coeffs, (omega, wd) = [], oracle.dense(oracle.omega)
-    form = [1] + [0] * (len(omega) - 1), 1
-    for t in range(d_c + 1):
-        if t > 0:
-            form = _mul(basis, form[0], omega, [0] * len(omega)), form[1] * wd
+    coeffs = []
+    for t, form in enumerate(oracle.forms):
         paired = oracle.pair(x, form)
         if paired is None:
             coeffs.append(Cyclotomic.from_rational(0))

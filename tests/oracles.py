@@ -10,8 +10,10 @@ for Cyclotomic.to_mpc, and the sorted Fraction candidates and per-entry
 np.exp probe of fit_expansion's phase search, the formal log of the
 Bernoulli series for the Todd class, the lambda_{-1}-inverse of the
 integer route as a dict over the basis monomials (lambda_inverse_dict),
-the per-tuple convolution behind the stratum ranks, and the Burnside count
-through one translated class per (class, z').  The two localization
+the per-tuple convolution behind the stratum ranks, the Burnside count
+through one translated class per (class, z'), and the merge of stratum
+contributions by one Cyclotomic addition per coefficient pair
+(assemble_pairwise).  The two localization
 references, the literal route (RefRing) and the root reference, live in
 test_localization_oracle.py; they take their (1 - zeta^j)^{-1} from
 euclid_inverse, the root reference its eigenbundle weights from
@@ -33,7 +35,7 @@ import numpy as np
 
 from torusfibre.errors import GcdViolation, InvariantViolation, NonIntegralRank
 from torusfibre.exact import Cyclotomic, PhaseQ, cyclotomic_polynomial
-from torusfibre.localization import _exp, lambda_inverse_expansion
+from torusfibre.localization import ContributionPolynomial, _exp, lambda_inverse_expansion
 from torusfibre.orbit import total_genus
 from torusfibre.spectrum import mu2_table
 from torusfibre.strata import ConjClassSU, classes_with_power_central
@@ -317,6 +319,30 @@ def lambda_inverse_dict(data, stratum, group, oracle):
     rows, den = _exp(oracle.basis, terms, data.m)
     return {expo: pref * Cyclotomic(data.m, list(nums), den)
             for expo, nums in zip(oracle.basis.index, zip(*rows)) if any(nums)}
+
+
+def assemble_pairwise(contributions):
+    """The terms of assemble_invariant, merged one contribution at a time:
+    polynomials of one phase (PhaseQ by value, a symbolic tag by its
+    string) are added coefficient by coefficient with Cyclotomic.__add__,
+    and after each addition the zero top coefficients are dropped."""
+    buckets = {}
+    for contrib in contributions:
+        key = (0, contrib.q.q) if isinstance(contrib.q, PhaseQ) else (1, str(contrib.q))
+        if key not in buckets:
+            buckets[key] = ContributionPolynomial(list(contrib.coefficients), contrib.q)
+            continue
+        cur = buckets[key]
+        a, b = cur.coefficients, contrib.coefficients
+        if len(b) > len(a):
+            a, b = b, a
+        merged = list(a)
+        for i, c in enumerate(b):
+            merged[i] = merged[i] + c
+        while len(merged) > 1 and merged[-1].is_zero():
+            merged.pop()
+        buckets[key] = ContributionPolynomial(merged, cur.q)
+    return [buckets[k] for k in sorted(buckets)]
 
 
 def stratum_ranks_convolution(data, group, roots):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import phase_to_cyclotomic
+from oracles import assemble_pairwise, phase_to_cyclotomic
 from torusfibre.cli import _collect_contributions, main
 from torusfibre.errors import (
     IllConditioned,
@@ -52,6 +52,47 @@ def test_assemble_merges_equal_phases():
 def test_assemble_keeps_symbols_apart():
     model = assemble_invariant(None, SU2, [_poly("q0", 1), _poly("q1", 1)], FLAT)
     assert len(model.terms) == 2
+
+
+def _random_coefficient(rng, m):
+    """A Cyclotomic of conductor 1, m, 2m or 3m, a zero one time in five."""
+    conductor = rng.choice([1, m, 2 * m, 3 * m])
+    if rng.random() < 0.2:
+        return Cyclotomic.from_rational(0, conductor)
+    return Cyclotomic(conductor, [rng.randint(-3, 3) for _ in range(conductor)], rng.randint(1, 6))
+
+
+def test_assemble_matches_the_pairwise_merge():
+    """assemble_invariant sums each coefficient once; the pairwise merge of
+    tests/oracles.py adds one contribution at a time and drops zero top
+    coefficients after each.  On seeded lists of unequal length over
+    conductors 1, m and their multiples, with PhaseQ phases and symbolic
+    tags, where a later contribution cancels the top coefficients of its
+    phase (or all of them) and the next ones fill them again, both give the
+    same terms, conductors of zeros included."""
+    refilled = 0
+    for seed in range(60):
+        rng = random.Random(f"assemble-{seed}")
+        m = rng.choice([2, 3, 4, 6])
+        phases = [PhaseQ(F(rng.randrange(6), 6)) for _ in range(3)] + ["q1", "q2"]
+        contributions, cancelled = [], set()
+        for _ in range(rng.randint(1, 25)):
+            q = rng.choice(phases)
+            coeffs = [_random_coefficient(rng, m) for _ in range(rng.randint(1, 4))]
+            current = next((t.coefficients for t in assemble_pairwise(contributions)
+                            if str(t.q) == str(q)), None)
+            if current and len(current) > 1 and rng.random() < 0.4:
+                # cancel the top coefficient, or the whole polynomial
+                low = [-c for c in current[:-1]] if rng.random() < 0.5 else coeffs[:len(current) - 1]
+                coeffs = low + [-current[-1]] + [Cyclotomic.from_rational(0, m)] * rng.randint(0, 1)
+                cancelled.add((str(q), len(current) - 1))
+            elif any((str(q), i) in cancelled for i in range(len(coeffs))):
+                refilled += 1
+            contributions.append(ContributionPolynomial(coefficients=coeffs, q=q))
+        want = assemble_pairwise(contributions)
+        got = assemble_invariant(None, SU2, contributions, FLAT).terms
+        assert [t.to_json() for t in got] == [t.to_json() for t in want]
+    assert refilled > 20
 
 
 def test_evaluate_constant_model():

@@ -82,6 +82,43 @@ def test_localization_builds_no_fraction(monkeypatch):
     assert len(inside) == 0
 
 
+def test_localization_takes_no_product_known_in_advance(monkeypatch):
+    """The Z4 SU(3) level-1 invariant, with its golden stdout, takes no
+    series product whose result is known before it is formed: every
+    product of the integrand exponential (localization._times) is nonzero
+    and neither factor is the unit.  A^n of the exponent A first vanishes
+    at n low > top, low its least degree, so no product is taken from
+    there on.  The point route inverts each 1 - zeta_m^i once, whatever
+    power of it a stratum needs: at most 3 inversions for m = 4.  At most
+    101 products are taken."""
+    from torusfibre import localization
+    from torusfibre.exact import Cyclotomic
+
+    products, inverted = [], []
+    times, inverse = localization._times, Cyclotomic.inverse
+
+    def counted_times(basis, a, b, m):
+        out = times(basis, a, b, m)
+        unit = [[1] + [0] * (len(basis.degree) - 1)]
+        products.append((a == unit or b == unit, any(map(any, out))))
+        return out
+
+    def counted_inverse(self):
+        inverted.append((self.conductor, self.numerators, self.denominator))
+        return inverse(self)
+
+    monkeypatch.setattr(localization, "_times", counted_times)
+    monkeypatch.setattr(Cyclotomic, "inverse", counted_inverse)
+    monkeypatch.chdir(GOLDEN)
+    case = "invariant_z4_su3_k1"
+    code, out = _run(MANIFEST[case]["argv"])
+    assert code == 0
+    assert out == (GOLDEN / f"{case}.out").read_text()
+    assert products and all(nonzero and not unit for unit, nonzero in products)
+    assert len(products) <= 101
+    assert len(set(inverted)) == len(inverted) <= 3
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
     os.chdir(GOLDEN)

@@ -699,7 +699,8 @@ def test_oracle_variants_reach_both_zero_forms():
 PRODUCTION_HELPERS = {
     "_power_sums", "_todd_log_coefficients", "_exponent_scalar", "_weight", "_w2",
     "_prefactor", "_eigen_ranks", "lambda_inverse_expansion", "inverse_one_minus_zeta",
-    "mu2_table",
+    "mu2_table", "_surjections", "factor_pairs", "pairing_factors", "forms", "_point_inverse",
+    "_parse_monomial",
 }
 
 
