@@ -24,6 +24,7 @@ from .expansion import (
 from .framing import (
     MAX_SERIES_ORDER,
     GroupData,
+    check_level,
     framing_evaluate,
     framing_phase,
     framing_series,
@@ -314,13 +315,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_framing(args):
-    data = _load_orbit(args.orbit)
-    group = GroupData.parse(args.group)
-    spec = eigen_dimensions(data)
-    fp = framing_phase(spec, group)
-    out = fp.to_json()
     if args.level is not None:
-        out["phase_at_k"] = framing_evaluate(fp, args.level).to_json()
+        check_level(args.level, "--level")
     if args.truncation is not None:
         if args.truncation < 0:
             raise ValidationError(f"--truncation {args.truncation} is negative")
@@ -329,6 +325,14 @@ def _cmd_framing(args):
                 f"--truncation {args.truncation} is above {MAX_SERIES_ORDER}, "
                 f"the highest series order written"
             )
+    data = _load_orbit(args.orbit)
+    group = GroupData.parse(args.group)
+    spec = eigen_dimensions(data)
+    fp = framing_phase(spec, group)
+    out = fp.to_json()
+    if args.level is not None:
+        out["phase_at_k"] = framing_evaluate(fp, args.level).to_json()
+    if args.truncation is not None:
         out["series"] = framing_series(fp, args.truncation).to_json()
     _emit(out, args.format)
     return EXIT_OK
@@ -364,6 +368,8 @@ def _cmd_contributions(args):
 
 
 def _cmd_invariant(args):
+    if args.level is not None:
+        check_level(args.level, "--level")
     if args.precision is not None:
         check_precision(args.precision, "--precision")
     data, group, entries = _load_contributions(args, strict=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm, factorial, prod
+from math import gcd, lcm, prod
 from operator import add, sub
 
 from .errors import ValidationError
@@ -641,19 +641,23 @@ class PhaseSeries:
     def __init__(self, leading, shift, coeffs, order):
         self.leading = leading          # PhaseQ
         self.shift = shift              # non-negative integer h
-        self.coeffs = [tuple(Fraction(c) for c in poly) for poly in coeffs]
+        self.coeffs = coeffs            # per power of 1/(k+h), a tuple over powers of Pi
         self.order = order
         assert len(self.coeffs) == order + 1
         assert self.coeffs[0] and self.coeffs[0][0] == 1
 
     @classmethod
     def from_exponent(cls, amount, shift, order):
-        """Series for exp(2*pi*i*amount*k/(k+shift)) to the given order."""
+        """Series for exp(2*pi*i*amount*k/(k+shift)) to the given order.  The
+        power 1/(k+shift)^n has the one term c_n Pi^n, from the recurrence
+        c_{n+1} = c_n (-amount*shift)/(n + 1); the lower powers of Pi are the
+        int 0."""
         amount = Fraction(amount)
-        coeffs = []
+        step = -amount * shift
+        coeffs, c = [], Fraction(1)
         for n in range(order + 1):
-            poly = [Fraction(0)] * n + [Fraction((-amount * shift) ** n, factorial(n))]
-            coeffs.append(poly)
+            coeffs.append((0,) * n + (c,))
+            c = c * step / (n + 1)
         return cls(PhaseQ(amount), shift, coeffs, order)
 
     def to_json(self):

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .exact import Cyclotomic, PhaseQ, format_rational
-from .framing import framing_evaluate
+from .framing import check_level, framing_evaluate
 from .localization import ContributionPolynomial
 from .value import Value
 
@@ -157,8 +157,7 @@ def evaluate_invariant(model, k, precision=None):
         raise SymbolicPhaseInNumericContext(
             f"cannot evaluate with unresolved phase symbols {tags}"
         )
-    if k < 1:
-        raise ValueError("level k must be a positive integer")
+    check_level(k, "level k")
     prec = default_precision() if precision is None else check_precision(precision, "precision")
     fr = framing_evaluate(model.framing, k).q
     phases = [t.q.scale(k).q for t in model.terms]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import attrgetter
 
+from .errors import ValidationError
 from .exact import PhaseQ, PhaseSeries
 from .value import Value
 
@@ -19,6 +20,7 @@ __all__ = [
     "GroupData",
     "FramingPhase",
     "MAX_SERIES_ORDER",
+    "check_level",
     "framing_phase",
     "framing_evaluate",
     "framing_series",
@@ -84,22 +86,23 @@ def framing_phase(spec, group):
     """B = -(dim G / 2) * sum over eigenvalues away from +-1 of d_a * ahat/m,
     with ahat the signed residue of a in (-m/2, m/2); the +-1 eigenvalues
     (a = 0 and, for even m, a = m/2) carry no phase with the branch of the
-    logarithm in (-pi, pi)."""
+    logarithm in (-pi, pi).  The sum of d_a * ahat is an integer, so B is
+    one fraction over 2m."""
     m = spec.m
-    acc = Fraction(0)
-    for a in range(m):
-        if a == 0 or 2 * a == m:
-            continue
-        ahat = a if 2 * a < m else a - m
-        acc += spec.d[a] * Fraction(ahat, m)
-    B = -Fraction(group.dim_G, 2) * acc
-    return FramingPhase(B=B, group=group)
+    total = sum(spec.d[a] * (a if 2 * a < m else a - m) for a in range(1, m) if 2 * a != m)
+    return FramingPhase(B=Fraction(-group.dim_G * total, 2 * m), group=group)
+
+
+def check_level(k, source):
+    """A ValidationError naming the source of the value unless the level k
+    is a positive integer."""
+    if k < 1:
+        raise ValidationError(f"{source} = {k} is not a positive integer")
 
 
 def framing_evaluate(p, k):
     """The exact phase exponent B k/(k+h) at level k, as an element of Q/Z."""
-    if k < 1:
-        raise ValueError("level k must be a positive integer")
+    check_level(k, "level k")
     h = p.group.dual_coxeter
     return PhaseQ(p.B * Fraction(k, k + h))
 

@@ -22,6 +22,7 @@ from .errors import (
     NonIntegralB,
     ValidationError,
 )
+from .exact import format_rational
 from .value import Value
 
 __all__ = ["OrbitData", "SeifertData", "validate_orbit", "total_genus", "seifert_invariants"]
@@ -83,12 +84,11 @@ class SeifertData(Value):
         return -(self.b + sum(Fraction(beta, alpha) for alpha, beta in self.pairs))
 
     def to_json(self):
-        e = self.euler_number()
         return {
             "b": self.b,
             "genus": self.base_genus,
             "pairs": [[a, b] for a, b in self.pairs],
-            "euler": str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}",
+            "euler": format_rational(self.euler_number()),
         }
 
 
@@ -195,15 +195,12 @@ def seifert_invariants(data):
     """Seifert invariants (b, base genus, (alpha_i, beta_i)) of the mapping
     torus, with beta_i = k_i the inverse rotation number.  The Euler number
     e = -(b + sum beta/alpha) vanishes exactly, which forces
-    b = -sum k_i / l_i and is what makes check (d) above a realizability
-    condition."""
+    b = -sum k_i / l_i = -(sum_i (m/l_i) k_i) / m: the integer sum of check
+    (d) above, whose divisibility by m is the realizability condition."""
     validate_orbit(data)
-    pairs = []
-    acc = Fraction(0)
-    for l, n in data.branches:
-        k = _inverse_mod(n, l)
-        pairs.append((l, k))
-        acc += Fraction(k, l)
-    if acc.denominator != 1:
-        raise NonIntegralB(f"obstruction term b = {-acc} is not an integer")
-    return SeifertData(b=-int(acc), base_genus=data.quotient_genus, pairs=tuple(pairs))
+    m = data.m
+    pairs = tuple((l, _inverse_mod(n, l)) for l, n in data.branches)
+    b, rest = divmod(-sum(m // l * k for l, k in pairs), m)
+    if rest:
+        raise NonIntegralB(f"obstruction term b = {b + Fraction(rest, m)} is not an integer")
+    return SeifertData(b=b, base_genus=data.quotient_genus, pairs=pairs)

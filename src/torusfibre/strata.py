@@ -166,9 +166,10 @@ def enumerate_strata(data, group):
 
     Ranks are attached when the rank formula applies (every branch orbit a
     fixed point), else left None.  Each class of each branch gets its branch
-    vector of stratum_ranks once; a stratum sums one vector per branch, and
-    stratum_ranks turns each distinct sum into ranks, with its integrality
-    and sum checks, so strata with equal sums share one ranks tuple.
+    vector v_s once, from its root data; a stratum sums one vector per
+    branch, and stratum_ranks turns each distinct sum into ranks, with its
+    integrality and sum checks, so strata with equal sums share one ranks
+    tuple.
     """
     validate_orbit(data)
     N = group.N
@@ -184,7 +185,7 @@ def enumerate_strata(data, group):
     rankable = data.branches and all(l == m for l, _ in data.branches)
     # H acts on branch i by the shifts zeta_N^{h m_i}, h a multiple of N / g
     shifts = [[h * mi % N for h in range(0, N, N // g)] for mi in data.orbit_sizes()]
-    branch = {}  # (l, n, z) -> per class: c^{-k}, its root data and branch vector if rankable
+    branch = {}  # (l, n, z) -> per class: c^{-k}, and its branch vector if rankable
     memo = {}  # sum of branch vectors -> (ranks, d_c), per call
 
     out = []
@@ -211,11 +212,12 @@ def enumerate_strata(data, group):
         for cs, (l, n) in zip(per_branch, data.branches):
             if (l, n, z) not in branch:
                 cds = [c.power(-pow(n, -1, l)) for c in cs]
-                roots = [tuple(root_eigendata(c, m)) for c in cds] if rankable else []
-                vs = [_branch_vector(m, group.rank, n, r) for r in roots]
-                branch[l, n, z] = cds, roots, vs
+                vs = [
+                    _branch_vector(m, group.rank, n, tuple(root_eigendata(c, m))) for c in cds
+                ] if rankable else []
+                branch[l, n, z] = cds, vs
         per = [branch[l, n, z] for l, n in data.branches]
-        per_delta, per_roots, per_vector = zip(*per) if per else ((), (), ())
+        per_delta, per_vector = zip(*per) if per else ((), ())
         for combo, z_delta_order in found:
             classes = tuple(map(getitem, per_branch, combo))
             c_delta = tuple(map(getitem, per_delta, combo))
@@ -223,8 +225,7 @@ def enumerate_strata(data, group):
             if rankable:
                 key = tuple(map(sum, zip(*map(getitem, per_vector, combo))))
                 if key not in memo:
-                    roots = list(map(getitem, per_roots, combo))
-                    memo[key] = stratum_ranks(data, group, roots)
+                    memo[key] = stratum_ranks(data, group, key)
                 ranks, d_c = memo[key]
             out.append(StratumDescriptor(z, classes, z_delta_order, c_delta, ranks, d_c))
     return out
@@ -289,20 +290,20 @@ def _branch_vector(m, rank, n, r_s):
     return tuple(rank * mu2[i] + sum(r * mu2[i - j] for j, r in enumerate(r_s)) for i in range(m))
 
 
-def stratum_ranks(data, group, roots):
+def stratum_ranks(data, group, vector):
     """Eigenspace ranks r_0 ... r_{m-1} of the stratum tangent action and the
-    stratum dimension d_c = r_0, in integers from the root data r_s of each
-    class of c_delta:
+    stratum dimension d_c = r_0, in integers from ``vector``, the sum over
+    the branch points s of the branch vectors v_s of the classes of c_delta:
 
-        2 m r_i = 2 dim G (g - 1) + sum_s v_s[i],
+        2 m r_i = 2 dim G (g - 1) + vector[i],
         v_s[i] = rank G mu2_s(i) + sum_j r_s[j] mu2_s(i - j)
 
-    with mu2_s = mu2_table(m, n_s), twice the mu values.
+    with r_s = root_eigendata(c_s, m) and mu2_s = mu2_table(m, n_s), twice
+    the mu values (_branch_vector).
 
     Only valid when every branch orbit is a single fixed point (l_s = m); the
     holomorphic fixed point count behind the formula has no extension to
-    larger orbits here, so anything else is refused.  ``roots`` holds
-    root_eigendata(c, m) for each class of c_delta.
+    larger orbits here, so anything else is refused.
     """
     if not data.branches or any(l != data.m for l, _ in data.branches):
         raise UnsupportedOrbitStructure(
@@ -310,11 +311,10 @@ def stratum_ranks(data, group, roots):
         )
     m = data.m
     g = total_genus(data)
-    acc = [2 * group.dim_G * (g - 1)] * m
-    for (_, n), r_s in zip(data.branches, roots):
-        acc = [a + b for a, b in zip(acc, _branch_vector(m, group.rank, n, tuple(r_s)))]
+    base = 2 * group.dim_G * (g - 1)
     ranks = []
-    for i, a in enumerate(acc):
+    for i, v in enumerate(vector):
+        a = base + v
         # On strata of reducible connections (central classes) the count is an
         # index and can go negative; only integrality is demanded here.
         val, rest = divmod(a, 2 * m)

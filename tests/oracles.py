@@ -10,7 +10,9 @@ for Cyclotomic.to_mpc, and the sorted Fraction candidates and per-entry
 np.exp probe of fit_expansion's phase search, the formal log of the
 Bernoulli series for the Todd class, the lambda_{-1}-inverse of the
 integer route as a dict over the basis monomials (lambda_inverse_dict),
-the per-tuple convolution behind the stratum ranks, the Burnside count
+the per-tuple convolution behind the stratum ranks, the Seifert b, the
+framing exponent B and the phase series coefficients as one Fraction per
+term (the loops their integer forms replaced), the Burnside count
 through one translated class per (class, z'), and the merge of stratum
 contributions by one Cyclotomic addition per coefficient pair
 (assemble_pairwise).  The two localization
@@ -38,7 +40,7 @@ from torusfibre.exact import Cyclotomic, PhaseQ, cyclotomic_polynomial
 from torusfibre.localization import ContributionPolynomial, _exp, lambda_inverse_expansion
 from torusfibre.orbit import total_genus
 from torusfibre.spectrum import mu2_table
-from torusfibre.strata import ConjClassSU, classes_with_power_central
+from torusfibre.strata import ConjClassSU, classes_with_power_central, root_eigendata
 
 # -- extended Euclid in Q[x] ---------------------------------------------------
 
@@ -345,6 +347,19 @@ def assemble_pairwise(contributions):
     return [buckets[k] for k in sorted(buckets)]
 
 
+def branch_vector_sum(data, group, c_delta):
+    """sum_s v_s, the vector stratum_ranks takes, by the circular convolution
+    done afresh for the classes c_delta:
+    v_s[i] = rank G mu2_s(i) + sum_j r_s[j] mu2_s(i - j)."""
+    m = data.m
+    out = [0] * m
+    for (_, n), c in zip(data.branches, c_delta):
+        mu2, r_s = mu2_table(m, n), root_eigendata(c, m)
+        for i in range(m):
+            out[i] += group.rank * mu2[i] + sum(r * mu2[i - j] for j, r in enumerate(r_s))
+    return tuple(out)
+
+
 def stratum_ranks_convolution(data, group, roots):
     """(ranks, d_c) from the root data of each class of c_delta by the
     circular convolution of each r_s with mu2_s, done afresh per tuple:
@@ -364,6 +379,41 @@ def stratum_ranks_convolution(data, group, roots):
     if sum(ranks) != (g - 1) * group.dim_G:
         raise InvariantViolation(f"ranks sum to {sum(ranks)}")
     return tuple(ranks), ranks[0]
+
+
+# -- the census values as one Fraction per term ---------------------------------
+
+
+def seifert_b_fractions(data):
+    """b = -sum_i k_i / l_i, one Fraction per branch, k_i the inverse of n_i
+    mod l_i."""
+    acc = Fraction(0)
+    for l, n in data.branches:
+        acc += Fraction(pow(n, -1, l), l)
+    return -acc
+
+
+def framing_B_fractions(spec, group):
+    """B = -(dim G / 2) sum_a d_a ahat/m over a away from 0 and m/2, one
+    Fraction per eigenvalue, ahat the signed residue of a in (-m/2, m/2)."""
+    m = spec.m
+    acc = Fraction(0)
+    for a in range(m):
+        if a == 0 or 2 * a == m:
+            continue
+        ahat = a if 2 * a < m else a - m
+        acc += spec.d[a] * Fraction(ahat, m)
+    return -Fraction(group.dim_G, 2) * acc
+
+
+def phase_series_fractions(amount, shift, order):
+    """The coefficients of PhaseSeries.from_exponent as Fractions:
+    (-amount*shift)^n / n! at Pi^n for n = 0..order, Fraction(0) below."""
+    amount = Fraction(amount)
+    return [
+        tuple([Fraction(0)] * n + [Fraction((-amount * shift) ** n, factorial(n))])
+        for n in range(order + 1)
+    ]
 
 
 # -- Fraction and JSON forms, phases and classes --------------------------------

@@ -9,7 +9,8 @@ stdout, stderr) is compared with ``golden/bench_digests.json``.  fit_noise
 is left out: its noisy fits are expected to change.
 
 After an intended output change, re-record with
-``python tests/test_bench_digests.py`` and give the reason op by op.
+``python tests/test_bench_digests.py`` and give the reason op by op: it
+prints the workload, seed, index and argv of every op whose digest changed.
 """
 
 import hashlib
@@ -72,11 +73,20 @@ if __name__ == "__main__":
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
     run = importlib.import_module("run")
+    before = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for workload in WORKLOADS:
             for seed in SEEDS:
-                out[f"{workload}-{seed}"] = [d for _, d in run_round(run, workload, seed)]
+                key = f"{workload}-{seed}"
+                got = run_round(run, workload, seed)
+                was = before.get(key, [])
+                for i, (argv, digest) in enumerate(got):
+                    if i >= len(was) or was[i] != digest:
+                        print(f"changed: {workload} seed {seed} op {i}: {' '.join(argv)}")
+                if len(was) > len(got):
+                    print(f"changed: {workload} seed {seed}: {len(was) - len(got)} ops fewer")
+                out[key] = [d for _, d in got]
     DIGESTS.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"{sum(map(len, out.values()))} digests written to {DIGESTS}")

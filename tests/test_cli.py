@@ -824,6 +824,36 @@ def test_level_above_the_conductor_ceiling_is_invalid_input(capsys):
     assert "Traceback" not in err
 
 
+Z4_SU3_INVARIANT = [
+    "invariant", "--orbit", str(GOLDEN_INPUTS / "z4.json"), "--group", "SU(3)",
+    "--cs-phases", str(GOLDEN_INPUTS / "z4_su3_cs.json"),
+    "--oracles", str(GOLDEN_INPUTS / "z4_su3_oracles_all.json"),
+]
+FRAMING_M5 = ["framing", "--orbit", str(GOLDEN_INPUTS / "m5.json")]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ([*Z4_SU3_INVARIANT, "--level", "0"], "--level = 0"),
+    ([*Z4_SU3_INVARIANT, "--level", "-7"], "--level = -7"),
+    ([*FRAMING_M5, "--level", "0"], "--level = 0"),
+    ([*FRAMING_M5, "--level", "2", "--truncation", "-1"], "--truncation -1"),
+    ([*FRAMING_M5, "--truncation", "201"], "--truncation 201"),
+])
+def test_level_and_truncation_are_checked_before_any_work(monkeypatch, capsys, argv, flag):
+    """A level below 1 or a truncation out of range is refused, naming its
+    flag, before the spectrum or the strata are computed."""
+    import torusfibre.cli as cli
+
+    def work(*args):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr(cli, "enumerate_strata", work)
+    monkeypatch.setattr(cli, "eigen_dimensions", work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert flag in err and "Traceback" not in err
+
+
 def test_precision_of_float64_is_accepted(monkeypatch, capsys):
     # the value is about -0.1397 - 0.1050i; at 53 bits the Horner rounding
     # errors stay in the last few ulps

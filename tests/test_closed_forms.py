@@ -4,7 +4,9 @@ asymmetric rotation data.
 Spectrum: the Chevalley-Weil multiplicities against the average of the
 holomorphic Lefschetz traces.  Strata: integer class residues, enumeration
 and ranks against Fraction references kept here (the formulas the integer
-code replaced), and the Burnside count against the enumeration.
+code replaced), and the Burnside count against the enumeration.  Census
+values: the Seifert b, the framing exponent B and the phase series against
+their one-Fraction-per-term loops in oracles.
 """
 
 import random
@@ -14,11 +16,22 @@ from math import gcd
 
 import pytest
 
-from conftest import HYPER, M5, Z3, Z4, is_asymmetric, random_asymmetric_orbits
-from oracles import angles as class_angles, conj_class_from_angles, is_central, translate
-from torusfibre.exact import Cyclotomic
+from conftest import FREE2, FREE3, HYPER, M5, Z3, Z4, is_asymmetric, random_asymmetric_orbits
+from oracles import (
+    angles as class_angles,
+    branch_vector_sum,
+    conj_class_from_angles,
+    framing_B_fractions,
+    is_central,
+    phase_series_fractions,
+    seifert_b_fractions,
+    translate,
+)
+from torusfibre import orbit
+from torusfibre.errors import NonIntegralB
+from torusfibre.exact import Cyclotomic, PhaseSeries
 from torusfibre.framing import GroupData, framing_phase
-from torusfibre.orbit import OrbitData, total_genus
+from torusfibre.orbit import OrbitData, seifert_invariants, total_genus
 from torusfibre.spectrum import eigen_dimensions, lefschetz_trace, wall_signature
 from torusfibre.strata import (
     classes_with_power_central,
@@ -93,6 +106,50 @@ def test_conjugate_rotations_reverse_spectrum(asymmetric_suite):
         assert spec_c.d[1:] == spec.d[1:][::-1]
         assert wall_signature(spec_c) == -wall_signature(spec)
         assert framing_phase(spec_c, su3).B == -framing_phase(spec, su3).B
+
+
+# ---------------------------------------------------------------------------
+# Seifert b, framing exponent B and phase series: one Fraction per term
+# ---------------------------------------------------------------------------
+
+FIXTURES = [HYPER, Z3, Z4, M5, FREE2, FREE3]
+
+
+def test_seifert_b_matches_the_fraction_sum(asymmetric_suite, monkeypatch):
+    for data in FIXTURES + asymmetric_suite:
+        b = seifert_invariants(data).b
+        assert type(b) is int and b == seifert_b_fractions(data), data
+    # past the realizability check, a fractional b is refused with its value
+    monkeypatch.setattr(orbit, "validate_orbit", lambda data: None)
+    for data in (OrbitData(4, 0, [(4, 1)] * 3), OrbitData(6, 1, [(2, 1), (3, 1)])):
+        with pytest.raises(NonIntegralB) as exc:
+            seifert_invariants(data)
+        b = seifert_b_fractions(data)
+        assert str(exc.value) == f"obstruction term b = {b} is not an integer"
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_framing_exponent_and_series_match_the_fraction_loops(asymmetric_suite, N):
+    """B against one Fraction per eigenvalue on every orbit; the series of
+    each distinct B at orders 0..60 against (-B h)^n / n!, its lower powers
+    of Pi the int 0 and its JSON the text of the Fraction coefficients."""
+    group = GroupData(N)
+    amounts = set()
+    for data in FIXTURES + asymmetric_suite:
+        spec = eigen_dimensions(data)
+        B = framing_phase(spec, group).B
+        assert B == framing_B_fractions(spec, group), data
+        amounts.add(B)
+    assert len(amounts) > 20
+    for B in sorted(amounts)[::4]:
+        ref = phase_series_fractions(B, N, 60)
+        assert PhaseSeries.from_exponent(B, N, 60).to_json()["coeffs"] == [
+            [str(c) for c in poly] for poly in ref
+        ]
+        for order in range(61):
+            coeffs = PhaseSeries.from_exponent(B, N, order).coeffs
+            assert coeffs == ref[: order + 1]
+            assert all(type(c) is int and c == 0 for poly in coeffs for c in poly[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +331,7 @@ def test_strata_match_fraction_reference(data, N):
     if all(l == data.m for l, _ in data.branches) and data.branches:
         for s, (_, _, _, c_delta) in zip(got, ref):
             assert s.ranks == ref_ranks(data, c_delta, group)
-            roots = [root_eigendata(c, data.m) for c in s.c_delta]
-            assert stratum_ranks(data, group, roots) == (s.ranks, s.d_c)
+            vector = branch_vector_sum(data, group, s.c_delta)
+            assert stratum_ranks(data, group, vector) == (s.ranks, s.d_c)
     else:
         assert all(s.ranks is None for s in got)

@@ -19,6 +19,7 @@ from conftest import (
 )
 from oracles import (
     angles,
+    branch_vector_sum,
     conj_class_from_angles,
     count_strata_burnside_translate,
     is_central,
@@ -140,7 +141,7 @@ def test_stratum_ranks_fixtures():
 def test_stratum_ranks_refuses_free_actions():
     strata = enumerate_strata(FREE2, SU2)
     with pytest.raises(UnsupportedOrbitStructure):
-        stratum_ranks(FREE2, SU2, [root_eigendata(c, FREE2.m) for c in strata[0].c_delta])
+        stratum_ranks(FREE2, SU2, branch_vector_sum(FREE2, SU2, strata[0].c_delta))
 
 
 def test_rank_sum_rule_various_groups():
@@ -243,6 +244,19 @@ def test_strata_builds_one_class_list_per_power_and_center(monkeypatch, capsys):
     )
     assert calls == [(3, 4, 0), (3, 4, 1), (3, 4, 2)]
     assert ranks
+
+
+def test_strata_builds_each_branch_vector_once(monkeypatch, capsys):
+    """strata Z4 SU(3): the four branches share (l, n, z) = (4, 1, 0), so
+    enumerate_strata builds one branch vector per class of that list, and
+    stratum_ranks, which takes the summed vector, builds none."""
+    vectors = _record(monkeypatch, "_branch_vector")
+    ranks = _record(monkeypatch, "stratum_ranks")
+    assert cli.main(["strata", "--orbit", str(INPUTS / "z4.json"), "--group", "SU(3)"]) == 0
+    capsys.readouterr()
+    assert len(vectors) == len(classes_with_power_central(3, 4, 0))
+    assert all(args[:3] == (4, 2, 1) for args in vectors)
+    assert ranks and all(len(vector) == 4 for _, _, vector in ranks)
 
 
 def _refuse(*args):
