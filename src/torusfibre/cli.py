@@ -8,6 +8,7 @@ input, 2 violated internal consistency check, 3 I/O trouble.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from types import SimpleNamespace
 from .errors import ConsistencyError, ValidationError
 from .exact import PhaseQ, rational_from_json
 from .expansion import (
+    DEFAULT_PRECISION,
     assemble_invariant,
     check_precision,
     check_probe_size,
@@ -367,11 +369,25 @@ def _cmd_contributions(args):
     return EXIT_OK
 
 
+def _precision(given):
+    """The working precision of the rendering: ``given`` (--precision),
+    else the TORUSFIBRE_PRECISION environment variable, else
+    DEFAULT_PRECISION bits, checked by check_precision under the name of
+    its source."""
+    if given is not None:
+        return check_precision(given, "--precision")
+    value = os.environ.get("TORUSFIBRE_PRECISION", str(DEFAULT_PRECISION))
+    try:
+        bits = int(value)
+    except ValueError:
+        raise ValidationError(f"TORUSFIBRE_PRECISION = {value!r} is not an integer") from None
+    return check_precision(bits, "TORUSFIBRE_PRECISION")
+
+
 def _cmd_invariant(args):
     if args.level is not None:
         check_level(args.level, "--level")
-    if args.precision is not None:
-        check_precision(args.precision, "--precision")
+    precision = _precision(args.precision)
     data, group, entries = _load_contributions(args, strict=True)
     contributions = [e["contribution"] for e in entries if "contribution" in e]
     spec = eigen_dimensions(data)
@@ -379,7 +395,7 @@ def _cmd_invariant(args):
     model = assemble_invariant(data, group, contributions, framing)
     out = model.to_json()
     if args.level is not None:
-        exact, numeric = evaluate_invariant(model, args.level, precision=args.precision)
+        exact, numeric = evaluate_invariant(model, args.level, precision)
         out["value"] = {
             "level": args.level,
             "exact": exact.to_json(),

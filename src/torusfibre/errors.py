@@ -32,10 +32,6 @@ class GenusTooSmall(ValidationError):
     pass
 
 
-class NonIntegralB(ValidationError):
-    """Rotation data admits no integral obstruction term b; not realizable."""
-
-
 class GcdViolation(ValidationError):
     pass
 

@@ -142,20 +142,19 @@ def _reduce(nums, m):
     return the phi(m) coefficients of the remainder as a list.
 
     x^m = 1 is folded in first.  Then, with r the product of the primes of
-    m, the remainder comes down the tower (_tower) when m has at least two
-    primes and fewer than r / 4 of the coefficients are nonzero, and from
-    one long division by Phi_m (_divide) otherwise.  The long division is
-    the cheaper one for dense input at small conductors, where the tower
-    pays a Python-level step per class.  Both routes give the same
-    remainder."""
+    m, the remainder comes down the tower (_tower) when m > 1 and fewer
+    than r / 4 of the coefficients are nonzero, and from one long division
+    by Phi_m (_divide) otherwise: a sparse vector at a prime or a prime
+    power takes the tower too.  The long division is the cheaper one for
+    dense input at small conductors, where the tower pays a Python-level
+    step per class.  Both routes give the same remainder."""
     n = len(nums)
     if n > m:
         for i in range(m, n):
             if nums[i]:
                 nums[i % m] += nums[i]
         del nums[m:]
-    primes = _prime_factors(m)
-    if len(primes) > 1 and 4 * (len(nums) - nums.count(0)) < prod(primes):
+    if m > 1 and 4 * (len(nums) - nums.count(0)) < prod(_prime_factors(m)):
         return _tower(nums, m)
     return _divide(nums, m)
 
@@ -181,42 +180,32 @@ def _divide(nums, m):
     return nums
 
 
-def _tower(nums, m):
-    """nums (at most m entries) modulo Phi_m, m > 1, down the cyclotomic
-    tower, as a list of phi(m).  With r the product of the primes of m and
-    s = m / r, Phi_m(x) = Phi_r(x^s): the residue class nums[c::s] is the
-    polynomial in x^s whose remainder mod Phi_r (_squarefree) fills the
-    class c of the result.  A zero class costs one test."""
+def _tower(g, m):
+    """g (consumed, at most m entries) modulo Phi_m, m > 1, down the
+    cyclotomic tower, as a list of phi(m).  A zero class costs one test.
+
+    For m a prime p, y^(p-1) is -(1 + y + ... + y^(p-2)).  For m not
+    squarefree, with r the product of its primes and s = m / r,
+    Phi_m(x) = Phi_r(x^s): the class g[c::s] is a polynomial in x^s whose
+    remainder mod Phi_r fills the class c of the result, with no division.
+    For m squarefree with largest prime p and n = m / p, Phi_m divides
+    Phi_n(y^p): each class g[c::p] is reduced mod Phi_n, which leaves
+    p phi(n) coefficients, and only their top phi(n) are long-divided by
+    Phi_m."""
     primes = _prime_factors(m)
-    s = m // prod(primes)
-    out = [0] * euler_phi(m)
-    for c in range(s):
-        part = nums[c::s]
-        if any(part):
-            out[c::s] = _squarefree(part, primes)
-    return out
-
-
-def _squarefree(g, primes):
-    """g (consumed, at most r = prod(primes) entries) modulo Phi_r, r
-    squarefree, as a list of phi(r).  For a prime p, y^(p-1) is
-    -(1 + y + ... + y^(p-2)).  Otherwise, with p the largest prime and
-    n = r / p, Phi_r divides Phi_n(y^p): each class g[c::p] is reduced mod
-    Phi_n, which leaves p phi(n) coefficients, and only their top phi(n)
-    are long-divided by Phi_r."""
-    p = primes[-1]
-    if len(primes) == 1:
-        if len(g) < p:
-            return g + [0] * (p - 1 - len(g))
+    if primes == (m,):
+        if len(g) < m:
+            return g + [0] * (m - 1 - len(g))
         t = g.pop()
         return [c - t for c in g] if t else g
-    rest = primes[:-1]
-    out = [0] * (p * euler_phi(prod(rest)))
-    for c in range(p):
-        part = g[c::p]
+    squarefree = prod(primes) == m
+    s = primes[-1] if squarefree else m // prod(primes)
+    out = [0] * (s * euler_phi(m // s))
+    for c in range(s):
+        part = g[c::s]
         if any(part):
-            out[c::p] = _squarefree(part, rest)
-    return _divide(out, prod(primes))
+            out[c::s] = _tower(part, m // s)
+    return _divide(out, m) if squarefree else out
 
 
 def reduce_rows(rows, m):

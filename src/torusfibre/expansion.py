@@ -13,7 +13,6 @@ functions of the recovery, so that no other command pays for loading it.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
@@ -36,12 +35,13 @@ __all__ = [
     "fit_expansion",
     "check_precision",
     "check_probe_size",
-    "default_precision",
 ]
 
 
 # bits of a float64, the precision in which the numeric value is printed
 MIN_PRECISION = 53
+# Working precision of the Horner rendering unless a caller gives one
+DEFAULT_PRECISION = 128
 # The precision fixes the Horner (Cyclotomic.to_mpc) whose float64 pair is
 # printed.  Its rotation and its phi(M) products of prec-bit numbers are
 # paid only where a sum over the value's few terms does not certify the
@@ -72,15 +72,6 @@ def check_precision(bits, source):
             f"precision rendered"
         )
     return bits
-
-
-def default_precision():
-    value = os.environ.get("TORUSFIBRE_PRECISION", "128")
-    try:
-        bits = int(value)
-    except ValueError:
-        raise ValidationError(f"TORUSFIBRE_PRECISION = {value!r} is not an integer") from None
-    return check_precision(bits, "TORUSFIBRE_PRECISION")
 
 
 class InvariantModel(Value):
@@ -148,17 +139,20 @@ def assemble_invariant(data, group, contributions, framing):
     return InvariantModel(framing=framing, terms=terms)
 
 
-def evaluate_invariant(model, k, precision=None):
+def evaluate_invariant(model, k, precision=DEFAULT_PRECISION):
     """Value at level k: the exact element of Q(zeta) together with its
     printed float64 pair as a complex, that of the Horner rendering at
-    precision bits (Cyclotomic.to_float64).  Needs every phase resolved."""
+    precision bits (Cyclotomic.to_float64), checked by check_precision.
+    No environment variable is read here: the command line resolves its
+    --precision and TORUSFIBRE_PRECISION before any work.  Needs every
+    phase resolved."""
     if any(t.is_symbolic() for t in model.terms):
         tags = [str(t.q) for t in model.terms if t.is_symbolic()]
         raise SymbolicPhaseInNumericContext(
             f"cannot evaluate with unresolved phase symbols {tags}"
         )
     check_level(k, "level k")
-    prec = default_precision() if precision is None else check_precision(precision, "precision")
+    prec = check_precision(precision, "precision")
     fr = framing_evaluate(model.framing, k).q
     phases = [t.q.scale(k).q for t in model.terms]
     conductor = fr.denominator

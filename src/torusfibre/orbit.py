@@ -19,7 +19,6 @@ from .errors import (
     InvalidBranch,
     NonIntegralGenus,
     GenusTooSmall,
-    NonIntegralB,
     ValidationError,
 )
 from .exact import format_rational
@@ -27,8 +26,10 @@ from .value import Value
 
 __all__ = ["OrbitData", "SeifertData", "validate_orbit", "total_genus", "seifert_invariants"]
 
-# Largest order m handled: spectrum, linear in m, takes about 0.1 s and writes
-# 0.45 MB at m = 2**16 (Python 3.11, shared 2-vCPU VM), and days at 10**12.
+# Largest order m handled.  The spectrum adds m - 1 terms per distinct (l, n)
+# branch type, within spectrum.MAX_BRANCH_TERMS: m = 2**16 fixed points of
+# one type take 0.3 s and write 0.7 MB (Python 3.11, shared 2-vCPU VM).  The
+# tables of length m alone would take days at m = 10**12.
 MAX_ORDER = 2**16
 
 
@@ -195,12 +196,11 @@ def seifert_invariants(data):
     """Seifert invariants (b, base genus, (alpha_i, beta_i)) of the mapping
     torus, with beta_i = k_i the inverse rotation number.  The Euler number
     e = -(b + sum beta/alpha) vanishes exactly, which forces
-    b = -sum k_i / l_i = -(sum_i (m/l_i) k_i) / m: the integer sum of check
-    (d) above, whose divisibility by m is the realizability condition."""
+    b = -sum k_i / l_i = -(sum_i (m/l_i) k_i) / m.  That integer sum is the
+    one of check (d) of validate_orbit, run first, which refuses it unless
+    m divides it: the division is exact."""
     validate_orbit(data)
     m = data.m
     pairs = tuple((l, _inverse_mod(n, l)) for l, n in data.branches)
-    b, rest = divmod(-sum(m // l * k for l, k in pairs), m)
-    if rest:
-        raise NonIntegralB(f"obstruction term b = {b + Fraction(rest, m)} is not an integer")
+    b = -sum(m // l * k for l, k in pairs) // m
     return SeifertData(b=b, base_genus=data.quotient_genus, pairs=pairs)

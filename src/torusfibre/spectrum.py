@@ -9,17 +9,20 @@ sum for mu lives with the other literal routes in tests/oracles.py.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import attrgetter
 
-from .errors import DegenerateTerm, GcdViolation, NonIntegralMultiplicity
+from .errors import DegenerateTerm, GcdViolation, NonIntegralMultiplicity, ValidationError
 from .exact import Cyclotomic, inverse_one_minus_zeta
 from .orbit import total_genus, validate_orbit
 from .value import Value
 
 __all__ = [
+    "MAX_BRANCH_TERMS",
+    "check_branch_terms",
     "EigenSpectrum",
     "mu_value",
     "mu2_table",
@@ -27,6 +30,21 @@ __all__ = [
     "eigen_dimensions",
     "wall_signature",
 ]
+
+
+# The most branch terms a spectrum adds, (m - 1) times the distinct (l, n)
+# branch types, and the most entries the strata sums of an orbit add, m per
+# branch vector summed (strata.enumerate_strata).  At m = 2**16 with 64
+# fixed-point types, just inside, the spectrum takes 0.5 to 0.7 s and
+# strata SU(1) 1.2 s (Python 3.11, shared 2-vCPU VM); 66 types are refused.
+MAX_BRANCH_TERMS = 2**22
+
+
+def check_branch_terms(terms, what):
+    """terms, if at most MAX_BRANCH_TERMS; a ValidationError naming what
+    otherwise."""
+    if terms > MAX_BRANCH_TERMS:
+        raise ValidationError(f"{what}: {terms} terms to add, above MAX_BRANCH_TERMS = {MAX_BRANCH_TERMS}")
 
 
 class EigenSpectrum(Value):
@@ -95,16 +113,20 @@ def eigen_dimensions(data):
         d_a = g_0 - 1 + sum_i ((a k_i) mod l_i) / l_i,   k_i = n_i^{-1} mod l_i,
 
     summed over the branch orbits; it is evaluated as an integer sum over
-    the common denominator m.  Certified on every call: each d_a is a
-    non-negative integer, and g minus the d_a with a != 0 is the quotient
-    genus (the sum rule sum d_a = g with d_0 = g_0).  The average of the
-    Lefschetz traces (lefschetz_trace) is the independent oracle.
+    the common denominator m, one term per distinct (l, n) times the number
+    of branches with it.  Those (m - 1) terms per type are counted first
+    and refused above MAX_BRANCH_TERMS.  Certified on every call: each d_a
+    is a non-negative integer, and g minus the d_a with a != 0 is the
+    quotient genus (the sum rule sum d_a = g with d_0 = g_0).  The average
+    of the Lefschetz traces (lefschetz_trace) is the independent oracle.
     """
     validate_orbit(data)
     m = data.m
+    types = Counter(data.branches)
+    check_branch_terms((m - 1) * len(types), f"spectrum of {len(types)} distinct branch types (l, n)")
     g = total_genus(data)
     g0 = data.quotient_genus
-    terms = [(pow(n, -1, l), l, m // l) for l, n in data.branches]
+    terms = [(pow(n, -1, l), l, m // l * count) for (l, n), count in types.items()]
     d = [None]
     for a in range(1, m):
         total = sum(a * k % l * mi for k, l, mi in terms)

@@ -9,6 +9,7 @@ which makes every operation here integer combinatorics.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, gcd, prod
@@ -22,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .orbit import total_genus, validate_orbit
-from .spectrum import mu2_table
+from .spectrum import check_branch_terms, mu2_table
 from .value import Value
 
 __all__ = [
@@ -169,7 +170,9 @@ def enumerate_strata(data, group):
     vector v_s once, from its root data; a stratum sums one vector per
     branch, and stratum_ranks turns each distinct sum into ranks, with its
     integrality and sum checks, so strata with equal sums share one ranks
-    tuple.
+    tuple.  Where a z has one class per branch, its one sum adds the vector
+    of each distinct (l, n) times the branches with it.  The entries the
+    sums add are counted first (check_branch_terms).
     """
     validate_orbit(data)
     N = group.N
@@ -183,6 +186,15 @@ def enumerate_strata(data, group):
             f"above MAX_TUPLES = {MAX_TUPLES}"
         )
     rankable = data.branches and all(l == m for l, _ in data.branches)
+    # Every branch of a rankable orbit has l = m, so the branches of a z
+    # share one class list.  A list of one class gives one tuple, whose sum
+    # adds the vector of each (l, n) once, times its branches; else each
+    # tuple adds one vector per branch.
+    types = Counter(data.branches)
+    if rankable:
+        check_branch_terms(m * sum(
+            len(types) if len(cs[0]) == 1 else prod(map(len, cs)) * len(cs) for cs in per_z
+        ), f"SU({N}) strata sums of {len(types)} distinct branch types (l, n)")
     # H acts on branch i by the shifts zeta_N^{h m_i}, h a multiple of N / g
     shifts = [[h * mi % N for h in range(0, N, N // g)] for mi in data.orbit_sizes()]
     branch = {}  # (l, n, z) -> per class: c^{-k}, and its branch vector if rankable
@@ -218,12 +230,15 @@ def enumerate_strata(data, group):
                 branch[l, n, z] = cds, vs
         per = [branch[l, n, z] for l, n in data.branches]
         per_delta, per_vector = zip(*per) if per else ((), ())
+        shared = rankable and len(per_branch[0]) == 1 and tuple(map(sum, zip(*(
+            [count * x for x in branch[l, n, z][1][0]] for (l, n), count in types.items()
+        ))))
         for combo, z_delta_order in found:
             classes = tuple(map(getitem, per_branch, combo))
             c_delta = tuple(map(getitem, per_delta, combo))
             ranks = d_c = None
             if rankable:
-                key = tuple(map(sum, zip(*map(getitem, per_vector, combo))))
+                key = shared or tuple(map(sum, zip(*map(getitem, per_vector, combo))))
                 if key not in memo:
                     memo[key] = stratum_ranks(data, group, key)
                 ranks, d_c = memo[key]
@@ -285,9 +300,14 @@ def root_eigendata(c, m):
 @lru_cache(maxsize=None)
 def _branch_vector(m, rank, n, r_s):
     """v_s[i] = rank G mu2_s(i) + sum_j r_s[j] mu2_s(i - j) for the branch
-    point with rotation number n and root data r_s."""
+    point with rotation number n and root data r_s: one pass over mu2_s
+    rotated by j for each of the at most N^2 - N j with r_s[j] != 0."""
     mu2 = mu2_table(m, n)
-    return tuple(rank * mu2[i] + sum(r * mu2[i - j] for j, r in enumerate(r_s)) for i in range(m))
+    v = [rank * x for x in mu2]
+    for j, r in enumerate(r_s):
+        if r:
+            v = [a + r * b for a, b in zip(v, mu2[m - j:] + mu2[:m - j])]
+    return tuple(v)
 
 
 def stratum_ranks(data, group, vector):

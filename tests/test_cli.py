@@ -416,6 +416,46 @@ def test_oversized_oracle_basis_is_refused_from_its_predicted_size(monkeypatch, 
     assert "has 735471 monomials and 76904685 products, more than MAX_BASIS_PRODUCTS" in err
 
 
+# m = 2**16 with 66 fixed points of distinct rotation numbers n = +-1, +-3,
+# ..., +-65 mod m: realizable (the inverses of n and m - n sum to m), over a
+# genus-0 quotient.
+MANY_TYPES_JSON = {
+    "m": 2**16,
+    "quotient_genus": 0,
+    "branches": [{"l": 2**16, "n": n} for k in range(1, 67, 2) for n in (k, 2**16 - k)],
+}
+
+
+SPECTRUM_TERMS = "spectrum of 66 distinct branch types (l, n): 4325310 terms"  # 65535 * 66
+STRATA_TERMS = "SU(1) strata sums of 66 distinct branch types (l, n): 4325376 terms"  # 65536 * 66
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["spectrum"], SPECTRUM_TERMS),
+    (["framing", "--level", "3"], SPECTRUM_TERMS),
+    (["strata", "--group", "SU(1)"], STRATA_TERMS),
+    (["invariant", "--group", "SU(1)", "--level", "3"], STRATA_TERMS),
+])
+def test_many_branch_types_are_refused_from_the_predicted_size(monkeypatch, orbit_file, capsys, argv, size):
+    """The spectrum adds m - 1 terms per distinct (l, n), and the strata
+    sums m entries per distinct (l, n) here: 66 types at m = 2**16 are
+    refused above MAX_BRANCH_TERMS before the genus is taken or any branch
+    vector is built."""
+    import torusfibre.spectrum as spectrum
+    import torusfibre.strata as strata
+
+    def work(*args):
+        raise AssertionError("work started before the predicted size was checked")
+
+    monkeypatch.setattr(spectrum, "total_genus", work)
+    monkeypatch.setattr(strata, "_branch_vector", work)
+    monkeypatch.setattr(strata, "stratum_ranks", work)
+    code, out, err = run(capsys, argv[0], "--orbit", orbit_file(MANY_TYPES_JSON), *argv[1:])
+    assert (code, out) == (1, "")
+    assert size in err and "above MAX_BRANCH_TERMS = 4194304" in err and "Traceback" not in err
+    assert spectrum.MAX_BRANCH_TERMS == 2**22
+
+
 @pytest.mark.parametrize("value", ["1e4300", "-2.5E-4300", "1_0e0_4300", "7/0", " 3/4 ", "+5/10"])
 def test_rational_literals_read_as_fraction_reads_them(value):
     """Below the exponent bound, every string reads as Fraction reads it,
@@ -852,6 +892,32 @@ def test_level_and_truncation_are_checked_before_any_work(monkeypatch, capsys, a
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bits", ["many", "52"])
+@pytest.mark.parametrize("level", [[], ["--level", "1"]], ids=["no-level", "level-1"])
+def test_precision_variable_is_checked_before_any_work(monkeypatch, capsys, bits, level):
+    """A bad TORUSFIBRE_PRECISION is refused, naming the variable, before
+    the strata or the spectrum are computed, whether or not a level is
+    evaluated; a given --precision wins over it."""
+    import torusfibre.cli as cli
+
+    argv = [*Z4_SU3_INVARIANT, *level]
+    code, want, _ = run(capsys, *argv, "--precision", "53")
+    assert code == 0
+    monkeypatch.setenv("TORUSFIBRE_PRECISION", bits)
+    code, out, _ = run(capsys, *argv, "--precision", "53")
+    assert (code, out) == (0, want)
+
+    def work(*args):
+        raise AssertionError("work started before the precision was checked")
+
+    monkeypatch.setattr(cli, "enumerate_strata", work)
+    monkeypatch.setattr(cli, "eigen_dimensions", work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"TORUSFIBRE_PRECISION = {bits if bits == '52' else repr(bits)}" in err
+    assert "Traceback" not in err
 
 
 def test_precision_of_float64_is_accepted(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -263,9 +264,17 @@ def test_tower_and_long_division_agree(monkeypatch):
     and at M = 15015 and 37515 on sparse input of length M whose support
     lies below phi(M) + 128, so that the long division stays cheap (the
     golden cases at levels 2000 and 5000 pin their evaluation vectors at
-    these M, recorded from the long division).  _reduce takes both routes."""
+    these M, recorded from the long division).  _reduce takes both routes,
+    and a sparse vector at a prime power goes down the tower."""
     tower, taken = exact._tower, []
-    monkeypatch.setattr(exact, "_tower", lambda nums, m: taken.append(m) or tower(nums, m))
+
+    def counted_tower(nums, m):
+        # _reduce's entries into the tower, not the tower's own recursion
+        if sys._getframe(1).f_code is exact._reduce.__code__:
+            taken.append(m)
+        return tower(nums, m)
+
+    monkeypatch.setattr(exact, "_tower", counted_tower)
     rng = random.Random(25)
     inputs = []
     for m in range(2, 400):
@@ -283,6 +292,8 @@ def test_tower_and_long_division_agree(monkeypatch):
         assert exact._reduce(list(f), m) == want, (m, len(f))
     assert 0 < len(taken) < len(inputs)
     assert {15015, 37515} <= set(taken)
+    # a sparse vector at a prime power p^j, j > 1
+    assert any(len(exact._prime_factors(m)) == 1 and m not in exact._prime_factors(m) for m in taken)
 
 
 def test_level_2000_long_divides_only_the_top_of_each_class(monkeypatch):

@@ -5,7 +5,9 @@
 is not covered: its float digits are not part of the contract.
 
 After an intended output change, re-record with ``python tests/test_golden.py``
-and review the diff of ``tests/golden/``.
+and review the diff of ``tests/golden/``: it prints ``changed: <case>`` for
+every case whose stdout or exit code changed, and rewrites only the files
+of those cases (the manifest only when an exit code changed).
 """
 
 import contextlib
@@ -122,9 +124,17 @@ def test_localization_takes_no_product_known_in_advance(monkeypatch):
 if __name__ == "__main__":
     sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
     os.chdir(GOLDEN)
+    exits_changed = False
     for case, entry in MANIFEST.items():
-        entry["exit"], out = _run(entry["argv"])
-        Path(f"{case}.out").write_text(out)
-    with open("manifest.json", "w") as fh:
-        json.dump(MANIFEST, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        code, out = _run(entry["argv"])
+        path = Path(f"{case}.out")
+        if code == entry.get("exit") and path.exists() and path.read_text() == out:
+            continue
+        print(f"changed: {case}")
+        exits_changed |= code != entry.get("exit")
+        entry["exit"] = code
+        path.write_text(out)
+    if exits_changed:
+        with open("manifest.json", "w") as fh:
+            json.dump(MANIFEST, fh, sort_keys=True, indent=1)
+            fh.write("\n")

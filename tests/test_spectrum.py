@@ -111,3 +111,17 @@ def test_wall_signature_fixtures():
 def test_spectrum_json():
     spec = eigen_dimensions(Z4)
     assert spec.to_json() == {"m": 4, "d": [0, 0, 1, 2], "wall_signature": -2}
+
+
+def test_branches_of_one_type_are_summed_once(monkeypatch):
+    """m = 1024 fixed points, each with n = 1, over a genus-0 quotient:
+    d_a = -1 + sum_i (a mod m) / m = a - 1 for a != 0.  The 1024 branches
+    are one (l, n) type, so each d_a takes one term, not 1024."""
+    import torusfibre.spectrum as spectrum
+
+    m = 1024
+    calls = []
+    monkeypatch.setattr(spectrum, "pow", lambda *args: calls.append(args) or pow(*args), raising=False)
+    spec = eigen_dimensions(OrbitData(m, 0, [(m, 1)] * m))
+    assert spec.d == (0, 0, *range(1, m - 1))
+    assert calls == [(1, -1, m)]
