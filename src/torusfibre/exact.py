@@ -435,16 +435,22 @@ class Cyclotomic:
 
     def inverse(self):
         """Multiplicative inverse by the Galois norm: with P the product of
-        the conjugates sigma_t(x), t a unit mod M other than 1, the norm
-        N(x) = x * P is a nonzero rational for x != 0, and x^-1 = P / N(x)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
+        the conjugates sigma_t(x), zeta -> zeta^t for t a unit mod M other
+        than 1, the norm N(x) = x * P is a nonzero rational for x != 0, and
+        x^-1 = P / N(x); x = 0 has N(x) = 0 and raises ZeroDivisionError.
+        No program path reaches it, nor __truediv__ or a negative power,
+        which call it; it stays because bench/layertrace.py wraps it and
+        __truediv__ by name."""
         m = self.conductor
         others = Cyclotomic.from_rational(1, m)
         for t in range(2, m):
             if gcd(t, m) == 1:
-                others = others * self.galois(t)
-        return others * (1 / (self * others).rational_value())
+                conjugate = [0] * m
+                for k, c in enumerate(self.numerators):
+                    conjugate[k * t % m] += c
+                others = others * Cyclotomic(m, conjugate, self.denominator)
+        norm = self * others
+        return others * Fraction(norm.denominator, norm.numerators[0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -477,24 +483,6 @@ class Cyclotomic:
 
     def is_zero(self):
         return not any(self.numerators)
-
-    def is_rational(self):
-        return not any(self.numerators[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError(f"not a rational value: {self!r}")
-        return Fraction(self.numerators[0], self.denominator)
-
-    def galois(self, t):
-        """The Galois map zeta -> zeta^t, for t a unit modulo the conductor."""
-        if gcd(t, self.conductor) != 1:
-            raise ValueError("galois exponent must be a unit mod the conductor")
-        m = self.conductor
-        out = [0] * m
-        for k, c in enumerate(self.numerators):
-            out[(k * t) % m] += c
-        return Cyclotomic(m, out, self.denominator)
 
     def to_mpc(self, prec):
         """The complex value computed at prec bits, as an mpc of mpmath.mp
@@ -538,7 +526,7 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and Fraction(
+            return not any(self.numerators[1:]) and Fraction(
                 self.numerators[0], self.denominator
             ) == other
         if not isinstance(other, Cyclotomic):

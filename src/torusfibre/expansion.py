@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .exact import Cyclotomic, PhaseQ, format_rational
-from .framing import check_level, framing_evaluate
+from .framing import framing_evaluate
 from .localization import ContributionPolynomial
 from .value import Value
 
@@ -151,9 +151,9 @@ def evaluate_invariant(model, k, precision=DEFAULT_PRECISION):
         raise SymbolicPhaseInNumericContext(
             f"cannot evaluate with unresolved phase symbols {tags}"
         )
-    check_level(k, "level k")
-    prec = check_precision(precision, "precision")
+    # framing_evaluate refuses a level below 1, before the precision is read
     fr = framing_evaluate(model.framing, k).q
+    prec = check_precision(precision, "precision")
     phases = [t.q.scale(k).q for t in model.terms]
     conductor = fr.denominator
     for t, phase in zip(model.terms, phases):

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, zip_longest
 from math import comb, factorial, gcd, lcm
-from operator import add, attrgetter
+from operator import add, attrgetter, sub
 
 from .errors import (
     InvariantViolation,
@@ -54,9 +54,16 @@ from .errors import (
     OracleDegreeOverflow,
     ValidationError,
 )
-from .exact import Cyclotomic, PhaseQ, inverse_one_minus_zeta, rational_from_json, reduce_rows
+from .exact import (
+    Cyclotomic,
+    PhaseQ,
+    _prime_factors,
+    inverse_one_minus_zeta,
+    rational_from_json,
+    reduce_rows,
+)
 from .spectrum import mu2_table
-from .strata import root_eigendata
+from .strata import ConjClassSU, root_eigendata
 from .value import Value
 
 __all__ = [
@@ -484,9 +491,11 @@ class ContributionPolynomial(Value):
 
 
 # The values that strata share are module-level caches keyed by the plain
-# values they depend on.  The point route (Cyclotomic.inverse) and the oracle
-# route (inverse_one_minus_zeta) keep separate caches, so the CLI's comparison
-# of the two stays a comparison of independent computations.
+# values they depend on.  The point route (_point_product, the norm identity
+# over each Galois orbit of exponents) and the oracle route (_product of the
+# closed-form inverses of inverse_one_minus_zeta) share no cache and no
+# inverse, so the CLI's comparison of the two stays a comparison of
+# independent computations.
 
 
 def _product(ranks, factor):
@@ -500,22 +509,43 @@ def _product(ranks, factor):
 
 
 @lru_cache(maxsize=None)
-def _point_inverse(m, i):
-    """(1 - zeta_m^i)^{-1} through Cyclotomic.inverse, the Galois norm."""
-    return (1 - Cyclotomic.zeta(m, i)).inverse()
-
-
-@lru_cache(maxsize=None)
-def _point_factor(m, i, r):
-    """(1 - zeta_m^i)^{-r}: a power of _point_inverse, so one inverse per
-    (m, i) serves every r; a negative r is a positive power of 1 - zeta^i."""
-    return _point_inverse(m, i) ** r if r > 0 else (1 - Cyclotomic.zeta(m, i)) ** -r
+def _galois_orbits(m):
+    """(Phi_d(1), the exponents j of order d) for each d > 1 dividing m:
+    1 - zeta_m^j over those j are the conjugates of 1 - zeta_d, and their
+    product, its norm, is Phi_d(1), which is p for d a power of the prime p
+    and 1 otherwise."""
+    out = []
+    for g in range(1, m):
+        if m % g == 0:
+            primes = _prime_factors(m // g)
+            out.append((primes[0] if len(primes) == 1 else 1,
+                        tuple(j for j in range(1, m) if gcd(j, m) == g)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _point_product(ranks):
-    """prod_{i>=1} (1 - zeta_m^i)^{-r_i}, m = len(ranks), on the point route."""
-    return _product(ranks, _point_factor)
+    """prod_{i>=1} (1 - zeta_m^i)^{-r_i}, m = len(ranks), on the point route,
+    with no inverse and no dense product.  Over the exponents of one order
+    d (_galois_orbits) the factors 1 - zeta^j multiply to Phi_d(1), so with
+    P the largest r_j among them their part is Phi_d(1)^{-P} prod_j
+    (1 - zeta^j)^{P - r_j}: every exponent is >= 0 and the smallest is 0.
+    The binomials multiply as one integer vector mod x^m - 1, each factor
+    1 - x^j one rotate-and-subtract pass, and the vector is reduced mod
+    Phi_m once."""
+    m = len(ranks)
+    num = den = 1
+    vec = [1] + [0] * (m - 1)
+    for norm, orbit in _galois_orbits(m):
+        top = max([ranks[j] for j in orbit])
+        if top > 0:
+            den *= norm**top
+        else:
+            num *= norm**-top
+        for j in orbit:
+            for _ in range(top - ranks[j]):
+                vec = list(map(sub, vec, vec[-j:] + vec[:-j]))
+    return Cyclotomic(m, vec).scaled(num, den)
 
 
 @lru_cache(maxsize=None)
@@ -559,13 +589,16 @@ def _w2(m, n):
 
 
 @lru_cache(maxsize=None)
-def _eigen_ranks(m, n, rank, c):
+def _eigen_ranks(m, n, rank, residues, denominator):
     """The canonical ranks of E^nu, nu = 0..m-1, at a fixed point with
-    rotation number n and class c (the root count r^nu, plus rank G at
-    nu = 0), and their sums sum_nu w2[nu][j] rank(E^nu) per j."""
-    ranks = tuple(r + (rank if nu == 0 else 0) for nu, r in enumerate(root_eigendata(c, m)))
+    rotation number n and the SU(N) class of angles residues / denominator
+    (the root count r^nu, plus rank G at nu = 0), and their sums
+    sum_nu w2[nu][j] rank(E^nu) per j.  Keyed by ints, so that a lookup
+    hashes no class."""
+    ranks = root_eigendata(ConjClassSU(len(residues), residues, denominator), m)
+    ranks[0] += rank
     w2 = _w2(m, n)
-    return ranks, tuple(sum(w2[nu][j] * ranks[nu] for nu in range(m)) for j in range(m))
+    return tuple(ranks), tuple(sum(w2[nu][j] * ranks[nu] for nu in range(m)) for j in range(m))
 
 
 @lru_cache(maxsize=None)
@@ -584,17 +617,18 @@ def point_contribution(ranks, z_delta_order):
     """(1/|Z_delta|) prod_{i=1}^{m-1} (1 - zeta_m^i)^{-r_i} for a
     zero-dimensional stratum.
 
-    The negative powers are powers of (1 - zeta_m^i)^{-1} from
-    Cyclotomic.inverse, a product of Galois conjugates over the norm, taken
-    once per (m, i).  The oracle route (smooth_contribution with a
-    trivial oracle) takes (1 - zeta^j)^{-1} from the closed form of
-    inverse_one_minus_zeta instead, so the CLI's certificate that the two
-    agree compares independent computations."""
+    The product comes from the norm identity prod_{u in (Z/d)^x}
+    (1 - zeta_d^u) = Phi_d(1) (_point_product): a rational times
+    nonnegative powers of binomials 1 - zeta^j, with no inverse.  The
+    oracle route (smooth_contribution with a trivial oracle) takes
+    (1 - zeta^j)^{-1} from the closed form of inverse_one_minus_zeta
+    instead, so the CLI's certificate that the two agree compares
+    independent computations."""
     if ranks[0] != 0:
         raise NotZeroDimensional(
             f"stratum has r_0 = {ranks[0]}; the closed form needs r_0 = 0"
         )
-    return _point_product(tuple(ranks)) * Fraction(1, z_delta_order)
+    return _point_product(tuple(ranks)).scaled(1, z_delta_order)
 
 
 def lambda_inverse_expansion(data, stratum, group, oracle):
@@ -612,7 +646,8 @@ def lambda_inverse_expansion(data, stratum, group, oracle):
             f"dimension {stratum.d_c}"
         )
     rotations = [n for _, n in data.branches]
-    eigen = [_eigen_ranks(m, n, group.rank, c) for n, c in zip(rotations, stratum.c_delta)]
+    eigen = [_eigen_ranks(m, n, group.rank, c.residues, c.denominator)
+             for n, c in zip(rotations, stratum.c_delta)]
     ranks = [r for r, _ in eigen]
     sums = [sum(col) for col in zip(*(s for _, s in eigen))] or [0] * m
     for j in range(1, m):

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedOrbitStructure,
     ValidationError,
 )
-from .orbit import total_genus, validate_orbit
+from .orbit import validate_orbit
 from .spectrum import check_branch_terms, mu2_table
 from .value import Value
 
@@ -323,15 +323,17 @@ def stratum_ranks(data, group, vector):
 
     Only valid when every branch orbit is a single fixed point (l_s = m); the
     holomorphic fixed point count behind the formula has no extension to
-    larger orbits here, so anything else is refused.
+    larger orbits here, so anything else is refused.  For b fixed points
+    over a quotient of genus g_q, Riemann-Hurwitz reads 2 (g - 1) =
+    2 m (g_q - 1) + b (m - 1), so no genus is computed per vector: data is
+    a valid orbit (enumerate_strata validates it, once per call).
     """
     if not data.branches or any(l != data.m for l, _ in data.branches):
         raise UnsupportedOrbitStructure(
             "rank formula needs every branch orbit to be a fixed point (l = m)"
         )
     m = data.m
-    g = total_genus(data)
-    base = 2 * group.dim_G * (g - 1)
+    base = group.dim_G * (2 * m * (data.quotient_genus - 1) + len(data.branches) * (m - 1))
     ranks = []
     for i, v in enumerate(vector):
         a = base + v
@@ -341,8 +343,8 @@ def stratum_ranks(data, group, vector):
         if rest:
             raise NonIntegralRank(f"rank r_{i} = {_ratio(a, 2 * m)} is not an integer")
         ranks.append(val)
-    if sum(ranks) != (g - 1) * group.dim_G:
+    if 2 * sum(ranks) != base:
         raise InvariantViolation(
-            f"ranks sum to {sum(ranks)}, expected (g-1) dim G = {(g - 1) * group.dim_G}"
+            f"ranks sum to {sum(ranks)}, expected (g-1) dim G = {base // 2}"
         )
     return tuple(ranks), ranks[0]

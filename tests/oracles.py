@@ -1,7 +1,9 @@
 """Literal routes that the tests compare the production closed forms with.
 
 None of this runs outside the tests: extended Euclid over Fraction
-polynomials as the reference for Cyclotomic.inverse, cyclotomic
+polynomials as the reference for Cyclotomic.inverse, the Galois maps of
+Cyclotomic values, their rational values, and the point product with
+each (1 - zeta^i)^{-1} a Galois-norm inverse (norm_point_product), cyclotomic
 polynomials as full-length products and quotients of binomials as the
 reference for cyclotomic_polynomial, the brute-force root-of-unity sum for
 mu, complex conjugation and float evaluation of Cyclotomic values, their
@@ -227,12 +229,57 @@ def mu_bruteforce(m, n, a):
     return Cyclotomic(m, [-int(c) for c in reduced], m)
 
 
+# -- Galois maps, rational values and the Galois-norm point route -------------
+
+
+def galois(x, t):
+    """The Galois map zeta -> zeta^t of x, for t a unit modulo the conductor."""
+    if gcd(t, x.conductor) != 1:
+        raise ValueError("galois exponent must be a unit mod the conductor")
+    m = x.conductor
+    out = [0] * m
+    for k, c in enumerate(x.numerators):
+        out[(k * t) % m] += c
+    return Cyclotomic(m, out, x.denominator)
+
+
+def is_rational(x):
+    return not any(x.numerators[1:])
+
+
+def rational_value(x):
+    if not is_rational(x):
+        raise ValueError(f"not a rational value: {x!r}")
+    return Fraction(x.numerators[0], x.denominator)
+
+
+def norm_point_product(ranks):
+    """prod_{i>=1} (1 - zeta_m^i)^{-r_i}, m = len(ranks), with each
+    (1 - zeta^i)^{-1} by the Galois norm: P / N(x) for x = 1 - zeta^i, P the
+    product of its conjugates other than x and N(x) = x P rational.  The
+    point route before the norm identity over whole Galois orbits replaced
+    it."""
+    m = len(ranks)
+    acc = Cyclotomic.from_rational(1, m)
+    for i in range(1, m):
+        x = 1 - Cyclotomic.zeta(m, i)
+        if ranks[i] > 0:
+            others = Cyclotomic.from_rational(1, m)
+            for t in range(2, m):
+                if gcd(t, m) == 1:
+                    others = others * galois(x, t)
+            x = others * (1 / rational_value(x * others))
+        if ranks[i]:
+            acc = acc * x ** abs(ranks[i])
+    return acc
+
+
 # -- complex conjugation and float evaluation -----------------------------------
 
 
 def conjugate(x):
     """The Galois map zeta -> zeta^-1, i.e. complex conjugation."""
-    return x.galois(x.conductor - 1) if x.conductor > 1 else x
+    return galois(x, x.conductor - 1) if x.conductor > 1 else x
 
 
 def to_complex(x):

@@ -23,7 +23,9 @@ from oracles import (
     conj_class_from_angles,
     framing_B_fractions,
     is_central,
+    is_rational,
     phase_series_fractions,
+    rational_value,
     seifert_b_fractions,
     translate,
 )
@@ -53,8 +55,8 @@ def trace_average(data):
         acc = Cyclotomic.from_rational(0, m)
         for beta, tr in enumerate(traces):
             acc = acc + tr * Cyclotomic.zeta(m, (-a * beta) % m)
-        assert acc.is_rational()
-        out.append(acc.rational_value() / m)
+        assert is_rational(acc)
+        out.append(rational_value(acc) / m)
     return out
 
 

@@ -1,10 +1,14 @@
+import json
+import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
+from pathlib import Path
 
 import pytest
 
 from conftest import FREE2, HYPER, M5, Z3, Z4, clear_caches, is_asymmetric, random_asymmetric_orbits
-from oracles import euclid_inverse, lambda_inverse_dict, todd_log_series
+from oracles import euclid_inverse, lambda_inverse_dict, norm_point_product, todd_log_series
 from torusfibre.errors import (
     InvariantViolation,
     MissingChernData,
@@ -309,6 +313,94 @@ def test_memo_scalars_match_direct_products():
     assert kept < strata_seen and strata_seen > 2 * len(suite)
 
 
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+# the orbits of the golden cases with rank data, and their groups there
+GOLDEN_RANKED = [("hyper", (2, 3, 4)), ("m5", (2, 3)), ("p17", (2,)), ("z3", (2, 3)),
+                 ("z4", (2, 3)), ("z4_g1", (2, 3, 4))]
+
+
+def _golden_rank_tuples():
+    out = set()
+    for name, groups in GOLDEN_RANKED:
+        data = OrbitData.from_json(json.loads((GOLDEN_INPUTS / f"{name}.json").read_text()))
+        for N in groups:
+            out |= {s.ranks for s in enumerate_strata(data, GroupData(N))}
+    return sorted(out)
+
+
+def test_point_product_matches_both_routes_on_golden_rank_tuples():
+    """The norm identity route equals the Galois-norm point route it
+    replaced and the closed-form oracle route, on every rank tuple of the
+    golden orbits (611 tuples, m up to 17)."""
+    tuples = _golden_rank_tuples()
+    assert len(tuples) > 600 and {len(t) for t in tuples} == {2, 3, 4, 5, 17}
+    for ranks in tuples:
+        got = localization._point_product(ranks)
+        assert got == norm_point_product(ranks) == localization._prefactor(ranks), ranks
+
+
+POINT_CONDUCTORS = [2, 3, 4, 5, 8, 9, 12, 15, 21, 25, 27, 29, 30, 35, 49]
+
+
+@pytest.mark.parametrize("m", POINT_CONDUCTORS)
+def test_point_product_matches_both_routes_on_random_ranks(m):
+    """Seeded tuples with ranks of both signs; in half of them every
+    exponent of one order d carries one rank, so that the Phi_d(1)
+    extraction takes the whole group, with a positive or a negative power
+    of Phi_d(1).  Each group is taken whole at least once."""
+    rng = random.Random(f"point-{m}")
+    orbits = localization._galois_orbits(m)
+    assert sorted(j for _, orbit in orbits for j in orbit) == list(range(1, m))
+    for norm, orbit in orbits:
+        # the exponents of order d, and Phi_d(1): p for d a power of p, else 1
+        d = m // gcd(orbit[0], m)
+        assert [j for j in range(1, m) if m // gcd(j, m) == d] == list(orbit)
+        primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
+        assert norm == (primes[0] if len(primes) == 1 else 1)
+    # few scattered ranks where the Galois-norm route is slow
+    nonzero = min(m - 1, 4 if m > 20 else 6)
+    wholes = list(orbits) + [rng.choice(orbits) for _ in range(4)]
+    for norm, orbit in wholes:
+        for whole in (False, True):
+            ranks = [0] * m
+            for j in rng.sample(range(1, m), rng.randint(1, nonzero)):
+                ranks[j] = rng.choice([-3, -2, -1, 1, 2, 3])
+            if whole:
+                rank = rng.choice([-2, -1, 1, 2])
+                for j in orbit:
+                    ranks[j] = rank
+            ranks = tuple(ranks)
+            got = localization._point_product(ranks)
+            assert got == norm_point_product(ranks) == localization._prefactor(ranks), ranks
+
+
+def test_point_route_builds_one_element_per_rank_tuple(monkeypatch):
+    """point_contribution on the golden point strata builds one Cyclotomic
+    per distinct rank tuple, by one reduction, and multiplies and inverts
+    nothing."""
+    counts = {"construct": 0, "mul": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Cyclotomic, "__init__", counted("construct", Cyclotomic.__init__))
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted("mul", Cyclotomic.__mul__))
+    monkeypatch.setattr(Cyclotomic, "inverse", counted("inverse", Cyclotomic.inverse))
+    points = []
+    for name, groups in GOLDEN_RANKED:
+        data = OrbitData.from_json(json.loads((GOLDEN_INPUTS / f"{name}.json").read_text()))
+        strata = [s for N in groups for s in enumerate_strata(data, GroupData(N))]
+        points += [s for s in strata if s.d_c == 0]
+    for s in points:
+        point_contribution(s.ranks, s.z_delta_order)
+    distinct = len({s.ranks for s in points})
+    assert len(points) > distinct > 100
+    assert counts == {"construct": distinct, "mul": 0, "inverse": 0}
+
+
 def test_rank_certificate_runs_with_a_warm_memo():
     s = _z3_stratum()
     smooth_contribution(Z3, s, SU2, _toy_oracle(), PhaseQ(0))
@@ -330,7 +422,7 @@ def test_rank_certificate_runs_with_filled_tables():
         smooth_contribution(data, good, SU2, oracle, PhaseQ(0))
         filled = eigen_ranks.cache_info()
         for (_, n), c in zip(data.branches, good.c_delta):
-            eigen_ranks(data.m, n, SU2.rank, c)
+            eigen_ranks(data.m, n, SU2.rank, c.residues, c.denominator)
         assert eigen_ranks.cache_info().misses == filled.misses
         for j in range(1, data.m):
             ranks = list(good.ranks)
@@ -376,15 +468,22 @@ def test_memo_routes_read_their_own_inverses(monkeypatch):
     # caches filled by the oracle route must not feed the point route, nor
     # the other way round
     points = [s for s in enumerate_strata(M5, SU2) if s.d_c == 0]
-    for s in points:
-        smooth_contribution(M5, s, SU2, CohomologyOracle.trivial(), PhaseQ(0))
+    values = [
+        smooth_contribution(M5, s, SU2, CohomologyOracle.trivial(), PhaseQ(0)).coefficients
+        for s in points
+    ]
 
-    def refuse(self):
-        raise AssertionError("Cyclotomic.inverse called")
+    def refuse(*args):
+        raise AssertionError("oracle route read")
 
+    # the point route, on the caches the oracle route filled, reads neither
+    # inverse_one_minus_zeta nor the oracle caches, and inverts nothing
+    for name in ("inverse_one_minus_zeta", "_oracle_inverses", "_oracle_factor", "_prefactor"):
+        monkeypatch.setattr(localization, name, refuse)
+    monkeypatch.setattr("torusfibre.exact.inverse_one_minus_zeta", refuse)
     monkeypatch.setattr(Cyclotomic, "inverse", refuse)
-    with pytest.raises(AssertionError, match="Cyclotomic.inverse"):
-        point_contribution(points[0].ranks, points[0].z_delta_order)
+    for s, value in zip(points, values):
+        assert [point_contribution(s.ranks, s.z_delta_order)] == value
     monkeypatch.undo()
 
     clear_caches()

@@ -21,9 +21,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Read by bench/layertrace.py (Cyclotomic.coeffs for its size counters, the
 # others wrapped by name); they leave src/ when in-program spans replace it.
+# Cyclotomic.inverse has no program caller since the point route takes the
+# norm identity, but Tracer.install reads it from the class by name, so
+# deleting it would make every traced run raise KeyError.
 TRACER_NAMES = {
     ("exact.py", "Cyclotomic.coeffs"),
     ("exact.py", "Cyclotomic.__truediv__"),
+    ("exact.py", "Cyclotomic.inverse"),
     ("spectrum.py", "lefschetz_trace"),
     ("spectrum.py", "mu_value"),
 }

@@ -230,8 +230,8 @@ def test_an_equal_class_hits_the_eigen_rank_cache():
     first, second = (ConjClassSU.from_residues(3, [1, 2, 3], 6) for _ in range(2))
     assert first == second and first is not second
     eigen_ranks = localization._eigen_ranks
-    value = eigen_ranks(6, 1, 2, first)
+    value = eigen_ranks(6, 1, 2, first.residues, first.denominator)
     before = eigen_ranks.cache_info()
-    assert eigen_ranks(6, 1, 2, second) == value
+    assert eigen_ranks(6, 1, 2, second.residues, second.denominator) == value
     after = eigen_ranks.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
