@@ -47,11 +47,17 @@ EXIT_IO = 3
 
 
 def _load_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise json.JSONDecodeError("arrays or objects nested too deeply", "", 0) from None
+    """The JSON value in the file at ``path``, read as bytes and decoded as
+    UTF-8, as RFC 8259 fixes for exchanged JSON text, whatever the locale.
+    Bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError (exit
+    1); a byte order mark, which json refuses, and nesting too deep for the
+    parser raise JSONDecodeError (exit 3)."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("arrays or objects nested too deeply", "", 0) from None
 
 
 def _load_orbit(path):
@@ -70,6 +76,7 @@ def _emit(obj, fmt):
 
 _CHUNK = 1 << 16  # characters per write
 _INF = float("inf")
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _flush(parts, out, last=False):
@@ -88,9 +95,6 @@ def _write_json(obj, out):
     default=lambda o: o.to_json()) + "\\n"`` to ``out`` in writes of at least
     _CHUNK characters (but the last), without building the whole text: a
     value with a ``to_json`` method stands for what that method returns."""
-    quote = json.encoder.encode_basestring_ascii
-    # leaves of exactly these types; subclasses take the isinstance route
-    leaves = {str: quote, int: int.__repr__, float: _scalar, bool: _scalar, type(None): _scalar}
     top = []
 
     def put(o, depth):
@@ -114,10 +118,10 @@ def _write_json(obj, out):
             label = sep
             if keyed:
                 # json writes number, bool and None keys as their text; any
-                # other key type fails in quote()
+                # other key type fails in _quote()
                 k, v = v
-                label += quote(k if isinstance(k, str) else _scalar(k)) + ": "
-            leaf = leaves.get(type(v))
+                label += _quote(k if isinstance(k, str) else _scalar(k)) + ": "
+            leaf = _LEAVES.get(type(v))
             if leaf is not None:
                 top.append(label + leaf(v))
             else:
@@ -150,7 +154,6 @@ def _write_strata(strata, out):
     and a class sits at the same depth in ``classes`` and ``c_delta``.  A
     class has N >= 1 angles and ranks m >= 2 entries, so only a tuple of
     classes can be empty."""
-    quote = json.encoder.encode_basestring_ascii
     texts = {}  # id of a class or a ranks tuple -> its text
 
     def classes(cs):
@@ -158,7 +161,7 @@ def _write_strata(strata, out):
         for c in cs:
             text = texts.get(id(c))
             if text is None:
-                angles = ",\n          ".join(map(quote, c.to_json()))
+                angles = ",\n          ".join(map(_quote, c.to_json()))
                 text = texts[id(c)] = "[\n          " + angles + "\n        ]"
             items.append(text)
         return "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
@@ -189,7 +192,7 @@ def _scalar(o):
     """The JSON text of a str, None, bool, int or float as ``json`` writes
     it, else None."""
     if isinstance(o, str):
-        return json.encoder.encode_basestring_ascii(o)
+        return _quote(o)
     if o is None or o is True or o is False:
         return "null" if o is None else "true" if o else "false"
     if isinstance(o, int):
@@ -199,6 +202,10 @@ def _scalar(o):
             return "NaN"
         return "Infinity" if o == _INF else "-Infinity" if o == -_INF else float.__repr__(o)
     return None
+
+
+# _write_json's leaves of exactly these types; subclasses take the isinstance route
+_LEAVES = {str: _quote, int: int.__repr__, float: _scalar, bool: _scalar, type(None): _scalar}
 
 
 def _print_table(obj, indent=0):
@@ -509,32 +516,48 @@ def build_parser():
     return parser
 
 
+# What _fast_parse reads, built once here: the top-level options, and per
+# command its handler, its options by flag and, in help order, the (flag,
+# attribute, default, required) argparse fills its namespace from
+_FAST_TOP = {"--format": {"choices": FORMATS}}
+_FAST_COMMANDS = {
+    name: (COMMANDS[name][0], dict(options), tuple(
+        (flag, kwargs.get("dest", flag[2:].replace("-", "_")),
+         False if kwargs.get("action") == "store_true" else kwargs.get("default"),
+         kwargs.get("required", False))
+        for flag, kwargs in options
+    ))
+    for name in COMMANDS for options in [_options(name)]
+}
+
+
 def _fast_parse(argv):
     """The namespace ``build_parser().parse_args(argv)`` returns when argv is
     an optional top-level --format, a command and exact long flags of that
     command, each given once as ``--flag value`` or ``--flag=value`` with a
     value that is not empty and does not start with "-"; None for anything
-    else, which is left to argparse (help, usage errors, abbreviations)."""
+    else, which is left to argparse (help, usage errors, abbreviations).
+    Its tables (_FAST_TOP, _FAST_COMMANDS) are built once at import; nothing
+    that depends on argv is kept between calls."""
     top = {}
     i = 0
     if argv and argv[0].partition("=")[0] == "--format":
-        i = _fast_option(argv, 0, {"--format": {"choices": FORMATS}}, top)
-    if i is None or i >= len(argv) or argv[i] not in COMMANDS:
+        i = _fast_option(argv, 0, _FAST_TOP, top)
+    if i is None or i >= len(argv) or argv[i] not in _FAST_COMMANDS:
         return None
     name = argv[i]
-    options = dict(_options(name))
+    func, options, fields = _FAST_COMMANDS[name]
     given = {}
     i += 1
     while i is not None and i < len(argv):
         i = _fast_option(argv, i, options, given)
     if i is None:
         return None
-    args = SimpleNamespace(format=top.get("--format"), command=name, func=COMMANDS[name][0])
-    for flag, kwargs in options.items():
-        if flag not in given and kwargs.get("required"):
+    args = SimpleNamespace(format=top.get("--format"), command=name, func=func)
+    for flag, attr, default, required in fields:
+        if required and flag not in given:
             return None
-        default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
-        setattr(args, kwargs.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+        setattr(args, attr, given.get(flag, default))
     return args
 
 

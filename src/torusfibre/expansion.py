@@ -14,6 +14,7 @@ functions of the recovery, so that no other command pays for loading it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
 from operator import attrgetter
 
@@ -91,9 +92,17 @@ class InvariantModel(Value):
 
 
 def _merge_key(q):
+    """A PhaseQ phase by the ints of its q in lowest terms, a symbolic phase
+    by its text."""
     if isinstance(q, PhaseQ):
-        return (0, q.q)
-    return (1, str(q))
+        return q.q.numerator, q.q.denominator
+    return str(q)
+
+
+def _phase_cmp(a, b):
+    """The sign of p/d - p'/d' for PhaseQ merge keys a = (p, d) and
+    b = (p', d'), d, d' > 0, by cross-multiplication."""
+    return a[0] * b[1] - b[0] * a[1]
 
 
 def _total(parts):
@@ -119,7 +128,9 @@ def assemble_invariant(data, group, contributions, framing):
     added to a coefficient are kept in a list and summed by _total when it
     is read.  After each merge a zero top coefficient is dropped, so a
     coefficient that reappears later starts afresh, with the conductor of
-    the values added since."""
+    the values added since.  Buckets are keyed by _merge_key, so no
+    Fraction is hashed, and ordered once at the end: phases by value, then
+    symbolic phases by text."""
     buckets = {}
     for contrib in contributions:
         key = _merge_key(contrib.q)
@@ -134,8 +145,11 @@ def assemble_invariant(data, group, contributions, framing):
                 parts.append([c])
         while len(parts) > 1 and _total(parts[-1]).is_zero():
             parts.pop()
+    phases = [key for key in buckets if isinstance(key, tuple)]
+    order = sorted(phases, key=cmp_to_key(_phase_cmp))
+    order += sorted(key for key in buckets if isinstance(key, str))
     terms = [ContributionPolynomial(coefficients=list(map(_total, parts)), q=q)
-             for q, parts in map(buckets.get, sorted(buckets))]
+             for q, parts in map(buckets.get, order)]
     return InvariantModel(framing=framing, terms=terms)
 
 

@@ -161,9 +161,14 @@ def enumerate_strata(data, group):
     visited and the stabilizer order is g over the H-orbit size.  Classes
     are numbered in angle order per branch, so a tuple of numbers orders as
     its classes do: the first tuple met in an H-orbit is its least member,
-    and representatives come out sorted.  The class list of each (l, z) is
-    built once, and the tuples to visit are counted from the lists and
-    refused above MAX_TUPLES before any is visited.
+    and representatives come out sorted.  H-orbits are taken on tuple
+    codes, a tuple's index in product order: each shift has one table per
+    branch, so an image code is one sum of table entries and the tuples
+    seen are ints.  The permutation a shift makes of a class list is built
+    once per distinct l: l fixes the list and, through m_i = m / l, the
+    shifts.  The class list of
+    each (l, z) is built once, and the tuples to visit are counted from the
+    lists and refused above MAX_TUPLES before any is visited.
 
     Ranks are attached when the rank formula applies (every branch orbit a
     fixed point), else left None.  Each class of each branch gets its branch
@@ -206,17 +211,30 @@ def enumerate_strata(data, group):
             continue
         reps = product(*(range(len(cs)) for cs in per_branch))
         if g > 1:
-            # perms[i][j][a]: the number of class a of branch i moved by the j-th shift
-            perms = []
+            # perms[l][j][a]: the number of class a of the list of l moved by
+            # the j-th shift; m_i = m / l, so l fixes the list and the shifts
+            perms = {}
             for cs, (l, _), ts in zip(per_branch, data.branches, shifts):
-                number = {c.moved(N * l): a for a, c in enumerate(cs)}
-                perms.append([[number[c.moved(N * l, t * l)] for c in cs] for t in ts])
+                if l not in perms:
+                    rows = [[c.moved(N * l, t * l) for c in cs] for t in ts]
+                    number = {angles: a for a, angles in enumerate(rows[0])}  # ts[0] = 0
+                    perms[l] = [[number[angles] for angles in row] for row in rows]
+            # a tuple's code is its index in product order: branch i weighs
+            # the product of the later list sizes; tables[j - 1][i][a] is that
+            # weight times perms[l_i][j][a], for each shift j > 0
+            weights = [prod(map(len, per_branch[i + 1:])) for i in range(len(per_branch))]
+            tables = [
+                [[w * a for a in perms[l][j]] for w, (l, _) in zip(weights, data.branches)]
+                for j in range(1, g)
+            ]
             seen = set()
             found = []
-            for combo in reps:
-                if combo in seen:
+            for code, combo in enumerate(reps):
+                if code in seen:
                     continue
-                orbit = {tuple(p[j][a] for p, a in zip(perms, combo)) for j in range(g)}
+                orbit = {code}
+                for table in tables:
+                    orbit.add(sum(map(getitem, table, combo)))
                 seen |= orbit
                 found.append((combo, g // len(orbit)))
         else:

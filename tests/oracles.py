@@ -15,7 +15,9 @@ integer route as a dict over the basis monomials (lambda_inverse_dict),
 the per-tuple convolution behind the stratum ranks, the Seifert b, the
 framing exponent B and the phase series coefficients as one Fraction per
 term (the loops their integer forms replaced), the Burnside count
-through one translated class per (class, z'), and the merge of stratum
+through one translated class per (class, z'), the center orbits of
+class tuples and the strata as least members of those orbits over all
+legal tuples (strata_by_brute_force), and the merge of stratum
 contributions by one Cyclotomic addition per coefficient pair
 (assemble_pairwise).  The two localization
 references, the literal route (RefRing) and the root reference, live in
@@ -33,6 +35,7 @@ class times a center element.
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial, gcd, lcm
 
 import numpy as np
@@ -553,6 +556,34 @@ def count_strata_burnside_translate(data, group):
             total += fixed
     assert total % N == 0, (total, N)
     return total // N
+
+
+def center_orbit(data, N, z, classes):
+    """The orbit of the tuple (z, classes) under the whole center of SU(N):
+    zeta_N^{z'} takes it to (z + m z', c_i zeta_N^{z' m_i}), each class
+    moved by translate."""
+    sizes = data.orbit_sizes()
+    return {
+        ((z + data.m * zp) % N, tuple(translate(c, zp * mi) for c, mi in zip(classes, sizes)))
+        for zp in range(N)
+    }
+
+
+def strata_by_brute_force(data, N):
+    """(z, classes, |Z_delta|) per center orbit of all legal tuples, z < N
+    and c_i^{l_i} = zeta_N^z: the least member of the orbit in (z, angles)
+    and N over the orbit size, in that order."""
+    def key(member):
+        return member[0], tuple(map(angles, member[1]))
+
+    seen, out = set(), []
+    for z in range(N):
+        for combo in product(*(classes_with_power_central(N, l, z) for l, _ in data.branches)):
+            if (z, combo) not in seen:
+                orbit = center_orbit(data, N, z, combo)
+                seen |= orbit
+                out.append((*min(orbit, key=key), N // len(orbit)))
+    return sorted(out, key=key)
 
 
 def angles(c):

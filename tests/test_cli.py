@@ -165,6 +165,39 @@ def test_deeply_nested_json_is_io_error(tmp_path, capsys):
     assert err.startswith("i/o error: ") and "nested too deeply" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "seifert", "spectrum", "strata"])
+def test_crlf_line_ends_give_the_same_output(tmp_path, capsys, command):
+    text = json.dumps(HYPER_JSON, indent=2) + "\n"
+    (tmp_path / "lf.json").write_bytes(text.encode())
+    (tmp_path / "crlf.json").write_bytes(text.replace("\n", "\r\n").encode())
+    lf = run(capsys, command, "--orbit", str(tmp_path / "lf.json"))
+    assert lf[0] == 0
+    assert run(capsys, command, "--orbit", str(tmp_path / "crlf.json")) == lf
+
+
+def test_utf8_byte_order_mark_is_io_error(tmp_path, capsys):
+    # RFC 8259 forbids a BOM in exchanged JSON text; it is not skipped
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(HYPER_JSON).encode())
+    code, out, err = run(capsys, "validate", "--orbit", str(path))
+    assert (code, out) == (3, "")
+    assert err == (
+        "i/o error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"
+    )
+
+
+def test_bytes_that_are_not_utf8_are_invalid_input(tmp_path, capsys):
+    text = json.dumps(HYPER_JSON).encode()
+    path = tmp_path / "latin.json"
+    path.write_bytes(text[:10] + b"\xff" + text[10:])
+    code, out, err = run(capsys, "seifert", "--orbit", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "invalid input: 'utf-8' codec can't decode byte 0xff in position 10: "
+        "invalid start byte\n"
+    )
+
+
 def test_short_fit_sample_line_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     path.write_text("k,re,im\n1,1.0\n")

@@ -54,6 +54,17 @@ def test_assemble_keeps_symbols_apart():
     assert len(model.terms) == 2
 
 
+def test_assemble_orders_phases_by_value_then_tags_by_text():
+    # numerator and denominator orders both differ from the value order here
+    rng = random.Random("assemble-order")
+    qs = {F(rng.randrange(d), d) for d in range(1, 31) for _ in range(3)}
+    contributions = [_poly(PhaseQ(q), 1) for q in qs] + [_poly(t, 1) for t in ("q2", "q10", "q1")]
+    rng.shuffle(contributions)
+    model = assemble_invariant(None, SU2, contributions, FLAT)
+    assert [t.q for t in model.terms[:len(qs)]] == [PhaseQ(q) for q in sorted(qs)]
+    assert [t.q for t in model.terms[len(qs):]] == ["q1", "q10", "q2"]
+
+
 def _random_coefficient(rng, m):
     """A Cyclotomic of conductor 1, m, 2m or 3m, a zero one time in five."""
     conductor = rng.choice([1, m, 2 * m, 3 * m])

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import gcd, prod
@@ -20,10 +21,12 @@ from conftest import (
 from oracles import (
     angles,
     branch_vector_sum,
+    center_orbit,
     conj_class_from_angles,
     count_strata_burnside_translate,
     is_central,
     stratum_ranks_convolution,
+    strata_by_brute_force,
     translate,
 )
 from torusfibre.errors import IncompatibleClass, UnsupportedOrbitStructure
@@ -32,6 +35,7 @@ from torusfibre.orbit import OrbitData, total_genus
 from torusfibre import cli, strata
 from torusfibre.strata import (
     MAX_TUPLES,
+    ConjClassSU,
     classes_with_power_central,
     count_strata_burnside,
     enumerate_strata,
@@ -95,8 +99,6 @@ def test_enumeration_completeness_small():
         (OrbitData(2, 1, [(2, 1), (2, 1)]), SU3),
     ]:
         N = group.N
-        m = data.m
-        sizes = data.orbit_sizes()
         legal = set()
         for z in range(N):
             pools = [classes_with_power_central(N, l, z) for l, _ in data.branches]
@@ -104,15 +106,52 @@ def test_enumeration_completeness_small():
                 legal.add((z, combo))
         regenerated = []
         for s in enumerate_strata(data, group):
-            orbit = set()
-            for zp in range(N):
-                z2 = (s.z + m * zp) % N
-                cl2 = tuple(translate(c, zp * mi) for c, mi in zip(s.classes, sizes))
-                orbit.add((z2, cl2))
+            orbit = center_orbit(data, N, s.z, s.classes)
             assert len(orbit) * s.z_delta_order == N
             regenerated.extend(orbit)
         assert len(regenerated) == len(set(regenerated))
         assert set(regenerated) == legal
+
+
+def _shift_rows(data, N):
+    """The distinct rows of center shifts, one per orbit size m_i: the
+    subgroup H of order g = gcd(m, N) moves branch i by h m_i mod N."""
+    step = N // gcd(data.m, N)
+    return {tuple(h * mi % N for h in range(0, N, step)) for mi in data.orbit_sizes()}
+
+
+@pytest.mark.parametrize("N, orders", [(2, (4, 6, 8, 10, 12)), (3, (3, 6, 9, 12)), (4, (4, 8, 12))])
+def test_center_orbits_match_the_brute_force_expansion(N, orders):
+    """enumerate_strata's (z, classes, |Z_delta|) in order against the least
+    members of the orbits of every legal tuple under the whole center, on
+    seeded asymmetric data with g = gcd(m, N) = N > 1: fixed-point data
+    with mixed rotation numbers, and data with orbits of m/l > 1 points,
+    whose branches the center moves by different shifts."""
+    group = GroupData(N)
+
+    def visits(data):
+        return sum(
+            prod(len(classes_with_power_central(N, l, z)) for l, _ in data.branches)
+            for z in range(N)
+        )
+
+    suite = []
+    for fixed_points_only in (False, True):
+        drawn = random_asymmetric_orbits(
+            60 + N + 10 * fixed_points_only, 300, orders,
+            max_branches=4, fixed_points_only=fixed_points_only,
+        )
+        kept = [
+            d for d in drawn
+            if len(d.branches) >= 2 and is_asymmetric(d) and visits(d) <= 1500
+            and (fixed_points_only or len(_shift_rows(d, N)) > 1)
+        ]
+        suite += [d for i, d in enumerate(kept) if d not in kept[:i]][:5]
+    assert len(suite) >= 5 and all(gcd(d.m, N) == N for d in suite)
+    assert any(len({n for _, n in d.branches}) > 1 for d in suite)
+    for data in suite:
+        got = [(s.z, s.classes, s.z_delta_order) for s in enumerate_strata(data, group)]
+        assert got == strata_by_brute_force(data, N)
 
 
 def test_z_delta_divides_center():
@@ -257,6 +296,18 @@ def test_strata_builds_each_branch_vector_once(monkeypatch, capsys):
     assert len(vectors) == len(classes_with_power_central(3, 4, 0))
     assert all(args[:3] == (4, 2, 1) for args in vectors)
     assert ranks and all(len(vector) == 4 for _, _, vector in ranks)
+
+
+def test_center_shifts_move_each_class_once_per_branch_type(monkeypatch):
+    """Z4 SU(2), g = gcd(4, 2) = 2: the four branches share (l, n) = (4, 1),
+    so enumerate_strata moves each class of a list once per center shift,
+    for all four branches at once, and not once per branch."""
+    count = count_strata_burnside_translate(Z4, SU2)
+    calls, moved = [], ConjClassSU.moved
+    monkeypatch.setattr(ConjClassSU, "moved", lambda c, *args: calls.append(c) or moved(c, *args))
+    assert len(enumerate_strata(Z4, SU2)) == count
+    lists = [classes_with_power_central(2, 4, z) for z in range(2)]
+    assert Counter(calls) == Counter({c: 2 for cs in lists for c in cs})
 
 
 def _refuse(*args):
