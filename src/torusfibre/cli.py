@@ -7,6 +7,7 @@ input, 2 violated internal consistency check, 3 I/O trouble.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import sys
@@ -414,7 +415,9 @@ def _cmd_invariant(args):
 
 def _cmd_fit(args):
     samples = []
-    with open(args.samples) as fh:
+    # the bytes decoded as UTF-8 whatever the locale, a leading byte order
+    # mark dropped; StringIO splits the lines as a text-mode open does
+    with open(args.samples, "rb") as raw, io.StringIO(raw.read().decode("utf-8-sig"), newline=None) as fh:
         first = True
         for number, line in enumerate(fh, 1):
             line = line.strip()

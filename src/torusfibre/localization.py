@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, zip_longest
@@ -105,10 +106,12 @@ class _Basis:
                 self.factor_pairs.setdefault(k, []).append((i, j))
 
 
-# The most product-table entries a basis may have.  Building the table costs
-# about 1 s per million entries, and every product of the integration reads
-# it.  The largest basis the tests, golden cases and benchmark ops build has
-# 495 entries (70 monomials: four generators of degree 2, top degree 8, in
+# The most product-table entries a basis may have, and the highest top
+# degree, since the degree lists of the count and of the basis have top + 1
+# and top + 2 entries.  Building the table costs about 1 s per million
+# entries, and every product of the integration reads it.  The largest basis
+# the tests, golden cases and benchmark ops build has 495 entries (70
+# monomials: four generators of degree 2, top degree 8, in
 # tests/test_localization.py::test_power_sums_of_split_bundles).
 MAX_BASIS_PRODUCTS = 2**20
 
@@ -129,8 +132,14 @@ def _basis_size(degrees, top):
 @lru_cache(maxsize=None)
 def _basis(degrees, top):
     """The _Basis of (degrees, top), built once and shared by every oracle
-    that uses it; nothing writes to it.  Its size is predicted first and
-    refused above MAX_BASIS_PRODUCTS."""
+    that uses it; nothing writes to it.  A top degree above
+    MAX_BASIS_PRODUCTS is refused before any list is built; then the size
+    is predicted and refused above MAX_BASIS_PRODUCTS."""
+    if top > MAX_BASIS_PRODUCTS:
+        raise ValidationError(
+            f"oracle basis of degree <= {top}: its degree lists have {top + 1} entries, "
+            f"more than MAX_BASIS_PRODUCTS = {MAX_BASIS_PRODUCTS}"
+        )
     monomials, products = _basis_size(degrees, top)
     if products > MAX_BASIS_PRODUCTS:
         raise ValidationError(
@@ -492,20 +501,10 @@ class ContributionPolynomial(Value):
 
 # The values that strata share are module-level caches keyed by the plain
 # values they depend on.  The point route (_point_product, the norm identity
-# over each Galois orbit of exponents) and the oracle route (_product of the
-# closed-form inverses of inverse_one_minus_zeta) share no cache and no
+# over each Galois orbit of exponents) and the oracle route (_prefactor, of
+# the closed-form inverses of inverse_one_minus_zeta) share no cache and no
 # inverse, so the CLI's comparison of the two stays a comparison of
 # independent computations.
-
-
-def _product(ranks, factor):
-    """prod_{i>=1} factor(m, i, r_i) over m = len(ranks) and r_i != 0."""
-    m, out = len(ranks), None
-    for i in range(1, m):
-        if ranks[i]:
-            f = factor(m, i, ranks[i])
-            out = f if out is None else out * f
-    return Cyclotomic.from_rational(1, m) if out is None else out
 
 
 @lru_cache(maxsize=None)
@@ -564,8 +563,14 @@ def _oracle_factor(m, i, r):
 
 @lru_cache(maxsize=None)
 def _prefactor(ranks):
-    """The product of _point_product on the oracle route."""
-    return _product(ranks, _oracle_factor)
+    """The product of _point_product on the oracle route: _oracle_factor
+    (m, i, r_i) multiplied over the r_i != 0, m = len(ranks)."""
+    m, out = len(ranks), None
+    for i in range(1, m):
+        if ranks[i]:
+            f = _oracle_factor(m, i, ranks[i])
+            out = f if out is None else out * f
+    return Cyclotomic.from_rational(1, m) if out is None else out
 
 
 @lru_cache(maxsize=None)
@@ -580,12 +585,12 @@ def _weight(m, j, t):
     return ((_oracle_inverses(m)[j] - 1) ** t).scaled(1, t)
 
 
-@lru_cache(maxsize=None)
-def _w2(m, n):
-    """w2[nu][j] = twice mu_m(n)(-nu) - mu_m(n)(j - nu) at a fixed point with
-    rotation number n."""
-    mu2 = mu2_table(m, n)
-    return tuple(tuple(mu2[-nu] - mu2[j - nu] for j in range(m)) for nu in range(m))
+def _eigen_weights(mu2, nu):
+    """w_nu[j] = mu2[-nu] - mu2[j - nu], j = 0..m-1, for mu2 = mu2_table(m,
+    n): the weight of E^nu in -2m N_j at a fixed point with rotation number
+    n, one pass over mu2 rotated by nu.  It is 0 at j = 0 only, since a ->
+    mu2[a] is injective for n a unit mod m."""
+    return [mu2[-nu] - x for x in mu2[-nu:] + mu2[:-nu]]
 
 
 @lru_cache(maxsize=None)
@@ -593,23 +598,26 @@ def _eigen_ranks(m, n, rank, residues, denominator):
     """The canonical ranks of E^nu, nu = 0..m-1, at a fixed point with
     rotation number n and the SU(N) class of angles residues / denominator
     (the root count r^nu, plus rank G at nu = 0), and their sums
-    sum_nu w2[nu][j] rank(E^nu) per j.  Keyed by ints, so that a lookup
-    hashes no class."""
+    sum_nu rank(E^nu) w_nu (_eigen_weights), one row per nu with
+    rank(E^nu) != 0, of which there are at most N^2 - N + 1.  Keyed by
+    ints, so that a lookup hashes no class."""
     ranks = root_eigendata(ConjClassSU(len(residues), residues, denominator), m)
     ranks[0] += rank
-    w2 = _w2(m, n)
-    return tuple(ranks), tuple(sum(w2[nu][j] * ranks[nu] for nu in range(m)) for j in range(m))
+    mu2, sums = mu2_table(m, n), [0] * m
+    for nu, r in enumerate(ranks):
+        if r:
+            sums = [a + r * w for a, w in zip(sums, _eigen_weights(mu2, nu))]
+    return tuple(ranks), tuple(sums)
 
 
 @lru_cache(maxsize=None)
 def _exponent_scalar(m, n, nu, t):
     """sum_{j=1}^{m-1} w_j beta_j^t / t for the weights w_j with which a
-    bundle enters N_j: 1 for T_c^dual (n None) and -w2[nu][j]/(2m) for
-    E^nu at a fixed point with rotation number n, summed as -2m w_j over
-    2m."""
-    w = [-2 * m] * m if n is None else _w2(m, n)[nu]
-    acc = sum((_weight(m, j, t) * -w[j] for j in range(1, m) if w[j]),
-              Cyclotomic.from_rational(0, m))
+    bundle enters N_j: 1 for T_c^dual (n None) and -w_nu[j]/(2m) for E^nu
+    at a fixed point with rotation number n (_eigen_weights), summed as
+    -2m w_j over 2m."""
+    w = [-2 * m] * m if n is None else _eigen_weights(mu2_table(m, n), nu)
+    acc = sum((_weight(m, j, t) * -w[j] for j in range(1, m)), Cyclotomic.from_rational(0, m))
     return acc.scaled(1, 2 * m)
 
 
@@ -636,20 +644,24 @@ def lambda_inverse_expansion(data, stratum, group, oracle):
     terms): the prefactor prod (1 - zeta^i)^{-r_i} on the oracle route, and
     its exponent E as _combination terms (rows of a Q(zeta_m) scalar, a
     rational vector, a denominator), none when d_c = 0.  E is linear in
-    N_j = T_c^dual - sum w2/(2m) E^nu, E^nu trivial of its canonical rank
+    N_j = T_c^dual - sum w_nu[j]/(2m) E^nu, E^nu trivial of its canonical rank
     unless overridden, so T_c^dual and each overridden E[s][nu] enter once
-    per t with _exponent_scalar.  The ranks are certified as 2m r_j."""
+    per t with _exponent_scalar.  The ranks are certified as 2m r_j, summed
+    once per distinct (n, class) times the branch points with it."""
     m, d_c, basis = data.m, oracle.d_c, oracle.basis
     if oracle.tangent_rank != stratum.d_c:
         raise InvariantViolation(
             f"oracle tangent rank {oracle.tangent_rank} differs from stratum "
             f"dimension {stratum.d_c}"
         )
-    rotations = [n for _, n in data.branches]
-    eigen = [_eigen_ranks(m, n, group.rank, c.residues, c.denominator)
-             for n, c in zip(rotations, stratum.c_delta)]
-    ranks = [r for r, _ in eigen]
-    sums = [sum(col) for col in zip(*(s for _, s in eigen))] or [0] * m
+    points = [(n, group.rank, c.residues, c.denominator)
+              for (_, n), c in zip(data.branches, stratum.c_delta)]
+    # m entries per distinct (n, class), no more than enumerate_strata's
+    # check_branch_terms counted for this orbit before it made the stratum;
+    # _eigen_ranks builds at most N^2 - N + 1 rows of m per (n, class)
+    sums = [0] * m
+    for point, count in Counter(points).items():
+        sums = [a + count * x for a, x in zip(sums, _eigen_ranks(m, *point)[1])]
     for j in range(1, m):
         rank2m = 2 * m * oracle.tangent_rank - sums[j]
         if rank2m != 2 * m * stratum.ranks[j]:
@@ -660,19 +672,18 @@ def lambda_inverse_expansion(data, stratum, group, oracle):
     # p_n(T_c^dual) = (-1)^n p_n(T_c); a bundle is (power sums, sign, n, nu)
     bundles = [(oracle.tangent_power_sums, -1, None, None)]
     for (s, nu), (rank, classes) in oracle.eigen_chern.items():
-        if s >= len(ranks) or nu >= m:
+        if s >= len(points) or nu >= m:
             raise ValidationError(
-                f"oracle key E[{s}][{nu}] names no eigenbundle: s < {len(ranks)} "
+                f"oracle key E[{s}][{nu}] names no eigenbundle: s < {len(points)} "
                 f"(branch points) and nu < m = {m} are needed"
             )
-        if rank not in (None, ranks[s][nu]):
+        root_count = _eigen_ranks(m, *points[s])[0][nu]
+        if rank not in (None, root_count):
             raise InvariantViolation(
                 f"oracle rank {rank} for E[{s}][{nu}] disagrees with the stratum "
-                f"root count {ranks[s][nu]}"
+                f"root count {root_count}"
             )
-        if any(_w2(m, rotations[s])[nu][1:]):
-            p = _power_sums(basis, list(map(oracle.dense, classes)), d_c)
-            bundles.append((p, 1, rotations[s], nu))
+        bundles.append((_power_sums(basis, list(map(oracle.dense, classes)), d_c), 1, points[s][0], nu))
     terms = []
     for p, sign, n, nu in bundles:
         den = lcm(*(d for _, d in p[1:])) * factorial(d_c)

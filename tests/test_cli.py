@@ -198,6 +198,30 @@ def test_bytes_that_are_not_utf8_are_invalid_input(tmp_path, capsys):
     )
 
 
+def test_fit_byte_order_mark_changes_no_sample(tmp_path, monkeypatch, capsys):
+    # a header-less file: the BOM must not turn line 1 into a header
+    import torusfibre.cli as cli
+
+    fitted, fit = [], cli.fit_expansion
+    monkeypatch.setattr(cli, "fit_expansion", lambda samples, **kw: fitted.append(samples) or fit(samples, **kw))
+    text = "".join(f"{k},{2.0 * k + 1},0.5\r\n" for k in range(1, 41)).encode()
+    outs = []
+    for name, data in (("plain.csv", text), ("bom.csv", b"\xef\xbb\xbf" + text)):
+        (tmp_path / name).write_bytes(data)
+        outs.append(run(capsys, "fit", "--samples", str(tmp_path / name), "--qmax", "10", "--terms", "1"))
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+    assert fitted[0] == fitted[1]
+    assert [k for k, _ in fitted[0]] == list(range(1, 41))
+
+
+def test_fit_bytes_that_are_not_utf8_are_invalid_input(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"k,re,im\n1,1.0,0.0\n2,2.0,0.0 \xe9\n")
+    code, out, err = run(capsys, "fit", "--samples", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid input: 'utf-8' codec can't decode byte 0xe9 in position 28")
+
+
 def test_short_fit_sample_line_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     path.write_text("k,re,im\n1,1.0\n")
@@ -447,6 +471,46 @@ def test_oversized_oracle_basis_is_refused_from_its_predicted_size(monkeypatch, 
                          "--group", "SU(3)", "--oracles", str(path))
     assert (code, out) == (1, "")
     assert "has 735471 monomials and 76904685 products, more than MAX_BASIS_PRODUCTS" in err
+
+
+def test_huge_oracle_top_degree_is_refused_before_any_list(monkeypatch, tmp_path, capsys):
+    """Stratum 0 of two fixed points of order 2 over a quotient of genus
+    10**30 has d_c = 3 10**30 - 3; an oracle of one generator of degree
+    2 d_c is refused from its top degree, before the basis is counted or
+    built."""
+    import torusfibre.localization as localization
+
+    def unbuilt(*args):
+        raise AssertionError("basis counted or built")
+
+    monkeypatch.setattr(localization, "_basis_size", unbuilt)
+    monkeypatch.setattr(localization, "_Basis", unbuilt)
+    d_c = 3 * 10**30 - 3
+    orbit = tmp_path / "orbit.json"
+    orbit.write_text(json.dumps({"m": 2, "quotient_genus": 10**30, "branches": [{"l": 2, "n": 1}] * 2}))
+    oracles = tmp_path / "oracles.json"
+    oracles.write_text(json.dumps({"0": {"d_c": d_c, "generators": [{"name": "x", "degree": 2 * d_c}],
+                                         "pairing": {"x": 1}}}))
+    code, out, err = run(capsys, "contributions", "--orbit", str(orbit), "--group", "SU(2)",
+                         "--oracles", str(oracles))
+    assert (code, out) == (1, "")
+    assert f"degree <= {2 * d_c}: its degree lists have {2 * d_c + 1} entries, more than MAX_BASIS_PRODUCTS" in err
+
+
+def test_one_branch_type_reads_its_eigen_ranks_once(tmp_path, capsys):
+    """2**16 fixed points of one type over a genus-0 quotient: the SU(1)
+    invariant sums the eigen ranks of the one (n, class) once, times its
+    count, and builds no table of m**2 weights."""
+    from torusfibre.localization import _eigen_ranks
+
+    m = 2**16
+    path = tmp_path / "orbit.json"
+    path.write_text(json.dumps({"m": m, "quotient_genus": 0, "branches": [{"l": m, "n": 1}] * m}))
+    code, out, _ = run(capsys, "invariant", "--orbit", str(path), "--group", "SU(1)")
+    assert code == 0
+    assert _eigen_ranks.cache_info().misses == 1
+    (term,) = json.loads(out)["terms"]
+    assert term["coefficients"] == [{"conductor": m, "coeffs": ["1"] + ["0"] * (m // 2 - 1)}]
 
 
 # m = 2**16 with 66 fixed points of distinct rotation numbers n = +-1, +-3,

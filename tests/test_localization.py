@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 from conftest import FREE2, HYPER, M5, Z3, Z4, clear_caches, is_asymmetric, random_asymmetric_orbits
-from oracles import euclid_inverse, lambda_inverse_dict, norm_point_product, todd_log_series
+from oracles import (
+    euclid_inverse,
+    lambda_inverse_dict,
+    mu_bruteforce,
+    norm_point_product,
+    rational_value,
+    todd_log_series,
+)
 from torusfibre.errors import (
     InvariantViolation,
     MissingChernData,
@@ -25,7 +32,7 @@ from torusfibre.localization import (
     smooth_contribution,
 )
 from torusfibre.orbit import OrbitData
-from torusfibre.spectrum import lefschetz_trace
+from torusfibre.spectrum import lefschetz_trace, mu2_table
 from torusfibre.strata import StratumDescriptor, enumerate_strata
 
 SU2 = GroupData(2)
@@ -411,9 +418,9 @@ def test_rank_certificate_runs_with_a_warm_memo():
 
 
 def test_rank_certificate_runs_with_filled_tables():
-    """The canonical ranks and the w2 table are cached; a stratum with a
-    wrong rank entry, after one with the same c_delta classes has filled
-    them, still fails the 2m r_j certificate."""
+    """The canonical ranks and their weighted sums are cached per (n,
+    class); a stratum with a wrong rank entry, after one with the same
+    c_delta classes has filled them, still fails the 2m r_j certificate."""
     eigen_ranks = localization._eigen_ranks
     cases = [(M5, next(s for s in enumerate_strata(M5, SU2) if s.d_c == 0),
               CohomologyOracle.trivial()),
@@ -433,6 +440,47 @@ def test_rank_certificate_runs_with_filled_tables():
             with pytest.raises(InvariantViolation, match=f"r_{j} = {ranks[j]}"):
                 smooth_contribution(data, bad, SU2, oracle, PhaseQ(0))
         assert eigen_ranks.cache_info().currsize == filled.currsize
+
+
+def test_mu2_tables_have_distinct_entries():
+    """a -> mu2_table(m, n)[a] is injective for every unit n, so each
+    weight row of E^nu is 0 at j = 0 only: no weight that
+    lambda_inverse_expansion and _exponent_scalar sum is 0."""
+    rng = random.Random(33)
+    for _ in range(300):
+        m = rng.randint(2, 500)
+        n = rng.choice([n for n in range(1, m) if gcd(n, m) == 1])
+        mu2 = mu2_table(m, n)
+        assert len(set(mu2)) == m, (m, n)
+        nu = rng.randrange(m)
+        weights = localization._eigen_weights(mu2, nu)
+        assert [j for j, w in enumerate(weights) if not w] == [0], (m, n, nu)
+
+
+def test_eigen_rank_sums_match_the_literal_double_sum():
+    """The sums of _eigen_ranks, one rotated row per nonzero rank, equal
+    sum_nu rank(E^nu) 2 (mu(-nu) - mu(j - nu)) over every nu and j, mu the
+    brute-force root-of-unity sum, on the classes of asymmetric fixed-point
+    orbits in SU(2) and SU(3)."""
+    orbits = random_asymmetric_orbits(3301, 12, range(2, 10), fixed_points_only=True)
+    assert any(map(is_asymmetric, orbits))
+    seen = set()
+    for data in orbits:
+        m = data.m
+        for group in (SU2, GroupData(3)):
+            for s in enumerate_strata(data, group):
+                for (_, n), c in zip(data.branches, s.c_delta):
+                    key = (m, n, group.rank, c.residues, c.denominator)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    ranks, sums = localization._eigen_ranks(*key)
+                    mu2 = [2 * rational_value(mu_bruteforce(m, n, a)) for a in range(m)]
+                    assert list(sums) == [
+                        sum(r * (mu2[-nu] - mu2[(j - nu) % m]) for nu, r in enumerate(ranks))
+                        for j in range(m)
+                    ], key
+    assert len(seen) > 50
 
 
 def test_warm_caches_keep_orbits_apart():

@@ -697,7 +697,7 @@ def test_oracle_variants_reach_both_zero_forms():
 # The closed forms and tables of the integer route; the root reference must
 # compute what they compute without them.
 PRODUCTION_HELPERS = {
-    "_power_sums", "_todd_log_coefficients", "_exponent_scalar", "_weight", "_w2",
+    "_power_sums", "_todd_log_coefficients", "_exponent_scalar", "_weight", "_eigen_weights",
     "_prefactor", "_eigen_ranks", "lambda_inverse_expansion", "inverse_one_minus_zeta",
     "mu2_table", "_surjections", "factor_pairs", "pairing_factors", "forms", "_galois_orbits",
     "_parse_monomial",
